@@ -73,12 +73,8 @@ class _UserState:
     # playback
     buffer: float = 0.0
     t_last: float = 0.0
-    played: float = 0.0
     playback_started: bool = False
     playback_finished: bool = False
-    stall_since_rx: float = 0.0
-    total_stall: float = 0.0
-    stall_log: list[tuple[int, float]] = field(default_factory=list)
     # segment bookkeeping (owner side)
     received: int = 0
     reserved: int = 0
@@ -109,8 +105,6 @@ class SimResult:
     receives: dict[int, ReceiveSequence]
     breakdowns: dict[int, WelfareBreakdown]
     messages: MessageStats
-    stall_logs: dict[int, list[tuple[int, float]]]
-    total_stalls: dict[int, float]
     aborts: dict[int, tuple[int, float]]  # per downloader: (count, energy charged)
 
     @property
@@ -130,7 +124,11 @@ class SimResult:
     def rebuffer_by_user(self) -> dict[int, float]:
         """Stall seconds charged by the QoE model, per video user."""
         return {
-            uid: sum(d for _, d in log) for uid, log in sorted(self.stall_logs.items())
+            uid: sum(d for _, d in rebuf_loss(self.receives[uid], prof)[1])
+            if uid in self.receives
+            else 0
+            for uid, prof in sorted(self.profiles.items())
+            if prof.is_video_user
         }
 
     def helper_downloads(self) -> int:
@@ -187,17 +185,10 @@ class _Simulation:
         st.t_last = to_t
         if not st.playback_started or st.playback_finished:
             return
-        play = min(st.buffer, dt)
-        st.buffer -= play
-        st.played += play
+        st.buffer -= min(st.buffer, dt)
         if st.received >= st.profile.num_segments and st.buffer <= TIME_EPS:
             st.playback_finished = True
             st.buffer = 0.0
-            return
-        stall = dt - play
-        if stall > 0.0:
-            st.stall_since_rx += stall
-            st.total_stall += stall
 
     # -- group / view construction -----------------------------------------
 
@@ -379,9 +370,6 @@ class _Simulation:
             ost.received += 1
             ost.inflight -= 1
             ost.last_bitrate = bitrate
-            if seq_no >= 2 and ost.stall_since_rx > 0.0:
-                ost.stall_log.append((seq_no, ost.stall_since_rx))
-            ost.stall_since_rx = 0.0
             ost.buffer = min(ost.buffer + ost.profile.segment_len, ost.profile.buffer_cap)
             if not ost.playback_started:
                 ost.playback_started = True
@@ -443,16 +431,6 @@ class _Simulation:
             receives={uid: rx for uid, rx in receives.items()},
             breakdowns=breakdowns,
             messages=self.msgs,
-            stall_logs={
-                uid: list(st.stall_log)
-                for uid, st in self.users.items()
-                if st.profile.is_video_user
-            },
-            total_stalls={
-                uid: st.total_stall
-                for uid, st in self.users.items()
-                if st.profile.is_video_user
-            },
             aborts={uid: (st.abort_count, st.abort_cost) for uid, st in self.users.items()},
         )
 
@@ -561,6 +539,7 @@ def audit_run(
 
 def result_to_dict(result: SimResult) -> dict:
     """JSON-ready view of a run: sequences, welfare, stalls, messages."""
+    rebuffer = result.rebuffer_by_user()
     return {
         "horizon": result.horizon,
         "social_welfare": result.social_welfare,
@@ -577,7 +556,7 @@ def result_to_dict(result: SimResult) -> dict:
                 "segments_received": len(result.receives[uid].records)
                 if uid in result.receives
                 else 0,
-                "rebuffer_s": result.rebuffer_by_user().get(uid, 0.0),
+                "rebuffer_s": rebuffer.get(uid, 0.0),
                 "aborted_downloads": result.aborts[uid][0],
             }
             for uid, prof in sorted(result.profiles.items())

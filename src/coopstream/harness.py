@@ -52,7 +52,6 @@ class ScenarioConfig:
     phi_rebuf: float = 1.0
     c_time: float = 0.5
     c_data: float = 0.1
-    w_time: float = 0.0
     w_data: float = 0.05
     mobility: str = "dense-short"
     hotspots: int = 3
@@ -109,7 +108,6 @@ class ScenarioConfig:
             phi_rebuf=self.phi_rebuf,
             c_time=self.c_time,
             c_data=self.c_data,
-            w_time=self.w_time,
             w_data=self.w_data,
         )
 
@@ -234,8 +232,8 @@ def _metrics(result: SimResult) -> dict:
     for uid in video_ids:
         rx = result.receives.get(uid)
         if rx is not None:
-            seconds, _ = rebuf_loss(rx, result.profiles[uid])
-            rebuf += seconds / result.profiles[uid].phi_rebuf if result.profiles[uid].phi_rebuf else 0.0
+            _, log = rebuf_loss(rx, result.profiles[uid])
+            rebuf += sum(stall for _, stall in log)
     n_video = max(1, len(video_ids))
     return {
         "avg_bitrate_mbps": result.avg_bitrate(),

@@ -73,7 +73,6 @@ class UserProfile:
     phi_rebuf: float = 1.0      # penalty per second of rebuffering
     c_time: float = 0.5         # cellular energy per second of radio time
     c_data: float = 0.1         # cellular energy per Mbit downloaded
-    w_time: float = 0.0         # local-exchange energy per second (zero-time model)
     w_data: float = 0.05        # local-exchange energy per Mbit relayed
 
     @property
@@ -101,7 +100,7 @@ def validate_profile(p: UserProfile) -> None:
     k = p.video_len / p.segment_len
     if abs(k - round(k)) > TIME_EPS:
         raise ModelError("video_len must be an integer multiple of segment_len")
-    for name in ("theta", "phi_qdeg", "phi_rebuf", "c_time", "c_data", "w_time", "w_data"):
+    for name in ("theta", "phi_qdeg", "phi_rebuf", "c_time", "c_data", "w_data"):
         if getattr(p, name) < 0.0:
             raise ModelError(f"coefficient {name} must be nonnegative")
 

@@ -15,7 +15,7 @@ so Idle never strands a user.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .model import TIME_EPS, UserProfile, segment_volume
 from .welfare import decision_welfare
@@ -124,7 +124,6 @@ def _wait_or_idle(view: SchedulerView):
 @dataclass(frozen=True)
 class LyapunovConfig:
     drift_weight: float = 100.0      # welfare weight against buffer drift
-    skip_unprofitable: bool = False  # go idle when every option scores negative
 
 
 def projected_owner_buffer(buffer: float, dl_time: float, beta: float, cap: float) -> float:
@@ -192,27 +191,7 @@ def lyapunov_decide(view: SchedulerView, cfg: LyapunovConfig = LyapunovConfig())
             key = (score, p.user_id, level)
             if best is None or key < best:
                 best = key
-    if cfg.skip_unprofitable and best[0] > 0.0:
-        return Idle()
     return Download(best[1], best[2])
-
-
-def greedy_noncoop_decide(view: SchedulerView, cfg: LyapunovConfig = LyapunovConfig()):
-    """Self-only variant of the drift-plus-penalty rule."""
-    me = view.peer(view.user_id)
-    if me is None or me.remaining <= 0:
-        return Idle()
-    if not can_afford(me):
-        gap = me.buffer + me.profile.segment_len - me.profile.buffer_cap
-        return Wait(gap) if gap > TIME_EPS else Idle()
-    best = None
-    for level in range(1, me.profile.ladder.top + 1):
-        score = lyapunov_score(view, me, level, cfg)
-        if best is None or (score, level) < best:
-            best = (score, level)
-    if cfg.skip_unprofitable and best[0] > 0.0:
-        return Idle()
-    return Download(view.user_id, best[1])
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +283,9 @@ def make_scheduler(name: str, **params):
         cfg = LyapunovConfig(**params)
         fn = lambda view: lyapunov_decide(view, cfg)
     elif name == "noncoop":
+        # The same rule on a self-only view: peers still drift, none are served.
         cfg = LyapunovConfig(**params)
-        fn = lambda view: greedy_noncoop_decide(view, cfg)
+        fn = lambda view: lyapunov_decide(replace(view, cooperative=False), cfg)
     elif name == "buffer":
         cfg = BufferRuleConfig(**params)
         fn = lambda view: buffer_based_decide(view, cfg)

@@ -136,7 +136,6 @@ def micro_instance(seed: int) -> SlottedInstance:
             phi_rebuf=rng.choice([0.0, 1.0]),
             c_time=0.5,
             c_data=0.1,
-            w_time=0.0,
             w_data=0.05,
         )
     slots = rng.randint(2, 4)

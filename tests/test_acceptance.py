@@ -78,7 +78,6 @@ def audit_scenario(seed):
             phi_rebuf=rng.choice([0.5, 1.0, 2.0]),
             c_time=0.5,
             c_data=0.1,
-            w_time=0.0,
             w_data=0.05,
         )
     synth = tr.SynthConfig(
@@ -210,7 +209,6 @@ def sandwich_scenario(seed):
             phi_rebuf=rng.choice([0.0, 1.0]),
             c_time=0.5,
             c_data=0.1,
-            w_time=0.0,
             w_data=0.05,
         )
         pat = rng.choice(SANDWICH_PATTERNS)
@@ -318,7 +316,6 @@ def gap_trend_scenario(seed):
             phi_rebuf=1.0,
             c_time=0.5,
             c_data=0.1,
-            w_time=0.0,
             w_data=0.05,
         )
     }
@@ -466,7 +463,6 @@ def test_outage_coordination_accounting(verdict):
             phi_rebuf=1.0,
             c_time=0.5,
             c_data=0.1,
-            w_time=0.0,
             w_data=0.05,
         )
         # One shared hotspot, rowed in 10 s spans: every boundary wakes the

@@ -48,7 +48,6 @@ def profile(uid, rates, *, beta=1.0, cap=10.0, video=2.0, theta=1.0,
         phi_rebuf=phi_r,
         c_time=c_time,
         c_data=c_data,
-        w_time=0.0,
         w_data=w_data,
     )
 

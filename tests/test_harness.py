@@ -25,6 +25,7 @@ from coopstream.harness import (
     write_summary_csv,
 )
 from coopstream.schedulers import make_scheduler
+from coopstream.welfare import rebuf_loss
 
 
 def tiny_config(**overrides) -> ScenarioConfig:
@@ -300,8 +301,11 @@ def test_gap_ratio_column_appears_when_bound_enabled(tmp_path):
     assert rows[0][-1] == "gap_ratio"
 
 
-def test_metrics_rebuf_matches_engine_stall_accounting():
-    cfg = tiny_config(schedulers=("lyapunov",), repetitions=1, phi_rebuf=2.0)
+@pytest.mark.parametrize("phi_rebuf", [2.0, 0.0])
+def test_metrics_rebuf_matches_engine_stall_accounting(phi_rebuf):
+    # rebuf_s is stall seconds, whatever the penalty weight on them; seed 4
+    # stalls under both weights
+    cfg = tiny_config(schedulers=("lyapunov",), repetitions=1, phi_rebuf=phi_rebuf, seed=4)
     report = run_experiment(cfg)
     row = report["schedulers"][0]["repetitions"][0]
     profiles = build_profiles(cfg, cfg.seed)
@@ -314,8 +318,14 @@ def test_metrics_rebuf_matches_engine_stall_accounting():
         RunConfig(horizon=cfg.horizon, noncoop=noncoop, ack_window=cfg.ack_window),
     )
     n_video = sum(p.is_video_user for p in profiles.values())
-    stalls = sum(result.rebuffer_by_user().values())
+    stalls = sum(
+        seconds
+        for uid, rx in result.receives.items()
+        for _, seconds in rebuf_loss(rx, profiles[uid])[1]
+    )
+    assert stalls > 0.0
     assert row["rebuf_s"] == pytest.approx(stalls / n_video, abs=1e-9)
+    assert sum(result.rebuffer_by_user().values()) == pytest.approx(stalls, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -16,7 +17,6 @@ from coopstream.schedulers import (
     buffer_based_decide,
     can_afford,
     drift_term,
-    greedy_noncoop_decide,
     lyapunov_decide,
     lyapunov_score,
     make_scheduler,
@@ -115,12 +115,6 @@ class TestLyapunovDecide:
         got = lyapunov_decide(v, cfg)
         assert got == Download(2, 1)
 
-    def test_skip_unprofitable_flag(self):
-        cfg = LyapunovConfig(drift_weight=1.0, skip_unprofitable=True)
-        # weak link, full buffer: every candidate scores positive -> Idle
-        v = view(1, [peer(1, 36.0)], capacity=0.01)
-        assert isinstance(lyapunov_decide(v, cfg), Idle)
-
     def test_respects_afford_guard(self):
         v = view(1, [peer(1, 38.5), peer(2, 10.0)], capacity=10.0)
         got = lyapunov_decide(v)
@@ -182,18 +176,20 @@ class TestScoreScaling:
 
 
 class TestGreedyNoncoop:
+    noncoop = staticmethod(make_scheduler("noncoop"))
+
     def test_self_only(self):
         v = view(1, [peer(1, 30.0), peer(2, 0.0)], capacity=10.0)
-        got = greedy_noncoop_decide(v)
+        got = self.noncoop(v)
         assert isinstance(got, Download) and got.owner == 1
 
     def test_idle_when_video_done(self):
         v = view(1, [peer(1, 10.0, remaining=0), peer(2, 0.0)])
-        assert isinstance(greedy_noncoop_decide(v), Idle)
+        assert isinstance(self.noncoop(v), Idle)
 
     def test_wait_on_own_full_buffer(self):
         v = view(1, [peer(1, 39.0), peer(2, 0.0)])
-        got = greedy_noncoop_decide(v)
+        got = self.noncoop(v)
         assert isinstance(got, Wait)
         assert got.duration == pytest.approx(1.0, abs=1e-9)
 
@@ -201,7 +197,19 @@ class TestGreedyNoncoop:
         for cap in (0.4, 1.0, 2.3, 6.0):
             for buf in (0.0, 12.0, 31.0):
                 v = view(1, [peer(1, buf)], capacity=cap)
-                assert greedy_noncoop_decide(v) == lyapunov_decide(v)
+                assert self.noncoop(v) == lyapunov_decide(v)
+        # with co-located peers, which still enter the drift and bystander
+        # terms, it is the same rule on the self-only view
+        rng = random.Random(11)
+        for _ in range(60):
+            peers = [
+                peer(uid, rng.uniform(0.0, 39.0), last=rng.choice([None, 0.4, 2.3]),
+                     remaining=rng.choice([0, 3, 10]), inflight=rng.choice([0, 1]),
+                     started=rng.random() < 0.8)
+                for uid in (1, 2, 3)
+            ]
+            v = view(1, peers, capacity=rng.uniform(0.3, 6.0))
+            assert self.noncoop(v) == lyapunov_decide(replace(v, cooperative=False))
 
 
 class TestBufferBaseline:
