@@ -112,32 +112,43 @@ class SlottedPlan:
     slots: int
     kappa: dict[tuple[int, int, int, int], int]
 
-    def count(self, n: int, m: int, z: int, slot: int) -> int:
-        return self.kappa.get((n, m, z, slot), 0)
-
     def entries(self):
         """Sorted nonzero (downloader, owner, level, slot, count) tuples."""
         return [
             (n, m, z, s, c) for (n, m, z, s), c in sorted(self.kappa.items()) if c > 0
         ]
 
-    def download_volume(self, instance: SlottedInstance, n: int, slot: int) -> float:
-        # Sorted iteration keeps the float sum independent of how the
-        # kappa dict was built, so equal plans always score bit-equal.
-        total = 0.0
-        for (dn, m, z, s), c in sorted(self.kappa.items()):
-            if dn == n and s == slot and c > 0:
-                total += c * segment_volume(instance.profiles[m], z)
-        return total
 
-    def receipts(self, instance: SlottedInstance, m: int, slot: int) -> list[tuple[float, int]]:
-        """(bitrate, count) pairs received by owner m in `slot`, rate-sorted."""
-        acc: dict[float, int] = {}
-        for (n, mm, z, s), c in sorted(self.kappa.items()):
-            if mm == m and s == slot and c > 0:
-                rate = instance.profiles[m].ladder.rate(z)
-                acc[rate] = acc.get(rate, 0) + c
-        return sorted(acc.items())
+def _tally(plan: SlottedPlan, instance: SlottedInstance):
+    """One pass over the plan's entries.
+
+    Returns Mbit moved per (downloader, slot) and the rate-sorted
+    (bitrate, count) receipts per (owner, slot).  Sums run in entries()
+    order, so equal plans tally bit-equal however the dict was built.
+    """
+    profs = instance.profiles
+    volume: dict[tuple[int, int], float] = {}
+    by_rate: dict[tuple[int, int], dict[float, int]] = {}
+    for n, m, z, s, c in plan.entries():
+        volume[n, s] = volume.get((n, s), 0.0) + c * segment_volume(profs[m], z)
+        acc = by_rate.setdefault((m, s), {})
+        rate = profs[m].ladder.rate(z)
+        acc[rate] = acc.get(rate, 0) + c
+    return volume, {key: sorted(acc.items()) for key, acc in by_rate.items()}
+
+
+def _buffer_levels(receipts, instance: SlottedInstance, m: int) -> list[float]:
+    """Owner m's buffer (seconds) after each slot, index 0 = before slot 1.
+
+    Each slot drains one second (never below empty), then adds the
+    slot's receipts.
+    """
+    beta = instance.profiles[m].segment_len
+    levels = [0.0]
+    for s in range(1, instance.slots + 1):
+        gained = sum(c for _, c in receipts.get((m, s), ())) * beta
+        levels.append(max(levels[-1] - 1.0, 0.0) + gained)
+    return levels
 
 
 def plan_violations(plan: SlottedPlan, instance: SlottedInstance, tol: float = 1e-9) -> list[str]:
@@ -171,24 +182,25 @@ def plan_violations(plan: SlottedPlan, instance: SlottedInstance, tol: float = 1
         # Segment volumes cannot be priced past these faults, so the
         # capacity and buffer checks below would only raise.
         return bad
+    volume, receipts = _tally(plan, instance)
     for n in sorted(profs):
         for s in range(1, instance.slots + 1):
-            vol = plan.download_volume(instance, n, s)
+            vol = volume.get((n, s), 0.0)
             if vol > instance.capacity[n][s - 1] + tol:
                 bad.append(
                     f"slot capacity: user {n} slot {s} moves {vol} > {instance.capacity[n][s - 1]}"
                 )
     for m in instance.video_users():
         prof = profs[m]
-        total = sum(c for (n, mm, z, s), c in plan.kappa.items() if mm == m and c > 0)
+        total = sum(c for (mm, _), got in receipts.items() if mm == m for _, c in got)
         if total > prof.num_segments:
             bad.append(f"owner {m}: {total} segments planned, video has {prof.num_segments}")
-        q = 0.0
+        levels = _buffer_levels(receipts, instance, m)
         for s in range(1, instance.slots + 1):
-            gained = sum(c for r, c in plan.receipts(instance, m, s)) * prof.segment_len
-            q = max(q - 1.0, 0.0) + gained
-            if q > prof.buffer_cap + tol:
-                bad.append(f"buffer: owner {m} holds {q} s > cap {prof.buffer_cap} after slot {s}")
+            if levels[s] > prof.buffer_cap + tol:
+                bad.append(
+                    f"buffer: owner {m} holds {levels[s]} s > cap {prof.buffer_cap} after slot {s}"
+                )
     return bad
 
 
@@ -202,51 +214,35 @@ def slotted_breakdowns(plan: SlottedPlan, instance: SlottedInstance) -> dict[int
     followed by a receipt stay free, mirroring the per-segment QoE terms.
     """
     profs = instance.profiles
-    out: dict[int, WelfareBreakdown] = {}
+    volume, receipts = _tally(plan, instance)
     per_user = {uid: [0.0, 0.0, 0.0, 0.0, 0.0] for uid in profs}  # v, qdeg, rebuf, cell, wifi
     for m in instance.video_users():
         prof = profs[m]
-        rx_slots = []
-        for s in range(1, instance.slots + 1):
-            got = plan.receipts(instance, m, s)
-            if got:
-                rx_slots.append((s, got))
+        rx_slots = [
+            (s, receipts[m, s]) for s in range(1, instance.slots + 1) if (m, s) in receipts
+        ]
+        last_high = None
         for s, got in rx_slots:
             for rate, c in got:
                 per_user[m][0] += c * prof.segment_len * quality_value(prof.theta, rate)
-        last_high = None
-        for s, got in rx_slots:
-            low = got[0][0]
-            high = got[-1][0]
             if last_high is not None:
-                per_user[m][1] += prof.phi_qdeg * max(last_high - low, 0.0)
-            last_high = high
+                per_user[m][1] += prof.phi_qdeg * max(last_high - got[0][0], 0.0)
+            last_high = got[-1][0]
         if rx_slots:
-            first_s = rx_slots[0][0]
-            last_s = rx_slots[-1][0]
-            q = 0.0
-            q_hist = {0: 0.0}
-            by_slot = dict(rx_slots)
-            for s in range(1, instance.slots + 1):
-                gained = sum(c for _, c in by_slot.get(s, [])) * prof.segment_len
-                q = max(q - 1.0, 0.0) + gained
-                q_hist[s] = q
-            for s in range(first_s + 1, last_s + 1):
-                per_user[m][2] += prof.phi_rebuf * max(1.0 - q_hist[s - 1], 0.0)
+            levels = _buffer_levels(receipts, instance, m)
+            for s in range(rx_slots[0][0] + 1, rx_slots[-1][0] + 1):
+                per_user[m][2] += prof.phi_rebuf * max(1.0 - levels[s - 1], 0.0)
     for n in sorted(profs):
         prof = profs[n]
         for s in range(1, instance.slots + 1):
-            vol = plan.download_volume(instance, n, s)
+            vol = volume.get((n, s), 0.0)
             if vol > 0.0:
                 per_user[n][3] += prof.c_time * vol / instance.capacity[n][s - 1]
                 per_user[n][3] += prof.c_data * vol
-        for (dn, m, z, s), c in sorted(plan.kappa.items()):
-            if dn == n and m != n and c > 0:
-                per_user[n][4] += prof.w_data * c * segment_volume(profs[m], z)
-    for uid in profs:
-        v, dq, rb, ec, ew = per_user[uid]
-        out[uid] = WelfareBreakdown(v, dq, rb, ec, ew)
-    return out
+    for n, m, z, s, c in plan.entries():
+        if m != n:
+            per_user[n][4] += profs[n].w_data * c * segment_volume(profs[m], z)
+    return {uid: WelfareBreakdown(*terms) for uid, terms in per_user.items()}
 
 
 def slotted_welfare(plan: SlottedPlan, instance: SlottedInstance) -> float:
@@ -436,29 +432,24 @@ def plan_to_segmented(
     plan: SlottedPlan, instance: SlottedInstance, cap_trace: tr.CapacityTrace
 ) -> dict[int, DownloadSequence]:
     profs = instance.profiles
+    # Each (downloader, slot) batch in entries() order: by owner, then by
+    # level, which is ascending bitrate.
+    batches: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for n, m, z, s, c in plan.entries():
+        batches.setdefault((n, s), []).extend([(m, z)] * c)
     raw: list[tuple[float, int, int, int, float]] = []  # (t_end, n, m, z, t_start)
-    for n in sorted(profs):
-        for s in range(1, instance.slots + 1):
-            items = []
-            for (dn, m, z, ss), c in sorted(plan.kappa.items()):
-                if dn == n and ss == s and c > 0:
-                    items.extend([(m, z)] * c)
-            if not items:
-                continue
-            items.sort(key=lambda mz: (mz[0], profs[mz[0]].ladder.rate(mz[1])))
-            total = sum(segment_volume(profs[m], z) for m, z in items)
-            start = tr.download_start_time(cap_trace, n, float(s), total)
-            if start is None or start < float(s - 1) - TIME_EPS:
-                raise BoundError(
-                    f"plan exceeds slot capacity for user {n} in slot {s}"
-                )
-            t0 = start
-            for m, z in items:
-                te = tr.download_end_time(cap_trace, n, t0, segment_volume(profs[m], z))
-                if te is None:
-                    raise BoundError("capacity trace ended mid-slot")
-                raw.append((te, n, m, z, t0))
-                t0 = te
+    for (n, s), items in sorted(batches.items()):
+        total = sum(segment_volume(profs[m], z) for m, z in items)
+        start = tr.download_start_time(cap_trace, n, float(s), total)
+        if start is None or start < float(s - 1) - TIME_EPS:
+            raise BoundError(f"plan exceeds slot capacity for user {n} in slot {s}")
+        t0 = start
+        for m, z in items:
+            te = tr.download_end_time(cap_trace, n, t0, segment_volume(profs[m], z))
+            if te is None:
+                raise BoundError("capacity trace ended mid-slot")
+            raw.append((te, n, m, z, t0))
+            t0 = te
     # Assign per-owner playback positions in global receipt order.
     raw.sort(key=lambda r: (r[2], r[0], r[1], r[3]))
     seq_no: dict[int, int] = {}

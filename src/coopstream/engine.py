@@ -28,7 +28,7 @@ from .model import (
     segment_volume,
 )
 from .schedulers import Download, Idle, PeerInfo, SchedulerView, Wait
-from .welfare import rebuf_loss, user_welfare
+from .welfare import buffer_trajectory, rebuf_loss, user_welfare
 
 _COMPLETE = 0  # deliveries and aborts apply before same-instant decisions
 _DECIDE = 1
@@ -520,12 +520,7 @@ def audit_run(
         except ModelError as exc:
             bad.append(f"receive user {owner}: {exc}")
             continue
-        q = 0.0
-        times = rx.receive_times
-        for k, t in enumerate(times):
-            if k > 0:
-                q = max(q - (t - times[k - 1]), 0.0)
-            q += prof.segment_len
+        for k, q in enumerate(buffer_trajectory(rx, prof)):
             if q > prof.buffer_cap + tol:
                 bad.append(
                     f"C.4 user {owner}: buffer {q} exceeds cap {prof.buffer_cap} at segment {k + 1}"

@@ -266,55 +266,34 @@ def _bound_subinstance(cfg, profiles, cap, mob):
             picked.append(uid)
     picked = sorted(picked)
     horizon = float(min(cfg.bound_horizon, int(cfg.horizon)))
-    cap_rows, mob_rows = [], []
-    for uid in picked:
-        track = cap.tracks[uid]
-        for i, v in enumerate(track.values):
-            a, b = track.bounds[i], min(track.bounds[i + 1], horizon)
-            if b > a:
-                cap_rows.append((uid, a, b, v))
-        track = mob.tracks[uid]
-        for i, v in enumerate(track.values):
-            a, b = track.bounds[i], min(track.bounds[i + 1], horizon)
-            if b > a:
-                mob_rows.append((uid, a, b, int(v)))
-    sub_cap = tr.CapacityTrace(horizon, cap_rows)
-    sub_mob = tr.MobilityTrace(horizon, mob_rows)
+    sub_cap, sub_mob = (
+        type(trace)(
+            horizon,
+            [(u, a, min(b, horizon), v) for u, a, b, v in trace.rows() if u in picked and a < horizon],
+        )
+        for trace in (cap, mob)
+    )
     sub_profiles = {uid: profiles[uid] for uid in picked}
     return sub_profiles, sub_cap, sub_mob
 
 
 def _gap_ratio(cfg, profiles, cap, mob, sched_name, noncoop) -> float | None:
-    """1 - realized/bound on the scoped-down prefix instance, if defined."""
+    """1 - realized/bound on the prefix instance; None unless its finest level is exact."""
     sub_profiles, sub_cap, sub_mob = _bound_subinstance(cfg, profiles, cap, mob)
     scheduler = make_scheduler(sched_name, **cfg.scheduler_params(sched_name))
-    run_cfg = RunConfig(
-        horizon=sub_cap.horizon, noncoop=noncoop, ack_window=cfg.ack_window
-    )
+    run_cfg = RunConfig(horizon=sub_cap.horizon, noncoop=noncoop, ack_window=cfg.ack_window)
     result = run(sub_profiles, sub_cap, sub_mob, scheduler, run_cfg)
     inst = bd.slotted_instance(sub_profiles, sub_cap, sub_mob, noncoop=noncoop)
     region = bd.bound_region(inst, cfg.bound_refine, cfg.bound_budget)
-    if region.upper <= 1e-9:
+    if not region.exact[-1] or region.upper <= 1e-9:
         return None
     return 1.0 - result.social_welfare / region.upper
-
-
-@dataclass
-class SchedulerSummary:
-    scheduler: str
-    avg_bitrate_mbps: float
-    bitrate_gain: float
-    social_welfare: float
-    welfare_gain: float
-    rebuf_s: float
-    gap_ratio: float | None
-    per_rep: list[dict]
 
 
 def run_experiment(cfg: ScenarioConfig, out_dir: str | None = None) -> dict:
     """Run every scheduler (and its non-cooperative twin) over all repetitions."""
     cfg.validate()
-    summaries: list[SchedulerSummary] = []
+    summaries: list[dict] = []
     first_results: dict[str, SimResult] = {}
     for name in cfg.schedulers:
         rows = []
@@ -323,21 +302,13 @@ def run_experiment(cfg: ScenarioConfig, out_dir: str | None = None) -> dict:
             profiles = build_profiles(cfg, rep_seed)
             cap, mob, noncoop = build_traces(cfg, rep_seed)
             scheduler = make_scheduler(name, **cfg.scheduler_params(name))
-            run_cfg = RunConfig(
-                horizon=cfg.horizon, noncoop=noncoop, ack_window=cfg.ack_window
-            )
+            run_cfg = RunConfig(horizon=cfg.horizon, noncoop=noncoop, ack_window=cfg.ack_window)
             result = run(profiles, cap, mob, scheduler, run_cfg)
             row = {"seed": rep_seed, **_metrics(result)}
             if noncoop:
                 twin = result
             else:
-                twin = run(
-                    profiles,
-                    cap,
-                    mob,
-                    scheduler,
-                    replace(run_cfg, noncoop=True),
-                )
+                twin = run(profiles, cap, mob, scheduler, replace(run_cfg, noncoop=True))
             twin_m = _metrics(twin)
             row["noncoop_avg_bitrate_mbps"] = twin_m["avg_bitrate_mbps"]
             row["noncoop_social_welfare"] = twin_m["social_welfare"]
@@ -350,34 +321,22 @@ def run_experiment(cfg: ScenarioConfig, out_dir: str | None = None) -> dict:
                 first_results[name] = result
         gaps = [r["gap_ratio"] for r in rows if r.get("gap_ratio") is not None]
         summaries.append(
-            SchedulerSummary(
-                scheduler=name,
-                avg_bitrate_mbps=_mean(rows, "avg_bitrate_mbps"),
-                bitrate_gain=_mean(rows, "bitrate_gain"),
-                social_welfare=_mean(rows, "social_welfare"),
-                welfare_gain=_mean(rows, "welfare_gain"),
-                rebuf_s=_mean(rows, "rebuf_s"),
-                gap_ratio=sum(gaps) / len(gaps) if gaps else None,
-                per_rep=rows,
-            )
+            {
+                "scheduler": name,
+                "avg_bitrate_mbps": _mean(rows, "avg_bitrate_mbps"),
+                "bitrate_gain": _mean(rows, "bitrate_gain"),
+                "social_welfare": _mean(rows, "social_welfare"),
+                "welfare_gain": _mean(rows, "welfare_gain"),
+                "rebuf_s": _mean(rows, "rebuf_s"),
+                "gap_ratio": sum(gaps) / len(gaps) if gaps else None,
+                "stdev_welfare": _stdev(rows, "social_welfare"),
+                "repetitions": rows,
+            }
         )
     report = {
         "scenario": cfg.name,
         "config": {f.name: _jsonable(getattr(cfg, f.name)) for f in fields(cfg)},
-        "schedulers": [
-            {
-                "scheduler": s.scheduler,
-                "avg_bitrate_mbps": s.avg_bitrate_mbps,
-                "bitrate_gain": s.bitrate_gain,
-                "social_welfare": s.social_welfare,
-                "welfare_gain": s.welfare_gain,
-                "rebuf_s": s.rebuf_s,
-                "gap_ratio": s.gap_ratio,
-                "stdev_welfare": _stdev(s.per_rep, "social_welfare"),
-                "repetitions": s.per_rep,
-            }
-            for s in summaries
-        ],
+        "schedulers": summaries,
     }
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -70,22 +70,32 @@ def _build_track(user_rows: list[tuple[float, float, float]], horizon: float, wh
     return _Track(tuple(bounds), tuple(values))
 
 
-class CapacityTrace:
-    """Cellular downlink capacity per user over [0, horizon]."""
+def _fmt(x: float) -> str:
+    return format(x, ".10g")
+
+
+class _StepTrace:
+    """Per-user step functions over [0, horizon], one row per interval.
+
+    Subclasses set `kind` and `value_name` (for messages), the CSV
+    `header`, `cast` (raw value to stored value) and `text` (stored value
+    to CSV field).
+    """
 
     def __init__(self, horizon: float, rows: list[tuple[int, float, float, float]]):
         if horizon <= 0.0:
             raise TraceError("horizon must be positive")
         self.horizon = float(horizon)
         per_user: dict[int, list[tuple[float, float, float]]] = {}
-        for user_id, t_from, t_to, cap in rows:
-            if cap < 0.0:
-                raise TraceError(f"negative capacity for user {user_id}")
-            per_user.setdefault(int(user_id), []).append((float(t_from), float(t_to), float(cap)))
+        for user_id, t_from, t_to, value in rows:
+            value = self.cast(value)
+            if value < 0:
+                raise TraceError(f"negative {self.value_name} for user {user_id}")
+            per_user.setdefault(int(user_id), []).append((float(t_from), float(t_to), value))
         if not per_user:
-            raise TraceError("capacity trace has no users")
+            raise TraceError(f"{self.kind} trace has no users")
         self.tracks = {
-            u: _build_track(urows, self.horizon, f"capacity user {u}")
+            u: _build_track(urows, self.horizon, f"{self.kind} user {u}")
             for u, urows in sorted(per_user.items())
         }
 
@@ -93,46 +103,51 @@ class CapacityTrace:
         return sorted(self.tracks)
 
     @classmethod
-    def from_csv(cls, path: str) -> "CapacityTrace":
-        rows = _read_csv_rows(path, ("user_id", "t_from", "t_to", "capacity_mbps"))
+    def from_csv(cls, path: str):
+        rows = _read_csv_rows(path, cls.header)
         horizon = max(r[2] for r in rows) if rows else 0.0
         return cls(horizon, [(int(u), a, b, v) for u, a, b, v in rows])
+
+    def rows(self):
+        """(user, t_from, t_to, value) per interval, users ascending."""
+        for u in self.users():
+            tr = self.tracks[u]
+            for i, v in enumerate(tr.values):
+                yield u, tr.bounds[i], tr.bounds[i + 1], v
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["user_id", "t_from", "t_to", "capacity_mbps"])
-            for u in self.users():
-                tr = self.tracks[u]
-                for i, v in enumerate(tr.values):
-                    w.writerow([u, _fmt(tr.bounds[i]), _fmt(tr.bounds[i + 1]), _fmt(v)])
+            w.writerow(self.header)
+            for u, a, b, v in self.rows():
+                w.writerow([u, _fmt(a), _fmt(b), self.text(v)])
 
 
-class MobilityTrace:
+class CapacityTrace(_StepTrace):
+    """Cellular downlink capacity per user over [0, horizon]."""
+
+    kind = "capacity"
+    value_name = "capacity"
+    header = ("user_id", "t_from", "t_to", "capacity_mbps")
+    cast = float
+    text = staticmethod(_fmt)
+
+
+class MobilityTrace(_StepTrace):
     """Hotspot membership per user over [0, horizon]; hotspot 0 = in transit."""
 
+    kind = "mobility"
+    value_name = "hotspot id"
+    header = ("user_id", "t_from", "t_to", "hotspot_id")
+    cast = int
+    text = int
+
     def __init__(self, horizon: float, rows: list[tuple[int, float, float, int]]):
-        if horizon <= 0.0:
-            raise TraceError("horizon must be positive")
-        self.horizon = float(horizon)
-        per_user: dict[int, list[tuple[float, float, float]]] = {}
-        for user_id, t_from, t_to, spot in rows:
-            if int(spot) < 0:
-                raise TraceError(f"negative hotspot id for user {user_id}")
-            per_user.setdefault(int(user_id), []).append((float(t_from), float(t_to), int(spot)))
-        if not per_user:
-            raise TraceError("mobility trace has no users")
-        self.tracks = {
-            u: _build_track(urows, self.horizon, f"mobility user {u}")
-            for u, urows in sorted(per_user.items())
-        }
+        super().__init__(horizon, rows)
         bps: set[float] = set()
         for tr in self.tracks.values():
             bps.update(tr.bounds[1:-1])
         self._all_breakpoints = sorted(bps)
-
-    def users(self) -> list[int]:
-        return sorted(self.tracks)
 
     def next_breakpoint(self, t: float) -> float | None:
         """Earliest location change strictly after t, across all users."""
@@ -140,21 +155,6 @@ class MobilityTrace:
         if i < len(self._all_breakpoints):
             return self._all_breakpoints[i]
         return None
-
-    @classmethod
-    def from_csv(cls, path: str) -> "MobilityTrace":
-        rows = _read_csv_rows(path, ("user_id", "t_from", "t_to", "hotspot_id"))
-        horizon = max(r[2] for r in rows) if rows else 0.0
-        return cls(horizon, [(int(u), a, b, int(v)) for u, a, b, v in rows])
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["user_id", "t_from", "t_to", "hotspot_id"])
-            for u in self.users():
-                tr = self.tracks[u]
-                for i, v in enumerate(tr.values):
-                    w.writerow([u, _fmt(tr.bounds[i]), _fmt(tr.bounds[i + 1]), int(v)])
 
 
 def _read_csv_rows(path: str, header: tuple[str, ...]) -> list[tuple[float, float, float, float]]:
@@ -177,10 +177,6 @@ def _read_csv_rows(path: str, header: tuple[str, ...]) -> list[tuple[float, floa
             except ValueError:
                 raise TraceError(f"{path}:{lineno}: non-numeric field")
     return rows
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".10g")
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +281,7 @@ def encountered_throughout(trace: MobilityTrace, n: int, u: int, a: float, b: fl
         return True
     if b < a:
         raise TraceError("interval reversed")
-    points = [a]
-    points += trace.tracks[n].breakpoints_in(a, b)
-    points += trace.tracks[u].breakpoints_in(a, b)
-    return all(encountered(trace, n, u, t) for t in points)
+    return first_separation(trace, n, u, a, b) is None
 
 
 def first_separation(trace: MobilityTrace, n: int, u: int, a: float, b: float) -> float | None:

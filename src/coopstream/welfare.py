@@ -64,21 +64,18 @@ def rebuf_loss(rx: ReceiveSequence, profile: UserProfile) -> tuple[float, Rebuff
     """Rebuffering penalty plus a per-segment log of stall durations.
 
     Segment k stalls for the part of the inter-receipt gap that the buffer
-    could not cover; the first segment never charges (startup is free).
+    left after receipt k-1 could not cover; the first segment never charges
+    (startup is free).
     """
     log: RebufferLog = []
     total = 0.0
-    q = 0.0
     times = rx.receive_times
-    for k, t in enumerate(times):
-        if k > 0:
-            gap = t - times[k - 1]
-            stall = max(gap - q, 0.0)
-            if stall > 0.0:
-                log.append((k + 1, stall))
-                total += profile.phi_rebuf * stall
-            q = max(q - gap, 0.0)
-        q += profile.segment_len
+    levels = buffer_trajectory(rx, profile)
+    for k in range(1, len(times)):
+        stall = max(times[k] - times[k - 1] - levels[k - 1], 0.0)
+        if stall > 0.0:
+            log.append((k + 1, stall))
+            total += profile.phi_rebuf * stall
     return total, log
 
 

@@ -32,7 +32,13 @@ from coopstream.model import (
 )
 from coopstream.welfare import social_welfare, welfare_breakdowns
 
-from slotted_oracle import OracleOverflow, best_plan, count_plans, micro_instance
+from slotted_oracle import (
+    OracleOverflow,
+    best_plan,
+    count_plans,
+    enumerate_plans,
+    micro_instance,
+)
 
 
 def profile(uid, rates, *, beta=1.0, cap=10.0, video=2.0, theta=1.0,
@@ -266,6 +272,52 @@ def test_solver_matches_exhaustive_oracle():
         assert n_plans >= 1  # the empty plan always counts
         compared += 1
     assert compared >= 20
+
+
+def _enumerated_instances():
+    """(instance, every feasible plan) for micro-instances with few plans."""
+    out = []
+    for seed in range(30):
+        inst = micro_instance(seed)
+        try:
+            out.append((inst, list(enumerate_plans(inst, cap=2_000))))
+        except OracleOverflow:
+            continue
+    assert len(out) >= 25
+    return out
+
+
+def test_every_enumerated_plan_passes_the_checker():
+    # The oracle applies its own feasibility rule while enumerating, so
+    # plan_violations is checked against an independent statement of it.
+    for inst, plans in _enumerated_instances():
+        for plan in plans:
+            assert plan_violations(plan, inst) == [], plan.kappa
+
+
+def test_scores_do_not_depend_on_how_the_plan_dict_was_built():
+    for inst, plans in _enumerated_instances():
+        owner = inst.video_users()[0]
+        top = inst.profiles[owner].ladder.top
+        for plan in plans:
+            rebuilt = dict(reversed(list(plan.kappa.items())))
+            unused = [
+                (owner, owner, z, s)
+                for s in range(1, inst.slots + 1)
+                for z in range(1, top + 1)
+                if (owner, owner, z, s) not in plan.kappa
+            ]
+            if unused:
+                rebuilt[unused[0]] = 0
+            other = SlottedPlan(plan.slots, rebuilt)
+            assert slotted_breakdowns(other, inst) == slotted_breakdowns(plan, inst)
+            assert plan_violations(other, inst) == plan_violations(plan, inst)
+            # One segment too many: the violation lists still agree.
+            over = (owner, owner, top, 1)
+            extra = plan.kappa.get(over, 0) + 1
+            as_built = SlottedPlan(plan.slots, {**plan.kappa, over: extra})
+            rebuilt_plus = SlottedPlan(plan.slots, {**rebuilt, over: extra})
+            assert plan_violations(rebuilt_plus, inst) == plan_violations(as_built, inst)
 
 
 def test_oracle_overflow_trips_at_the_cap():

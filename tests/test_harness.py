@@ -280,7 +280,14 @@ def test_summary_csv_is_byte_identical_across_reruns(tmp_path):
     assert {r[1] for r in rows[1:]} == set(cfg.schedulers)
 
 
-def test_gap_ratio_column_appears_when_bound_enabled(tmp_path):
+@pytest.mark.parametrize(
+    "refine, budget, exact",
+    [
+        pytest.param(0, 200_000, True, id="exact"),  # the one level solves exactly
+        pytest.param(1, 200, False, id="budget-limited"),  # both levels run out of nodes
+    ],
+)
+def test_gap_ratio_column_appears_when_bound_enabled(tmp_path, refine, budget, exact):
     cfg = tiny_config(
         schedulers=("lyapunov",),
         repetitions=1,
@@ -288,17 +295,23 @@ def test_gap_ratio_column_appears_when_bound_enabled(tmp_path):
         bound_enable=True,
         bound_users=2,
         bound_horizon=4,
-        bound_refine=1,
-        bound_budget=200_000,
+        bound_refine=refine,
+        bound_budget=budget,
     )
     report = run_experiment(cfg, str(tmp_path))
     row = report["schedulers"][0]["repetitions"][0]
     assert "gap_ratio" in row
-    if row["gap_ratio"] is not None:
-        assert math.isfinite(row["gap_ratio"])
     with open(tmp_path / "summary.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0][-1] == "gap_ratio"
+    if exact:
+        # Only an exactly solved finest level is an upper bound to compare with.
+        assert math.isfinite(row["gap_ratio"])
+        assert float(rows[1][-1]) == pytest.approx(row["gap_ratio"], rel=1e-8)
+    else:
+        assert row["gap_ratio"] is None
+        assert report["schedulers"][0]["gap_ratio"] is None
+        assert rows[1][-1] == ""
 
 
 @pytest.mark.parametrize("phi_rebuf", [2.0, 0.0])

@@ -144,6 +144,10 @@ class TestMobility:
         assert mob.next_breakpoint(3.0) == pytest.approx(5.0)
         assert mob.next_breakpoint(5.0) is None
 
+    def test_rejects_negative_hotspot_id(self):
+        with pytest.raises(TraceError, match="negative hotspot id for user 1"):
+            MobilityTrace(2.0, [(1, 0.0, 1.0, 1), (1, 1.0, 2.0, -1)])
+
 
 class TestSynth:
     def test_deterministic(self):
@@ -218,3 +222,9 @@ class TestCsvRoundTrip:
         p.write_text("user,start,stop,rate\n1,0,1,2\n")
         with pytest.raises(TraceError):
             CapacityTrace.from_csv(p)
+
+    def test_mobility_rejects_a_capacity_file(self, tmp_path):
+        p = tmp_path / "cap.csv"
+        step_trace().to_csv(p)
+        with pytest.raises(TraceError, match="expected header user_id,t_from,t_to,hotspot_id"):
+            MobilityTrace.from_csv(p)
