@@ -11,7 +11,6 @@ bounds it from below.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, replace
@@ -237,6 +236,8 @@ def slotted_breakdowns(plan: SlottedPlan, instance: SlottedInstance) -> dict[int
         for s in range(1, instance.slots + 1):
             vol = volume.get((n, s), 0.0)
             if vol > 0.0:
+                if instance.capacity[n][s - 1] <= 0.0:
+                    raise BoundError(f"user {n} moves {vol} Mbit in slot {s}, which has no capacity")
                 per_user[n][3] += prof.c_time * vol / instance.capacity[n][s - 1]
                 per_user[n][3] += prof.c_data * vol
     for n, m, z, s, c in plan.entries():
@@ -470,14 +471,6 @@ def plan_to_segmented(
 
 # ---------------------------------------------------------------------------
 # Export.
-
-
-def write_plan_csv(plan: SlottedPlan, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["downloader", "owner", "level", "slot", "count"])
-        for n, m, z, s, c in plan.entries():
-            w.writerow([n, m, z, s, c])
 
 
 def region_to_dict(region: BoundRegion) -> dict:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import traces as tr
 from .model import (
@@ -73,15 +73,12 @@ class _UserState:
     # playback
     buffer: float = 0.0
     t_last: float = 0.0
-    playback_started: bool = False
     playback_finished: bool = False
     # segment bookkeeping (owner side)
     received: int = 0
-    reserved: int = 0
     inflight: int = 0
     last_bitrate: float | None = None
     # downloader side
-    busy_until: float = 0.0
     records: list[DownloadRecord] = field(default_factory=list)
     history: list[float] = field(default_factory=list)
     abort_count: int = 0
@@ -94,7 +91,7 @@ class _UserState:
 
     @property
     def remaining(self) -> int:
-        return self.profile.num_segments - self.reserved
+        return self.profile.num_segments - self.received - self.inflight
 
 
 @dataclass
@@ -111,14 +108,8 @@ class SimResult:
     def social_welfare(self) -> float:
         return sum(b.welfare for b in self.breakdowns.values())
 
-    def received_bitrates(self) -> list[float]:
-        out: list[float] = []
-        for rx in self.receives.values():
-            out.extend(rx.bitrates)
-        return out
-
     def avg_bitrate(self) -> float:
-        rates = self.received_bitrates()
+        rates = [r for rx in self.receives.values() for r in rx.bitrates]
         return sum(rates) / len(rates) if rates else 0.0
 
     def rebuffer_by_user(self) -> dict[int, float]:
@@ -171,8 +162,9 @@ class _Simulation:
         self._push(t, _DECIDE, uid, gen=st.gen)
 
     def _wake_parked(self, t):
+        # A parked user has no transfer in flight, so it may decide now.
         for uid, st in self.users.items():
-            if st.parked and st.busy_until <= t + TIME_EPS:
+            if st.parked:
                 self._schedule_decision(uid, t)
 
     # -- playback ----------------------------------------------------------
@@ -183,7 +175,7 @@ class _Simulation:
         if dt <= 0.0:
             return
         st.t_last = to_t
-        if not st.playback_started or st.playback_finished:
+        if st.received == 0 or st.playback_finished:
             return
         st.buffer -= min(st.buffer, dt)
         if st.received >= st.profile.num_segments and st.buffer <= TIME_EPS:
@@ -206,7 +198,7 @@ class _Simulation:
             next_seq_no=st.received + 1,
             remaining=st.remaining,
             inflight=st.inflight,
-            playback_started=st.playback_started,
+            playback_started=st.received > 0,
             playback_finished=st.playback_finished,
         )
 
@@ -249,7 +241,7 @@ class _Simulation:
                         peer.asleep = False
                         peer.sleep_deadline = None
                         self.msgs.awake += 1
-                        if peer.parked and peer.busy_until <= t + TIME_EPS:
+                        if peer.parked:
                             self._schedule_decision(m, t)
             elif st.sleep_deadline is None:
                 st.sleep_deadline = t + self.cfg.ack_window
@@ -334,21 +326,16 @@ class _Simulation:
         if ost.buffer + (ost.inflight + 1) * beta > prof.buffer_cap + TIME_EPS:
             raise SimError(f"user {uid}: owner {owner_id}'s buffer cannot take a segment")
         volume = segment_volume(prof, level)
-        st = self.users[uid]
         t_end = tr.download_end_time(self.cap, uid, t, volume)
         if t_end is None or t_end > self.T + TIME_EPS:
             # Horizon cuts the transfer short: drop it, charge nothing.
-            st.busy_until = self.T
             return
-        ost.reserved += 1
         ost.inflight += 1
         if owner_id != uid:
             t_sep = tr.first_separation(self.mob, uid, owner_id, t, t_end)
             if t_sep is not None:
-                st.busy_until = t_sep
                 self._push(t_sep, _COMPLETE, uid, payload=("abort", owner_id, t))
                 return
-        st.busy_until = t_end
         self._push(
             t_end,
             _COMPLETE,
@@ -371,8 +358,6 @@ class _Simulation:
             ost.inflight -= 1
             ost.last_bitrate = bitrate
             ost.buffer = min(ost.buffer + ost.profile.segment_len, ost.profile.buffer_cap)
-            if not ost.playback_started:
-                ost.playback_started = True
             st.records.append(rec)
             dur = t - t_start
             if dur > TIME_EPS:
@@ -380,7 +365,6 @@ class _Simulation:
         else:  # abort: the pair separated mid-download
             _, owner_id, t_start = payload
             ost = self.users[owner_id]
-            ost.reserved -= 1
             ost.inflight -= 1
             partial = tr.integrate_capacity(self.cap, uid, t_start, t)
             st.abort_cost += st.profile.c_time * (t - t_start) + st.profile.c_data * partial
@@ -428,7 +412,7 @@ class _Simulation:
             horizon=self.T,
             profiles=self.profiles,
             downloads=downloads,
-            receives={uid: rx for uid, rx in receives.items()},
+            receives=receives,
             breakdowns=breakdowns,
             messages=self.msgs,
             aborts={uid: (st.abort_count, st.abort_cost) for uid, st in self.users.items()},
@@ -515,11 +499,6 @@ def audit_run(
         return bad
     for owner, rx in sorted(receives.items()):
         prof = profiles[owner]
-        try:
-            rx.validate(prof)
-        except ModelError as exc:
-            bad.append(f"receive user {owner}: {exc}")
-            continue
         for k, q in enumerate(buffer_trajectory(rx, prof)):
             if q > prof.buffer_cap + tol:
                 bad.append(
@@ -543,11 +522,7 @@ def result_to_dict(result: SimResult) -> dict:
             str(uid): {
                 "is_video_user": prof.is_video_user,
                 "welfare": result.breakdowns[uid].welfare,
-                "value": result.breakdowns[uid].value,
-                "loss_qdeg": result.breakdowns[uid].loss_qdeg,
-                "loss_rebuf": result.breakdowns[uid].loss_rebuf,
-                "energy_cell": result.breakdowns[uid].energy_cell,
-                "energy_wifi": result.breakdowns[uid].energy_wifi,
+                **asdict(result.breakdowns[uid]),
                 "segments_received": len(result.receives[uid].records)
                 if uid in result.receives
                 else 0,

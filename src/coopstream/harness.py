@@ -14,7 +14,7 @@ import json
 import os
 import random
 import statistics
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from . import bound as bd
 from . import traces as tr
@@ -333,17 +333,9 @@ def run_experiment(cfg: ScenarioConfig, out_dir: str | None = None) -> dict:
                 "repetitions": rows,
             }
         )
-    report = {
-        "scenario": cfg.name,
-        "config": {f.name: _jsonable(getattr(cfg, f.name)) for f in fields(cfg)},
-        "schedulers": summaries,
-    }
+    report = {"scenario": cfg.name, "config": asdict(cfg), "schedulers": summaries}
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        write_summary_csv([report], os.path.join(out_dir, "summary.csv"))
+        _write_reports(report, [report], out_dir)
         for name, result in first_results.items():
             write_records_csv(result, os.path.join(out_dir, f"records_{name}.csv"))
             write_result_json(result, os.path.join(out_dir, f"result_{name}.json"))
@@ -361,15 +353,19 @@ def sweep(cfg: ScenarioConfig, axis: str, values: list, out_dir: str | None = No
             raise ConfigError(f"cannot sweep list-valued field {axis!r}")
         cast = _parse_scalar(str(value), type(current))
         sub = replace(cfg, **{axis: cast, "name": f"{cfg.name}:{axis}={cast}"})
-        sub.validate()
         reports.append(run_experiment(sub))
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            json.dump(reports, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        write_summary_csv(reports, os.path.join(out_dir, "summary.csv"))
+        _write_reports(reports, reports, out_dir)
     return reports
+
+
+def _write_reports(payload, reports: list[dict], out_dir: str) -> None:
+    """`payload` as report.json and the rows of `reports` as summary.csv."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "report.json"), "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    write_summary_csv(reports, os.path.join(out_dir, "summary.csv"))
 
 
 SUMMARY_COLUMNS = (
@@ -413,9 +409,3 @@ def _mean(rows: list[dict], key: str) -> float:
 def _stdev(rows: list[dict], key: str) -> float:
     vals = [r[key] for r in rows if r.get(key) is not None]
     return statistics.pstdev(vals) if len(vals) > 1 else 0.0
-
-
-def _jsonable(v):
-    if isinstance(v, tuple):
-        return list(v)
-    return v

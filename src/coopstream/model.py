@@ -33,9 +33,6 @@ class BitrateLadder:
         if any(b <= a for a, b in zip(self.rates, self.rates[1:])):
             raise ModelError("bitrate ladder rates must be strictly increasing")
 
-    def __len__(self) -> int:
-        return len(self.rates)
-
     @property
     def top(self) -> int:
         """Highest level index Z."""
@@ -46,13 +43,6 @@ class BitrateLadder:
         if not 1 <= level <= len(self.rates):
             raise ModelError(f"ladder level {level} out of range 1..{len(self.rates)}")
         return self.rates[level - 1]
-
-    def level_of(self, rate: float) -> int:
-        """Inverse of rate(); exact match required."""
-        for i, r in enumerate(self.rates):
-            if r == rate:
-                return i + 1
-        raise ModelError(f"rate {rate} is not on the ladder")
 
 
 @dataclass(frozen=True)
@@ -89,8 +79,6 @@ class UserProfile:
 
 def validate_profile(p: UserProfile) -> None:
     """Raise ModelError describing the first violated profile invariant."""
-    if len(p.ladder) == 0:
-        raise ModelError("empty bitrate ladder")
     if p.segment_len <= 0.0:
         raise ModelError("segment_len must be positive")
     if p.buffer_cap < p.segment_len - TIME_EPS:
@@ -169,9 +157,6 @@ class DownloadSequence:
                 raise ModelError(
                     f"downloads overlap: one ends at {a.t_end}, next starts at {b.t_start}"
                 )
-
-    def total_volume(self, profiles: dict[int, UserProfile]) -> float:
-        return sum(rec.volume(profiles[rec.owner]) for rec in self.records)
 
 
 @dataclass

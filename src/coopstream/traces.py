@@ -34,15 +34,25 @@ class _Track:
         i = max(0, min(i, len(self.values) - 1))
         return self.values[i]
 
+    def pieces(self, a: float, b: float):
+        """(lo, hi, value) of each piece overlapping (a, b), clipped to [a, b]."""
+        bounds = self.bounds
+        for j in range(max(0, bisect.bisect_right(bounds, a) - 1), len(self.values)):
+            if bounds[j] >= b:
+                return
+            lo = max(a, bounds[j])
+            hi = min(b, bounds[j + 1])
+            if hi > lo:
+                yield lo, hi, self.values[j]
+
     def integrate(self, a: float, b: float) -> float:
         if b < a:
             raise TraceError("integration interval reversed")
+        # Kept as +=: from Python 3.12 on, sum() compensates rounding and
+        # would change the bits.
         total = 0.0
-        for i, v in enumerate(self.values):
-            lo = max(a, self.bounds[i])
-            hi = min(b, self.bounds[i + 1])
-            if hi > lo:
-                total += v * (hi - lo)
+        for lo, hi, v in self.pieces(a, b):
+            total += v * (hi - lo)
         return total
 
     def breakpoints_in(self, a: float, b: float) -> list[float]:
@@ -206,14 +216,7 @@ def download_end_time(trace: CapacityTrace, user: int, t_start: float, volume: f
     if volume <= VOL_EPS:
         return t_start
     remaining = volume
-    t = t_start
-    i = max(0, bisect.bisect_right(track.bounds, t) - 1)
-    for j in range(i, len(track.values)):
-        lo = max(t, track.bounds[j])
-        hi = track.bounds[j + 1]
-        if hi <= lo:
-            continue
-        rate = track.values[j]
+    for lo, hi, rate in track.pieces(t_start, track.bounds[-1]):
         chunk = rate * (hi - lo)
         if chunk >= remaining - VOL_EPS and rate > 0.0:
             return lo + remaining / rate
@@ -235,13 +238,7 @@ def download_start_time(trace: CapacityTrace, user: int, t_end: float, volume: f
     if volume <= VOL_EPS:
         return t_end
     remaining = volume
-    i = min(len(track.values) - 1, max(0, bisect.bisect_left(track.bounds, t_end) - 1))
-    for j in range(i, -1, -1):
-        lo = track.bounds[j]
-        hi = min(t_end, track.bounds[j + 1])
-        if hi <= lo:
-            continue
-        rate = track.values[j]
+    for lo, hi, rate in reversed(list(track.pieces(track.bounds[0], t_end))):
         chunk = rate * (hi - lo)
         if chunk >= remaining - VOL_EPS and rate > 0.0:
             return hi - remaining / rate

@@ -118,34 +118,21 @@ def user_welfare(
 
 
 def welfare_breakdowns(
-    downloads: dict[int, DownloadSequence],
-    profiles: dict[int, UserProfile],
-    receives: dict[int, ReceiveSequence] | None = None,
+    downloads: dict[int, DownloadSequence], profiles: dict[int, UserProfile]
 ) -> dict[int, WelfareBreakdown]:
-    """Per-user breakdowns; receive sequences are derived when not supplied."""
-    derived = derive_receive_sequences(downloads, profiles)
-    if receives is not None:
-        for owner, rx in receives.items():
-            if not rx.records:
-                continue
-            want = derived.get(owner)
-            if want is None or [r for r in want.records] != [r for r in rx.records]:
-                raise ModelError(
-                    f"receive sequence of user {owner} does not match the downloads"
-                )
+    """Per-user breakdowns, with receive sequences derived from the downloads."""
+    receives = derive_receive_sequences(downloads, profiles)
     return {
-        uid: user_welfare(downloads.get(uid), derived.get(uid), prof, profiles)
+        uid: user_welfare(downloads.get(uid), receives.get(uid), prof, profiles)
         for uid, prof in sorted(profiles.items())
     }
 
 
 def social_welfare(
-    downloads: dict[int, DownloadSequence],
-    profiles: dict[int, UserProfile],
-    receives: dict[int, ReceiveSequence] | None = None,
+    downloads: dict[int, DownloadSequence], profiles: dict[int, UserProfile]
 ) -> float:
     """Sum of per-user welfare over everyone in `profiles`."""
-    parts = welfare_breakdowns(downloads, profiles, receives)
+    parts = welfare_breakdowns(downloads, profiles)
     return sum(b.welfare for b in parts.values())
 
 

@@ -1,6 +1,5 @@
 """Slotted offline bound: solver goldens, oracle agreement, refinement."""
 
-import csv
 import json
 import math
 
@@ -20,7 +19,6 @@ from coopstream.bound import (
     slotted_instance,
     slotted_welfare,
     solve_slotted,
-    write_plan_csv,
     write_region_json,
 )
 from coopstream.model import (
@@ -121,6 +119,15 @@ def test_helper_carries_dead_link_user():
     parts = slotted_breakdowns(res.plan, inst)
     assert parts[0].welfare == pytest.approx(2.0 * math.log(3.0), abs=1e-12)
     assert parts[1].energy_wifi == pytest.approx(0.2, abs=1e-12)
+
+
+def test_data_moved_in_a_dead_slot_is_a_bound_error():
+    p = profile(0, (1.0, 2.0), cap=2.0, video=2.0)
+    inst = instance([p], {0: (0.0, 2.0)})
+    plan = SlottedPlan(2, {(0, 0, 1, 1): 1})
+    assert any("slot capacity" in v for v in plan_violations(plan, inst))
+    with pytest.raises(BoundError, match="user 0 .* slot 1,"):
+        slotted_breakdowns(plan, inst)
 
 
 def test_dead_capacity_and_helper_only_are_zero():
@@ -459,7 +466,7 @@ def _level_tuples(top, k):
 # Export formats.
 
 
-def test_region_and_plan_export(tmp_path):
+def test_region_export(tmp_path):
     inst = micro_instance(3)
     region = bound_region(inst, halvings=1)
     d = region_to_dict(region)
@@ -469,12 +476,3 @@ def test_region_and_plan_export(tmp_path):
     out = tmp_path / "region.json"
     write_region_json(region, str(out))
     assert json.loads(out.read_text()) == d
-
-    res = solve_slotted(inst)
-    plan_file = tmp_path / "plan.csv"
-    write_plan_csv(res.plan, str(plan_file))
-    with open(plan_file, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["downloader", "owner", "level", "slot", "count"]
-    parsed = [tuple(int(x) for x in row) for row in rows[1:]]
-    assert parsed == res.plan.entries()

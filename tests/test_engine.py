@@ -304,6 +304,27 @@ class TestAudit:
         bad = audit_run(profiles, cap, mob, downloads, 10.0)
         assert any("conservation" in v for v in bad)
 
+    @pytest.mark.parametrize(
+        "seq_nos, why",
+        [
+            ((1, 2, 2), "duplicate segment delivery"),
+            ((1, 3), "not contiguous"),
+            (tuple(range(1, 52)), "more segments received than the video contains"),
+        ],
+        ids=["duplicate", "gap", "too-many"],
+    )
+    def test_reports_bad_receive_structure(self, seq_nos, why):
+        profiles = {1: video_profile(1)}  # 50 segments
+        cap = CapacityTrace(30.0, [(1, 0.0, 30.0, 1.0)])
+        mob = full_coop_mobility([1], 30.0)
+        recs = [
+            DownloadRecord(1, 1, k, 1, 0.2, 0.4 * i, 0.4 * (i + 1))
+            for i, k in enumerate(seq_nos)
+        ]
+        bad = audit_run(profiles, cap, mob, {1: DownloadSequence(1, recs)}, 30.0)
+        assert len(bad) == 1
+        assert bad[0].startswith("receive structure") and why in bad[0]
+
 
 class TestBadSchedulers:
     def test_cross_download_in_noncoop_mode_rejected(self):

@@ -40,13 +40,6 @@ class TestBitrateLadder:
         assert LADDER.rate(5) == 2.3
         assert LADDER.top == 5
 
-    def test_level_of_exact(self):
-        assert LADDER.level_of(0.7) == 3
-
-    def test_level_of_unknown_rate(self):
-        with pytest.raises(ModelError):
-            LADDER.level_of(0.5)
-
     def test_out_of_range_level(self):
         with pytest.raises(ModelError):
             LADDER.rate(0)
@@ -125,17 +118,6 @@ class TestDownloadSequence:
         )
         with pytest.raises(ModelError):
             seq.validate()
-
-    def test_total_volume(self):
-        profiles = {1: video_profile()}
-        seq = DownloadSequence(
-            1,
-            [
-                DownloadRecord(1, 1, 1, 5, 2.3, 0.0, 1.0),
-                DownloadRecord(1, 1, 2, 3, 0.7, 1.0, 2.0),
-            ],
-        )
-        assert seq.total_volume(profiles) == pytest.approx(4.6 + 1.4)
 
 
 class TestReceiveSequences:

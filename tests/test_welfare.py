@@ -178,13 +178,6 @@ class TestUserWelfare:
             sum(b.welfare for b in parts.values())
         )
 
-    def test_mismatched_receives_rejected(self):
-        profiles = {1: video_profile(1)}
-        downloads = {1: DownloadSequence(1, [DownloadRecord(1, 1, 1, 5, 2.3, 0.0, 2.0)])}
-        wrong = {1: ReceiveSequence(1, [DownloadRecord(1, 1, 1, 3, 0.7, 0.0, 2.0)])}
-        with pytest.raises(ModelError):
-            welfare_breakdowns(downloads, profiles, wrong)
-
 
 class TestDecisionWelfare:
     def test_self_download_golden(self):
