@@ -65,13 +65,12 @@ def slotted_instance(
     profiles: dict[int, UserProfile],
     cap_trace: tr.CapacityTrace,
     mob_trace: tr.MobilityTrace,
-    slots: int | None = None,
     noncoop: bool = False,
 ) -> SlottedInstance:
     """Discretise traces into unit slots (slot tau covers [tau-1, tau])."""
     horizon = min(cap_trace.horizon, mob_trace.horizon)
-    n_slots = slots if slots is not None else int(math.floor(horizon + TIME_EPS))
-    if n_slots < 1 or n_slots > horizon + TIME_EPS:
+    n_slots = int(math.floor(horizon + TIME_EPS))
+    if n_slots < 1:
         raise BoundError(f"cannot fit {n_slots} unit slots into horizon {horizon}")
     users = sorted(profiles)
     capacity = {
@@ -409,6 +408,8 @@ def bound_region(
     instance: SlottedInstance, halvings: int = 2, node_budget: int = 2_000_000
 ) -> BoundRegion:
     """Solve the instance at beta, beta/2, ..., beta/2^halvings."""
+    if halvings < 0:
+        raise BoundError("halvings must be nonnegative")
     vids = instance.video_users()
     base_beta = instance.profiles[vids[0]].segment_len if vids else 0.0
     lens, vals, exacts = [], [], []

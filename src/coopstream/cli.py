@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import bound as bd
 from . import traces as tr
@@ -16,6 +17,7 @@ from .engine import SimAuditError, SimError
 from .harness import (
     ConfigError,
     ScenarioConfig,
+    _prefix_bound,
     build_profiles,
     build_traces,
     dump_config,
@@ -69,8 +71,6 @@ def _build_parser() -> _Parser:
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, seed=args.seed)
     report = run_experiment(cfg, args.out)
     for s in report["schedulers"]:
@@ -102,14 +102,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_bound(args) -> int:
     cfg = load_config(args.config)
-    refine = cfg.bound_refine if args.refine is None else args.refine
+    if args.refine is not None:
+        cfg = replace(cfg, bound_refine=args.refine)
+        cfg.validate()
     profiles = build_profiles(cfg, cfg.seed)
     cap, mob, noncoop = build_traces(cfg, cfg.seed)
-    from .harness import _bound_subinstance
-
-    sub_profiles, sub_cap, sub_mob = _bound_subinstance(cfg, profiles, cap, mob)
-    inst = bd.slotted_instance(sub_profiles, sub_cap, sub_mob, noncoop=noncoop)
-    region = bd.bound_region(inst, refine, cfg.bound_budget)
+    _, region = _prefix_bound(cfg, profiles, cap, mob, noncoop)
     for beta, value, exact in zip(region.segment_lens, region.values, region.exact):
         tag = "exact" if exact else "budget-limited"
         print(f"segment_len={beta:g}  welfare={value:.6f}  ({tag})")

@@ -195,7 +195,6 @@ class _Simulation:
             profile=st.profile,
             buffer=st.buffer,
             last_bitrate=st.last_bitrate,
-            next_seq_no=st.received + 1,
             remaining=st.remaining,
             inflight=st.inflight,
             playback_started=st.received > 0,
@@ -280,9 +279,7 @@ class _Simulation:
             self._peer_info(m) for m in group if self.profiles[m].is_video_user
         )
         view = SchedulerView(
-            user_id=uid,
             profile=st.profile,
-            clock=t,
             capacity=h,
             peers=peers,
             history=tuple(st.history),

@@ -89,7 +89,11 @@ class ScenarioConfig:
             raise ConfigError("repetitions must be at least 1")
         if self.horizon <= 0:
             raise ConfigError("horizon must be positive")
+        if self.bound_users < 1 or self.bound_horizon < 1 or self.bound_refine < 0:
+            raise ConfigError("bound_users and bound_horizon must be at least 1, bound_refine at least 0")
         try:
+            if self.mobility != "csv":
+                _synth_config(self).validate()
             for s in self.schedulers:
                 make_scheduler(s)  # raises on unknown names
             validate_profile(self._profile(0, True))
@@ -201,16 +205,12 @@ def build_profiles(cfg: ScenarioConfig, rep_seed: int) -> dict[int, UserProfile]
     return {uid: cfg._profile(uid, uid in video_ids) for uid in range(cfg.n_users)}
 
 
-def build_traces(cfg: ScenarioConfig, rep_seed: int) -> tuple[tr.CapacityTrace, tr.MobilityTrace, bool]:
-    """Traces for one repetition; returns (capacity, mobility, noncoop flag)."""
-    if cfg.mobility == "csv":
-        cap = tr.CapacityTrace.from_csv(cfg.capacity_csv)
-        mob = tr.MobilityTrace.from_csv(cfg.mobility_csv)
-        return cap, mob, False
+def _synth_config(cfg: ScenarioConfig) -> tr.SynthConfig:
+    """Generator settings of a synthetic mode; a preset overrides the raw keys."""
     hotspots, dwell, transit = cfg.hotspots, cfg.dwell_mean, cfg.transition_mean
     if cfg.mobility in PRESETS:
         hotspots, dwell, transit = PRESETS[cfg.mobility]
-    synth = tr.SynthConfig(
+    return tr.SynthConfig(
         n_users=cfg.n_users,
         horizon=cfg.horizon,
         hotspots=hotspots,
@@ -220,9 +220,17 @@ def build_traces(cfg: ScenarioConfig, rep_seed: int) -> tuple[tr.CapacityTrace, 
         capacity_hi=cfg.capacity_hi,
         capacity_period=cfg.capacity_period,
     )
-    cap, mob = tr.synth_traces(synth, rep_seed)
+
+
+def build_traces(cfg: ScenarioConfig, rep_seed: int) -> tuple[tr.CapacityTrace, tr.MobilityTrace, bool]:
+    """Traces for one repetition; returns (capacity, mobility, noncoop flag)."""
+    if cfg.mobility == "csv":
+        cap = tr.CapacityTrace.from_csv(cfg.capacity_csv)
+        mob = tr.MobilityTrace.from_csv(cfg.mobility_csv)
+        return cap, mob, False
+    cap, mob = tr.synth_traces(_synth_config(cfg), rep_seed)
     if cfg.mobility == "full-coop":
-        mob = tr.full_coop_mobility(cfg.n_users, cfg.horizon)
+        mob = tr.full_coop_mobility(range(cfg.n_users), cfg.horizon)
     return cap, mob, cfg.mobility == "non-coop"
 
 
@@ -277,14 +285,18 @@ def _bound_subinstance(cfg, profiles, cap, mob):
     return sub_profiles, sub_cap, sub_mob
 
 
-def _gap_ratio(cfg, profiles, cap, mob, sched_name, noncoop) -> float | None:
+def _prefix_bound(cfg, profiles, cap, mob, noncoop):
+    """The prefix sub-instance and its bound region at `cfg.bound_refine` halvings."""
+    sub = _bound_subinstance(cfg, profiles, cap, mob)
+    inst = bd.slotted_instance(*sub, noncoop=noncoop)
+    return sub, bd.bound_region(inst, cfg.bound_refine, cfg.bound_budget)
+
+
+def _gap_ratio(cfg, prefix, scheduler, noncoop) -> float | None:
     """1 - realized/bound on the prefix instance; None unless its finest level is exact."""
-    sub_profiles, sub_cap, sub_mob = _bound_subinstance(cfg, profiles, cap, mob)
-    scheduler = make_scheduler(sched_name, **cfg.scheduler_params(sched_name))
+    (sub_profiles, sub_cap, sub_mob), region = prefix
     run_cfg = RunConfig(horizon=sub_cap.horizon, noncoop=noncoop, ack_window=cfg.ack_window)
     result = run(sub_profiles, sub_cap, sub_mob, scheduler, run_cfg)
-    inst = bd.slotted_instance(sub_profiles, sub_cap, sub_mob, noncoop=noncoop)
-    region = bd.bound_region(inst, cfg.bound_refine, cfg.bound_budget)
     if not region.exact[-1] or region.upper <= 1e-9:
         return None
     return 1.0 - result.social_welfare / region.upper
@@ -293,15 +305,19 @@ def _gap_ratio(cfg, profiles, cap, mob, sched_name, noncoop) -> float | None:
 def run_experiment(cfg: ScenarioConfig, out_dir: str | None = None) -> dict:
     """Run every scheduler (and its non-cooperative twin) over all repetitions."""
     cfg.validate()
+    # Each repetition's inputs, prefix bound included, serve every scheduler.
+    inputs = []
+    for rep_seed in range(cfg.seed, cfg.seed + cfg.repetitions):
+        profiles = build_profiles(cfg, rep_seed)
+        cap, mob, noncoop = build_traces(cfg, rep_seed)
+        prefix = _prefix_bound(cfg, profiles, cap, mob, noncoop) if cfg.bound_enable else None
+        inputs.append((rep_seed, profiles, cap, mob, noncoop, prefix))
     summaries: list[dict] = []
     first_results: dict[str, SimResult] = {}
     for name in cfg.schedulers:
+        scheduler = make_scheduler(name, **cfg.scheduler_params(name))
         rows = []
-        for rep in range(cfg.repetitions):
-            rep_seed = cfg.seed + rep
-            profiles = build_profiles(cfg, rep_seed)
-            cap, mob, noncoop = build_traces(cfg, rep_seed)
-            scheduler = make_scheduler(name, **cfg.scheduler_params(name))
+        for rep_seed, profiles, cap, mob, noncoop, prefix in inputs:
             run_cfg = RunConfig(horizon=cfg.horizon, noncoop=noncoop, ack_window=cfg.ack_window)
             result = run(profiles, cap, mob, scheduler, run_cfg)
             row = {"seed": rep_seed, **_metrics(result)}
@@ -314,11 +330,10 @@ def run_experiment(cfg: ScenarioConfig, out_dir: str | None = None) -> dict:
             row["noncoop_social_welfare"] = twin_m["social_welfare"]
             row["bitrate_gain"] = _gain(row["avg_bitrate_mbps"], twin_m["avg_bitrate_mbps"])
             row["welfare_gain"] = _gain(row["social_welfare"], twin_m["social_welfare"])
-            if cfg.bound_enable:
-                row["gap_ratio"] = _gap_ratio(cfg, profiles, cap, mob, name, noncoop)
+            if prefix is not None:
+                row["gap_ratio"] = _gap_ratio(cfg, prefix, scheduler, noncoop)
             rows.append(row)
-            if rep == 0:
-                first_results[name] = result
+            first_results.setdefault(name, result)
         gaps = [r["gap_ratio"] for r in rows if r.get("gap_ratio") is not None]
         summaries.append(
             {

@@ -166,7 +166,7 @@ class ReceiveSequence:
     owner: int
     records: list[DownloadRecord] = field(default_factory=list)
 
-    def validate(self, profile: UserProfile | None = None) -> None:
+    def validate(self, profile: UserProfile) -> None:
         for rec in self.records:
             if rec.owner != self.owner:
                 raise ModelError("record owner does not match sequence owner")
@@ -178,11 +178,10 @@ class ReceiveSequence:
         for a, b in zip(self.records, self.records[1:]):
             if b.t_end < a.t_end - TIME_EPS:
                 raise ModelError("receive times must be nondecreasing in playback order")
-        if profile is not None:
-            if len(self.records) > profile.num_segments:
-                raise ModelError("more segments received than the video contains")
-            for rec in self.records:
-                rec.volume(profile)  # bitrate/level consistency
+        if len(self.records) > profile.num_segments:
+            raise ModelError("more segments received than the video contains")
+        for rec in self.records:
+            rec.volume(profile)  # bitrate/level consistency
 
     @property
     def bitrates(self) -> list[float]:

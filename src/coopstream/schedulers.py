@@ -14,8 +14,10 @@ so Idle never strands a user.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 
 from .model import TIME_EPS, UserProfile, segment_volume
 from .welfare import decision_welfare
@@ -47,7 +49,6 @@ class PeerInfo:
     profile: UserProfile
     buffer: float                  # playback buffer, seconds
     last_bitrate: float | None     # bitrate of the most recently received segment
-    next_seq_no: int               # next segment the user still lacks
     remaining: int                 # segments nobody has reserved yet
     inflight: int                  # reserved segments not yet delivered
     playback_started: bool
@@ -67,13 +68,15 @@ class SchedulerView:
     the decider's own segments may be downloaded.
     """
 
-    user_id: int
-    profile: UserProfile
-    clock: float
+    profile: UserProfile            # the decider's own
     capacity: float                 # the decider's cellular rate now, Mbps
     peers: tuple[PeerInfo, ...]     # co-located video users, self included
     history: tuple[float, ...]      # realized Mbps of the decider's past downloads
     cooperative: bool = True
+
+    @property
+    def user_id(self) -> int:
+        return self.profile.user_id
 
     def peer(self, user_id: int) -> PeerInfo | None:
         for p in self.peers:
@@ -121,11 +124,6 @@ def _wait_or_idle(view: SchedulerView):
 # Drift-plus-penalty scheduler.
 
 
-@dataclass(frozen=True)
-class LyapunovConfig:
-    drift_weight: float = 100.0      # welfare weight against buffer drift
-
-
 def projected_owner_buffer(buffer: float, dl_time: float, beta: float, cap: float) -> float:
     """Owner's buffer at estimated completion: drain, then gain one segment."""
     return min(cap, max(buffer - dl_time, 0.0) + beta)
@@ -150,7 +148,7 @@ def _drifting_peers(view: SchedulerView, owner_id: int) -> list[PeerInfo]:
     ]
 
 
-def lyapunov_score(view: SchedulerView, owner: PeerInfo, level: int, cfg: LyapunovConfig) -> float:
+def lyapunov_score(view: SchedulerView, owner: PeerInfo, level: int, drift_weight: float) -> float:
     """Drift minus weighted one-step welfare; lower is better."""
     prof = owner.profile
     dl_time = segment_volume(prof, level) / view.capacity
@@ -173,12 +171,13 @@ def lyapunov_score(view: SchedulerView, owner: PeerInfo, level: int, cfg: Lyapun
         owner.last_bitrate,
         [(p.profile, p.buffer) for p in others],
     )
-    return drift - cfg.drift_weight * welfare
+    return drift - drift_weight * welfare
 
 
-def lyapunov_decide(view: SchedulerView, cfg: LyapunovConfig = LyapunovConfig()):
+def lyapunov_decide(view: SchedulerView, drift_weight: float = 100.0):
     """Pick the (owner, level) minimising drift-plus-penalty; wait if full.
 
+    `drift_weight` weighs the one-step welfare against the buffer drift.
     Ties break toward the lower owner id, then the lower level.
     """
     cands = _candidates(view)
@@ -187,7 +186,7 @@ def lyapunov_decide(view: SchedulerView, cfg: LyapunovConfig = LyapunovConfig())
     best = None
     for p in sorted(cands, key=lambda c: c.user_id):
         for level in range(1, p.profile.ladder.top + 1):
-            score = lyapunov_score(view, p, level, cfg)
+            score = lyapunov_score(view, p, level, drift_weight)
             key = (score, p.user_id, level)
             if best is None or key < best:
                 best = key
@@ -196,23 +195,12 @@ def lyapunov_decide(view: SchedulerView, cfg: LyapunovConfig = LyapunovConfig())
 
 # ---------------------------------------------------------------------------
 # Rule-based baselines.  Both share the owner-selection rule: help the
-# minimum-buffer user only when one's own buffer is comfortable and far
-# enough ahead; they differ in how the bitrate level is chosen.
+# minimum-buffer user only when one's own buffer holds at least
+# `low_reserve` of its cap and leads the helped user's by at least `min_gap`
+# seconds; they differ in how the bitrate level is chosen.
 
 
-@dataclass(frozen=True)
-class BufferRuleConfig:
-    low_reserve: float = 0.5   # own-buffer fraction below which nobody is helped
-    min_gap: float = 4.0       # required own-buffer lead (seconds) over the helped user
-
-
-@dataclass(frozen=True)
-class PredictionConfig:
-    rule: BufferRuleConfig = field(default_factory=BufferRuleConfig)
-    window: int = 3            # completed downloads averaged into the estimate
-
-
-def _choose_owner(view: SchedulerView, rule: BufferRuleConfig):
+def _choose_owner(view: SchedulerView, low_reserve: float, min_gap: float):
     """Owner choice shared by the baselines; None means wait/idle fallback."""
     cands = _candidates(view)
     if not cands:
@@ -225,8 +213,8 @@ def _choose_owner(view: SchedulerView, rule: BufferRuleConfig):
         return poorest
     helping = (
         poorest.user_id != view.user_id
-        and me.buffer >= rule.low_reserve * me.profile.buffer_cap - TIME_EPS
-        and me.buffer - poorest.buffer >= rule.min_gap - TIME_EPS
+        and me.buffer >= low_reserve * me.profile.buffer_cap - TIME_EPS
+        and me.buffer - poorest.buffer >= min_gap - TIME_EPS
     )
     if helping:
         return poorest
@@ -243,9 +231,9 @@ def _buffer_level(owner: PeerInfo) -> int:
     return max(1, min(ladder.top, z))
 
 
-def buffer_based_decide(view: SchedulerView, cfg: BufferRuleConfig = BufferRuleConfig()):
-    """Baseline: bitrate follows the owner's buffer fill level."""
-    owner = _choose_owner(view, cfg)
+def buffer_based_decide(view: SchedulerView, low_reserve: float = 0.5, min_gap: float = 4.0):
+    """Baseline: bitrate follows the owner's buffer fill level; owner by the shared rule."""
+    owner = _choose_owner(view, low_reserve, min_gap)
     if owner is None:
         return _wait_or_idle(view)
     return Download(owner.user_id, _buffer_level(owner))
@@ -261,12 +249,15 @@ def _prediction_level(owner: PeerInfo, estimate: float) -> int:
     return level
 
 
-def prediction_based_decide(view: SchedulerView, cfg: PredictionConfig = PredictionConfig()):
-    """Baseline: bitrate follows a trailing-mean throughput estimate."""
-    owner = _choose_owner(view, cfg.rule)
+def prediction_based_decide(
+    view: SchedulerView, low_reserve: float = 0.5, min_gap: float = 4.0, window: int = 3
+):
+    """Baseline: bitrate follows the mean Mbps of the last `window` completed
+    downloads (the current capacity before any); owner by the shared rule."""
+    owner = _choose_owner(view, low_reserve, min_gap)
     if owner is None:
         return _wait_or_idle(view)
-    tail = view.history[-cfg.window:] if cfg.window > 0 else ()
+    tail = view.history[-window:] if window > 0 else ()
     estimate = sum(tail) / len(tail) if tail else view.capacity
     return Download(owner.user_id, _prediction_level(owner, estimate))
 
@@ -274,28 +265,27 @@ def prediction_based_decide(view: SchedulerView, cfg: PredictionConfig = Predict
 # ---------------------------------------------------------------------------
 # Registry used by the harness and the CLI.
 
-SCHEDULER_NAMES = ("lyapunov", "buffer", "prediction", "noncoop")
+
+def _noncoop_decide(view: SchedulerView, drift_weight: float = 100.0):
+    """The lyapunov rule on a self-only view: peers still drift, none are served."""
+    return lyapunov_decide(replace(view, cooperative=False), drift_weight)
+
+
+_RULES = {
+    "lyapunov": lyapunov_decide,
+    "buffer": buffer_based_decide,
+    "prediction": prediction_based_decide,
+    "noncoop": _noncoop_decide,
+}
+SCHEDULER_NAMES = tuple(_RULES)
 
 
 def make_scheduler(name: str, **params):
-    """Build a named scheduler callable: view -> decision."""
-    if name == "lyapunov":
-        cfg = LyapunovConfig(**params)
-        fn = lambda view: lyapunov_decide(view, cfg)
-    elif name == "noncoop":
-        # The same rule on a self-only view: peers still drift, none are served.
-        cfg = LyapunovConfig(**params)
-        fn = lambda view: lyapunov_decide(replace(view, cooperative=False), cfg)
-    elif name == "buffer":
-        cfg = BufferRuleConfig(**params)
-        fn = lambda view: buffer_based_decide(view, cfg)
-    elif name == "prediction":
-        rule_keys = {"low_reserve", "min_gap"}
-        rule = BufferRuleConfig(**{k: v for k, v in params.items() if k in rule_keys})
-        rest = {k: v for k, v in params.items() if k not in rule_keys}
-        cfg = PredictionConfig(rule=rule, **rest)
-        fn = lambda view: prediction_based_decide(view, cfg)
-    else:
+    """Build a named scheduler callable: view -> decision; a bad `params` key raises TypeError."""
+    rule = _RULES.get(name)
+    if rule is None:
         raise ValueError(f"unknown scheduler {name!r}; choose from {SCHEDULER_NAMES}")
+    inspect.signature(rule).bind(None, **params)
+    fn = partial(rule, **params)
     fn.name = name
     return fn

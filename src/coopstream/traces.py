@@ -378,13 +378,9 @@ def synth_traces(cfg: SynthConfig, seed: int) -> tuple[CapacityTrace, MobilityTr
     return CapacityTrace(cfg.horizon, cap_rows), MobilityTrace(cfg.horizon, mob_rows)
 
 
-def full_coop_mobility(users: int | list[int], horizon: float) -> MobilityTrace:
-    """Everyone at hotspot 1 for the whole horizon.
-
-    `users` is either a count (ids 0..n-1) or an explicit id list.
-    """
-    ids = range(users) if isinstance(users, int) else users
-    return MobilityTrace(horizon, [(u, 0.0, horizon, 1) for u in ids])
+def full_coop_mobility(users, horizon: float) -> MobilityTrace:
+    """Every user id in `users` at hotspot 1 for the whole horizon."""
+    return MobilityTrace(horizon, [(u, 0.0, horizon, 1) for u in users])
 
 
 def constant_capacity(caps: dict[int, float], horizon: float) -> CapacityTrace:

@@ -388,7 +388,6 @@ def test_arithmetic_goldens(verdict):
             profile=golden_profile(uid),
             buffer=buffer,
             last_bitrate=None,
-            next_seq_no=1,
             remaining=10,
             inflight=0,
             playback_started=True,
@@ -396,9 +395,7 @@ def test_arithmetic_goldens(verdict):
         )
 
     v = SchedulerView(
-        user_id=1,
         profile=golden_profile(1),
-        clock=0.0,
         capacity=2.3,
         peers=(full_peer(1, 39.5), full_peer(2, 39.0)),
         history=(),

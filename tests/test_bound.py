@@ -212,10 +212,6 @@ def test_slotted_instance_discretizes_capacity_per_unit_slot():
     assert inst.can_pair(0, 1, 1) and not inst.can_pair(0, 1, 2)
     assert inst.can_pair(0, 0, 3)
 
-    assert slotted_instance(profs, cap, mob, slots=2).slots == 2
-    with pytest.raises(BoundError):
-        slotted_instance(profs, cap, mob, slots=5)
-
 
 def test_slotted_instance_noncoop_drops_pairings():
     cap = tr.constant_capacity({0: 1.0, 1: 1.0}, 2.0)
@@ -242,6 +238,12 @@ def test_refine_instance_halves_video_segments_only():
     assert refine_instance(inst, 0).profiles[0].num_segments == 4
     with pytest.raises(BoundError):
         refine_instance(inst, -1)
+
+
+def test_bound_region_rejects_negative_halvings():
+    inst = micro_instance(1)
+    with pytest.raises(BoundError):
+        bound_region(inst, -1)
 
 
 def test_refinement_is_monotone_on_micro_instances():

@@ -70,6 +70,37 @@ def test_usage_and_config_errors_exit_1(tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == 1
 
 
+@pytest.mark.parametrize(
+    "command, lines",
+    [
+        pytest.param("run", "mobility = synthetic\nhotspots = 0\n", id="no-hotspots"),
+        pytest.param("run", "capacity_period = 0\n", id="zero-capacity-period"),
+        pytest.param("run", "mobility = full-coop\ndwell_mean = 0\n", id="full-coop-zero-dwell"),
+        pytest.param("bound", "bound_users = 0\n", id="no-bound-users"),
+        pytest.param("bound", "bound_horizon = 0\n", id="zero-bound-horizon"),
+        pytest.param(
+            "run", "bound_enable = true\nbound_refine = -1\n", id="negative-bound-refine"
+        ),
+    ],
+)
+def test_values_the_run_would_reject_are_config_errors(tmp_path, capsys, command, lines):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY + lines)
+    assert main([command, "--config", str(cfg)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_presets_ignore_the_raw_synthetic_keys(tmp_path):
+    cfg = tmp_path / "preset.cfg"
+    cfg.write_text(TINY + "mobility = dense-short\nhotspots = 0\n")
+    assert main(["run", "--config", str(cfg)]) == 0
+
+
+def test_negative_refine_is_a_config_error(tiny_cfg, capsys):
+    assert main(["bound", "--config", tiny_cfg, "--refine", "-1"]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_short_traces_fail_in_the_runtime_lane(tmp_path, capsys):
     cap = tr.constant_capacity({0: 1.0, 1: 1.0}, 5.0)
     mob = tr.full_coop_mobility([0, 1], 5.0)

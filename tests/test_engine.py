@@ -187,7 +187,7 @@ class TestCoordinationAccounting:
             12.0,
             [(0, 0.0, 12.0, 2.0), (1, 0.0, 12.0, 0.0), (2, 0.0, 12.0, 0.0)],
         )
-        mob = full_coop_mobility(3, 12.0)
+        mob = full_coop_mobility(range(3), 12.0)
         res = run(profiles, cap, mob, make_scheduler("lyapunov"), RunConfig(horizon=12.0))
         msgs = res.messages
         assert msgs.virtual_ack == 2  # both video users needy at start
@@ -226,7 +226,7 @@ class TestCoordinationAccounting:
     def test_ready_growth_stops_after_videos_end(self):
         profiles = {0: video_profile(0, video_len=8.0), 1: video_profile(1, video_len=8.0)}
         cap = constant_capacity({0: 5.0, 1: 5.0}, 80.0)
-        mob = full_coop_mobility(2, 80.0)
+        mob = full_coop_mobility(range(2), 80.0)
         res = run(
             profiles, cap, mob, make_scheduler("lyapunov"),
             RunConfig(horizon=80.0, ack_window=10.0),

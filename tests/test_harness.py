@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+import coopstream.harness as harness
 import coopstream.traces as tr
 from coopstream.engine import RunConfig, run
 from coopstream.harness import (
@@ -312,6 +313,33 @@ def test_gap_ratio_column_appears_when_bound_enabled(tmp_path, refine, budget, e
         assert row["gap_ratio"] is None
         assert report["schedulers"][0]["gap_ratio"] is None
         assert rows[1][-1] == ""
+
+
+def test_prefix_bound_solved_once_per_repetition(monkeypatch):
+    # the bound does not depend on the scheduler: 3 schedulers x 2
+    # repetitions solve it twice
+    calls = []
+    solve = harness.bd.bound_region
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(harness.bd, "bound_region", counted)
+    cfg = tiny_config(
+        schedulers=("lyapunov", "buffer", "prediction"),
+        repetitions=2,
+        capacity_hi=1.0,
+        bound_enable=True,
+        bound_horizon=3,
+        bound_refine=0,
+        bound_budget=20_000,
+    )
+    report = run_experiment(cfg)
+    assert len(calls) == 2
+    assert all(
+        "gap_ratio" in row for s in report["schedulers"] for row in s["repetitions"]
+    )
 
 
 @pytest.mark.parametrize("phi_rebuf", [2.0, 0.0])

@@ -6,12 +6,9 @@ import pytest
 
 from coopstream.model import BitrateLadder, UserProfile
 from coopstream.schedulers import (
-    BufferRuleConfig,
     Download,
     Idle,
-    LyapunovConfig,
     PeerInfo,
-    PredictionConfig,
     SchedulerView,
     Wait,
     buffer_based_decide,
@@ -46,7 +43,6 @@ def peer(uid, buffer, last=None, remaining=10, inflight=0, started=True,
         profile=profile or video_profile(uid),
         buffer=buffer,
         last_bitrate=last,
-        next_seq_no=1,
         remaining=remaining,
         inflight=inflight,
         playback_started=started,
@@ -56,9 +52,7 @@ def peer(uid, buffer, last=None, remaining=10, inflight=0, started=True,
 
 def view(uid, peers, capacity=2.3, history=(), cooperative=True, profile=None):
     return SchedulerView(
-        user_id=uid,
         profile=profile or video_profile(uid),
-        clock=0.0,
         capacity=capacity,
         peers=tuple(peers),
         history=tuple(history),
@@ -101,18 +95,16 @@ class TestLyapunovDecide:
         assert got == Download(1, 5)
 
     def test_prefers_starving_peer_under_high_weight(self):
-        cfg = LyapunovConfig(drift_weight=0.0)
         # pure drift: the emptier buffer gains more from a segment
         v = view(1, [peer(1, 30.0), peer(2, 2.0)], capacity=10.0)
-        got = lyapunov_decide(v, cfg)
+        got = lyapunov_decide(v, drift_weight=0.0)
         assert got.owner == 2
 
     def test_tie_breaks_to_lower_owner_then_level(self):
-        cfg = LyapunovConfig(drift_weight=0.0)
         # two identical empty owners: all levels tie at beta gain; the
         # lower owner id and level win
         v = view(1, [peer(2, 0.0, started=False), peer(3, 0.0, started=False)], capacity=1e9)
-        got = lyapunov_decide(v, cfg)
+        got = lyapunov_decide(v, drift_weight=0.0)
         assert got == Download(2, 1)
 
     def test_respects_afford_guard(self):
@@ -159,7 +151,7 @@ class TestScoreScaling:
                 ]
                 v = view(1, peers, capacity=cap,
                          profile=video_profile(1, **params))
-                return lyapunov_decide(v, LyapunovConfig(drift_weight=weight))
+                return lyapunov_decide(v, drift_weight=weight)
 
             assert decide(base, 100.0) == decide(scaled, 100.0 * c)
 
@@ -168,10 +160,9 @@ class TestScoreScaling:
         owner = peer(1, 10.0)
         bystander = peer(2, 10.0)
         v = view(1, [owner, bystander], capacity=2.3)
-        cfg = LyapunovConfig(drift_weight=100.0)
         # gamma = 2: owner drift 0, bystander drift 62, welfare golden
         expected_welfare = 2.0 * math.log(3.3) - 1.46
-        got = lyapunov_score(v, owner, 5, cfg)
+        got = lyapunov_score(v, owner, 5, drift_weight=100.0)
         assert got == pytest.approx(62.0 - 100.0 * expected_welfare, abs=1e-9)
 
 
@@ -215,63 +206,54 @@ class TestGreedyNoncoop:
 class TestBufferBaseline:
     def test_owner_rule_worked_example(self):
         # q = (30, 5, 20), delta_th = 0.5, Delta_th = 10: decider 1 helps 2
-        cfg = BufferRuleConfig(low_reserve=0.5, min_gap=10.0)
         v = view(1, [peer(1, 30.0), peer(2, 5.0), peer(3, 20.0)])
-        got = buffer_based_decide(v, cfg)
+        got = buffer_based_decide(v, low_reserve=0.5, min_gap=10.0)
         assert got.owner == 2
 
     def test_keeps_own_when_reserve_low(self):
-        cfg = BufferRuleConfig(low_reserve=0.5, min_gap=10.0)
         v = view(1, [peer(1, 15.0), peer(2, 5.0)])
-        assert buffer_based_decide(v, cfg).owner == 1
+        assert buffer_based_decide(v, low_reserve=0.5, min_gap=10.0).owner == 1
 
     def test_keeps_own_when_gap_small(self):
-        cfg = BufferRuleConfig(low_reserve=0.5, min_gap=10.0)
         v = view(1, [peer(1, 22.0), peer(2, 18.0)])
-        assert buffer_based_decide(v, cfg).owner == 1
+        assert buffer_based_decide(v, low_reserve=0.5, min_gap=10.0).owner == 1
 
     def test_idle_decider_helps_unconditionally(self):
-        cfg = BufferRuleConfig(low_reserve=0.5, min_gap=10.0)
         v = view(9, [peer(2, 30.0), peer(3, 29.0)],
                  profile=video_profile(9, video_len=0.0))
-        assert buffer_based_decide(v, cfg).owner == 3
+        assert buffer_based_decide(v, low_reserve=0.5, min_gap=10.0).owner == 3
 
     def test_level_tracks_buffer_fill(self):
-        cfg = BufferRuleConfig()
         cases = {0.0: 1, 20.0: 3, 40.0: 5, 39.0: 5, 8.0: 1, 8.1: 2}
         for buf, want in cases.items():
             v = view(1, [peer(1, min(buf, 37.9))])
-            got = buffer_based_decide(v, cfg)
+            got = buffer_based_decide(v)
             if buf < 38.0:
                 assert got == Download(1, max(1, min(5, math.ceil(buf / 40.0 * 5))))
         # full-buffer mapping checked through a helped peer
         v = view(9, [peer(2, 40.0, inflight=-1)],
                  profile=video_profile(9, video_len=0.0))
-        assert buffer_based_decide(v, cfg).level == 5
+        assert buffer_based_decide(v).level == 5
 
 
 class TestPredictionBaseline:
     def test_level_from_history_mean(self):
-        cfg = PredictionConfig()
         v = view(1, [peer(1, 10.0)], capacity=9.9, history=(1.0, 1.0, 1.0))
-        assert prediction_based_decide(v, cfg) == Download(1, 3)
+        assert prediction_based_decide(v) == Download(1, 3)
 
     def test_window_uses_recent_entries(self):
-        cfg = PredictionConfig(window=3)
         v = view(1, [peer(1, 10.0)], history=(9.0, 2.3, 2.3, 2.3))
-        assert prediction_based_decide(v, cfg).level == 5
+        assert prediction_based_decide(v, window=3).level == 5
 
     def test_fallback_to_current_capacity(self):
-        cfg = PredictionConfig()
         v = view(1, [peer(1, 10.0)], capacity=0.7, history=())
-        assert prediction_based_decide(v, cfg).level == 3
+        assert prediction_based_decide(v).level == 3
 
     def test_floor_and_ceiling(self):
-        cfg = PredictionConfig()
         low = view(1, [peer(1, 10.0)], history=(0.1, 0.1, 0.1))
         high = view(1, [peer(1, 10.0)], history=(5.0, 5.0, 5.0))
-        assert prediction_based_decide(low, cfg).level == 1
-        assert prediction_based_decide(high, cfg).level == 5
+        assert prediction_based_decide(low).level == 1
+        assert prediction_based_decide(high).level == 5
 
 
 class TestAffordGuard:
@@ -299,3 +281,38 @@ class TestRegistry:
         fn = make_scheduler("lyapunov", drift_weight=0.0)
         v = view(1, [peer(1, 30.0), peer(2, 2.0)], capacity=10.0)
         assert fn(v).owner == 2
+
+    @pytest.mark.parametrize(
+        "name, rule, params",
+        [
+            ("buffer", buffer_based_decide, dict(low_reserve=0.2, min_gap=1.0)),
+            (
+                "prediction",
+                prediction_based_decide,
+                dict(low_reserve=0.8, min_gap=8.0, window=1),
+            ),
+        ],
+    )
+    def test_baseline_params_forwarded(self, name, rule, params):
+        fn = make_scheduler(name, **params)
+        rng = random.Random(17)
+        changed = 0
+        for _ in range(300):
+            peers = [
+                peer(uid, rng.uniform(0.0, 39.0), remaining=rng.choice([0, 3, 10]),
+                     inflight=rng.choice([0, 0, 1]))
+                for uid in (1, 2, 3)
+            ]
+            history = tuple(rng.uniform(0.1, 3.0) for _ in range(rng.randint(0, 5)))
+            v = view(1, peers, capacity=rng.uniform(0.3, 6.0), history=history)
+            assert fn(v) == rule(v, **params)
+            changed += rule(v, **params) != rule(v)
+        # the non-default values do change decisions, so they reach the rule
+        assert changed > 0
+
+    def test_unknown_param_rejected_when_built(self):
+        for name in ("lyapunov", "buffer", "prediction", "noncoop"):
+            with pytest.raises(TypeError):
+                make_scheduler(name, bogus=1.0)
+        with pytest.raises(TypeError):
+            make_scheduler("buffer", window=3)

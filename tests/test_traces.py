@@ -189,7 +189,7 @@ class TestSynth:
             assert all(v != 0 for v in mob.tracks[user].values)
 
     def test_full_coop(self):
-        mob = full_coop_mobility(3, 20.0)
+        mob = full_coop_mobility(range(3), 20.0)
         assert encountered_throughout(mob, 0, 2, 0.0, 20.0)
 
     def test_validation(self):
