@@ -3,10 +3,11 @@
 The slotted system replaces continuous timing with unit slots: per slot a
 downloader moves whole segments (integer counts per owner and level) within
 its slot capacity, pairs must be co-located for the entire slot, and owner
-buffers follow a per-slot drain-then-fill recursion.  Solving it exactly
-yields a welfare bound for the continuous system; halving the segment
-length and re-solving tightens the bound from above, the unrefined solve
-bounds it from below.
+buffers follow a per-slot drain-then-fill recursion.  Solving it exactly at
+the scenario's segment length gives the coarse slotted optimum (level 0);
+halving the segment length and re-solving gives the refined levels, and the
+finest of them is the upper estimate.  No level is claimed to bound the
+continuous optimum from below.
 """
 
 from __future__ import annotations
@@ -16,16 +17,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import traces as tr
-from .model import (
-    TIME_EPS,
-    VOL_EPS,
-    DownloadRecord,
-    DownloadSequence,
-    ModelError,
-    UserProfile,
-    WelfareBreakdown,
-    segment_volume,
-)
+from .model import TIME_EPS, VOL_EPS, UserProfile, WelfareBreakdown, segment_volume
 from .welfare import quality_value
 
 
@@ -394,10 +386,7 @@ class BoundRegion:
     segment_lens: tuple[float, ...]   # representative beta at each level
     values: tuple[float, ...]
     exact: tuple[bool, ...]
-
-    @property
-    def lower(self) -> float:
-        return self.values[0]
+    nodes: tuple[int, ...]            # search nodes each level's solve used
 
     @property
     def upper(self) -> float:
@@ -412,62 +401,15 @@ def bound_region(
         raise BoundError("halvings must be nonnegative")
     vids = instance.video_users()
     base_beta = instance.profiles[vids[0]].segment_len if vids else 0.0
-    lens, vals, exacts = [], [], []
+    lens, vals, exacts, nodes = [], [], [], []
     for k in range(halvings + 1):
         inst_k = refine_instance(instance, k)
         res = solve_slotted(inst_k, node_budget)
         lens.append(base_beta / (2 ** k) if vids else 0.0)
         vals.append(res.welfare)
         exacts.append(res.exact)
-    return BoundRegion(tuple(lens), tuple(vals), tuple(exacts))
-
-
-# ---------------------------------------------------------------------------
-# Constructive mapping: realize a feasible slotted plan as a continuous
-# schedule.  Each downloader's slot batch is laid back-to-back so that the
-# last transfer ends exactly at the slot boundary; receipts then land as
-# late as possible, which keeps owner buffers under their caps whenever the
-# slotted trajectory was feasible.
-
-
-def plan_to_segmented(
-    plan: SlottedPlan, instance: SlottedInstance, cap_trace: tr.CapacityTrace
-) -> dict[int, DownloadSequence]:
-    profs = instance.profiles
-    # Each (downloader, slot) batch in entries() order: by owner, then by
-    # level, which is ascending bitrate.
-    batches: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for n, m, z, s, c in plan.entries():
-        batches.setdefault((n, s), []).extend([(m, z)] * c)
-    raw: list[tuple[float, int, int, int, float]] = []  # (t_end, n, m, z, t_start)
-    for (n, s), items in sorted(batches.items()):
-        total = sum(segment_volume(profs[m], z) for m, z in items)
-        start = tr.download_start_time(cap_trace, n, float(s), total)
-        if start is None or start < float(s - 1) - TIME_EPS:
-            raise BoundError(f"plan exceeds slot capacity for user {n} in slot {s}")
-        t0 = start
-        for m, z in items:
-            te = tr.download_end_time(cap_trace, n, t0, segment_volume(profs[m], z))
-            if te is None:
-                raise BoundError("capacity trace ended mid-slot")
-            raw.append((te, n, m, z, t0))
-            t0 = te
-    # Assign per-owner playback positions in global receipt order.
-    raw.sort(key=lambda r: (r[2], r[0], r[1], r[3]))
-    seq_no: dict[int, int] = {}
-    per_downloader: dict[int, list[DownloadRecord]] = {n: [] for n in profs}
-    for te, n, m, z, ts in raw:
-        seq_no[m] = seq_no.get(m, 0) + 1
-        per_downloader[n].append(
-            DownloadRecord(n, m, seq_no[m], z, profs[m].ladder.rate(z), ts, te)
-        )
-    out = {}
-    for n, recs in per_downloader.items():
-        recs.sort(key=lambda r: (r.t_start, r.t_end))
-        seq = DownloadSequence(n, recs)
-        seq.validate()
-        out[n] = seq
-    return out
+        nodes.append(res.nodes)
+    return BoundRegion(tuple(lens), tuple(vals), tuple(exacts), tuple(nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +419,11 @@ def plan_to_segmented(
 def region_to_dict(region: BoundRegion) -> dict:
     return {
         "levels": [
-            {"segment_len": sl, "welfare": v, "exact": e}
-            for sl, v, e in zip(region.segment_lens, region.values, region.exact)
+            {"segment_len": sl, "welfare": v, "exact": e, "nodes": k}
+            for sl, v, e, k in zip(
+                region.segment_lens, region.values, region.exact, region.nodes
+            )
         ],
-        "lower": region.lower,
         "upper_estimate": region.upper,
     }
 

@@ -147,8 +147,8 @@ def _parse_scalar(text: str, kind):
     return text
 
 
-def parse_assignments(lines, cfg: ScenarioConfig | None = None) -> ScenarioConfig:
-    cfg = cfg or ScenarioConfig()
+def parse_assignments(lines) -> ScenarioConfig:
+    cfg = ScenarioConfig()
     kinds = {f.name: f for f in fields(ScenarioConfig)}
     updates = {}
     for lineno, rawline in enumerate(lines, start=1):
@@ -265,6 +265,8 @@ def _gain(value: float, base: float) -> float:
 
 def _bound_subinstance(cfg, profiles, cap, mob):
     """Prefix sub-instance small enough for the exact solver."""
+    if cfg.horizon < 1.0:
+        raise ConfigError(f"horizon {cfg.horizon:g} s holds no one-second slot for the bound")
     picked: list[int] = []
     for uid in sorted(profiles):
         if profiles[uid].is_video_user and len(picked) < cfg.bound_users:

@@ -224,28 +224,6 @@ def download_end_time(trace: CapacityTrace, user: int, t_start: float, volume: f
     return None
 
 
-def download_start_time(trace: CapacityTrace, user: int, t_end: float, volume: float) -> float | None:
-    """Largest t_start with integrate_capacity(t_start, t_end) == volume.
-
-    Mirror of download_end_time, walking backwards from t_end; None when
-    the trace begins too late to supply the volume.
-    """
-    if volume < 0.0:
-        raise TraceError("volume must be nonnegative")
-    track = trace.tracks[user]
-    if t_end < -TIME_EPS or t_end > track.bounds[-1] + TIME_EPS:
-        raise TraceError(f"t_end {t_end} outside trace domain")
-    if volume <= VOL_EPS:
-        return t_end
-    remaining = volume
-    for lo, hi, rate in reversed(list(track.pieces(track.bounds[0], t_end))):
-        chunk = rate * (hi - lo)
-        if chunk >= remaining - VOL_EPS and rate > 0.0:
-            return hi - remaining / rate
-        remaining -= chunk
-    return None
-
-
 def next_positive_capacity(trace: CapacityTrace, user: int, t: float) -> float | None:
     """Earliest time >= t at which `user`'s capacity is positive, else None."""
     track = trace.tracks[user]

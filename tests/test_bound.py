@@ -11,7 +11,6 @@ from coopstream.bound import (
     SlottedInstance,
     SlottedPlan,
     bound_region,
-    plan_to_segmented,
     plan_violations,
     refine_instance,
     region_to_dict,
@@ -255,7 +254,6 @@ def test_refinement_is_monotone_on_micro_instances():
         assert all(region.exact)
         assert region.values[1] >= region.values[0] - 1e-9
         assert region.values[2] >= region.values[1] - 1e-9
-        assert region.lower == region.values[0]
         assert region.upper == region.values[-1]
         checked += 1
     assert checked == 10
@@ -353,32 +351,6 @@ def test_node_budget_degrades_to_a_feasible_lower_welfare():
 # Slotted vs segmented welfare on aligned plans.
 
 
-def test_plan_maps_to_feasible_segmented_schedule():
-    cap = tr.constant_capacity({0: 2.0, 1: 2.0}, 2.0)
-    mob = tr.full_coop_mobility([0, 1], 2.0)
-    owner = profile(0, (1.0, 2.0), cap=3.0, video=2.0, phi_q=0.7, phi_r=1.3,
-                    c_time=0.5, c_data=0.1, w_data=0.05)
-    helper = profile(1, (1.0,), video=0.0, phi_q=0.7, phi_r=1.3,
-                     c_time=0.5, c_data=0.1, w_data=0.05)
-    profs = {0: owner, 1: helper}
-    inst = slotted_instance(profs, cap, mob)
-    plan = SlottedPlan(2, {(0, 0, 2, 1): 1, (1, 0, 1, 2): 1})
-    assert plan_violations(plan, inst) == []
-
-    seqs = plan_to_segmented(plan, inst, cap)
-    for n, seq in seqs.items():
-        seq.validate()
-        for rec in seq.records:
-            moved = tr.integrate_capacity(cap, n, rec.t_start, rec.t_end)
-            assert moved == pytest.approx(rec.volume(profs[rec.owner]), abs=1e-9)
-            if rec.owner != n:
-                assert tr.encountered_throughout(mob, n, rec.owner,
-                                                 rec.t_start, rec.t_end)
-    # Batches end exactly on their slot boundary.
-    assert seqs[0].records[0].t_end == pytest.approx(1.0, abs=1e-9)
-    assert seqs[1].records[0].t_end == pytest.approx(2.0, abs=1e-9)
-
-
 def test_slotted_welfare_equals_segmented_welfare_term_by_term():
     cap = tr.constant_capacity({0: 2.0, 1: 2.0}, 2.0)
     mob = tr.full_coop_mobility([0, 1], 2.0)
@@ -391,7 +363,12 @@ def test_slotted_welfare_equals_segmented_welfare_term_by_term():
     plan = SlottedPlan(2, {(0, 0, 2, 1): 1, (1, 0, 1, 2): 1})
 
     slotted = slotted_breakdowns(plan, inst)
-    seqs = plan_to_segmented(plan, inst, cap)
+    # The owner's own slot-1 batch ends on the slot boundary; the helper's
+    # slot-2 segment lands as late as slot 2 allows.
+    seqs = {
+        0: DownloadSequence(0, [DownloadRecord(0, 0, 1, 2, 2.0, 0.0, 1.0)]),
+        1: DownloadSequence(1, [DownloadRecord(1, 0, 2, 1, 1.0, 1.5, 2.0)]),
+    }
     segmented = welfare_breakdowns(seqs, profs)
     for uid in profs:
         s, g = slotted[uid], segmented[uid]
@@ -418,7 +395,12 @@ def test_rebuffering_charge_survives_the_mapping():
 
     s = slotted_breakdowns(plan, inst)[0]
     assert s.loss_rebuf == pytest.approx(1.3, abs=1e-12)
-    seqs = plan_to_segmented(plan, inst, cap)
+    seqs = {
+        0: DownloadSequence(0, [
+            DownloadRecord(0, 0, 1, 1, 1.0, 0.0, 1.0),
+            DownloadRecord(0, 0, 2, 1, 1.0, 2.0, 3.0),
+        ])
+    }
     g = welfare_breakdowns(seqs, {0: p})[0]
     assert g.loss_rebuf == pytest.approx(1.3, abs=1e-9)
     assert g.welfare == pytest.approx(s.welfare, abs=1e-9)
@@ -472,8 +454,8 @@ def test_region_export(tmp_path):
     inst = micro_instance(3)
     region = bound_region(inst, halvings=1)
     d = region_to_dict(region)
-    assert d["lower"] == region.lower
     assert d["upper_estimate"] == region.upper
+    assert [lv["nodes"] for lv in d["levels"]] == list(region.nodes)
     assert len(d["levels"]) == 2
     out = tmp_path / "region.json"
     write_region_json(region, str(out))

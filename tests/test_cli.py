@@ -22,6 +22,9 @@ repetitions = 1
 seed = 3
 """
 
+# Too short for a single one-second bound slot.
+SUBSECOND = "n_users = 2\nhorizon = 0.5\nvideo_len = 2\nsegment_len = 2\nbuffer_cap = 4\n"
+
 
 @pytest.fixture
 def tiny_cfg(tmp_path):
@@ -81,6 +84,8 @@ def test_usage_and_config_errors_exit_1(tmp_path, capsys):
         pytest.param(
             "run", "bound_enable = true\nbound_refine = -1\n", id="negative-bound-refine"
         ),
+        pytest.param("bound", SUBSECOND, id="subsecond-horizon-bound"),
+        pytest.param("run", SUBSECOND + "bound_enable = true\n", id="subsecond-horizon-run-bound"),
     ],
 )
 def test_values_the_run_would_reject_are_config_errors(tmp_path, capsys, command, lines):
@@ -88,6 +93,12 @@ def test_values_the_run_would_reject_are_config_errors(tmp_path, capsys, command
     cfg.write_text(TINY + lines)
     assert main([command, "--config", str(cfg)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_subsecond_horizon_runs_without_the_bound(tmp_path):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(TINY + SUBSECOND)
+    assert main(["run", "--config", str(cfg)]) == 0
 
 
 def test_presets_ignore_the_raw_synthetic_keys(tmp_path):
@@ -175,5 +186,6 @@ def test_bound_command_prints_region_and_writes_json(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "upper bound estimate" in stdout
     doc = json.loads(out.read_text())
-    assert set(doc) == {"levels", "lower", "upper_estimate"}
+    assert set(doc) == {"levels", "upper_estimate"}
     assert len(doc["levels"]) == 2
+    assert all(set(lv) == {"segment_len", "welfare", "exact", "nodes"} for lv in doc["levels"])

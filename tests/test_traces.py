@@ -10,7 +10,6 @@ from coopstream.traces import (
     capacity_at,
     constant_capacity,
     download_end_time,
-    download_start_time,
     encountered,
     encountered_throughout,
     first_separation,
@@ -77,7 +76,7 @@ class TestDownloadTimes:
         trace = CapacityTrace(4.0, [(1, 0.0, 1.0, 1.0), (1, 1.0, 3.0, 0.0), (1, 3.0, 4.0, 1.0)])
         assert download_end_time(trace, 1, 0.5, 1.0) == pytest.approx(3.5)
 
-    def test_start_end_inverse(self):
+    def test_end_time_is_the_earliest_that_moves_the_volume(self):
         trace = CapacityTrace(
             6.0,
             [(1, 0.0, 2.0, 1.5), (1, 2.0, 3.0, 0.0), (1, 3.0, 6.0, 2.5)],
@@ -89,12 +88,11 @@ class TestDownloadTimes:
             t_end = download_end_time(trace, 1, t0, vol)
             if t_end is None:
                 continue
-            t_start = download_start_time(trace, 1, t_end, vol)
-            assert integrate_capacity(trace, 1, t_start, t_end) == pytest.approx(vol, abs=1e-9)
-            # latest possible start: any later start cannot fit the volume
-            later = t_start + 1e-6
-            if later < t_end:
-                assert integrate_capacity(trace, 1, later, t_end) <= vol
+            assert integrate_capacity(trace, 1, t0, t_end) == pytest.approx(vol, abs=1e-9)
+            # earliest possible end: any earlier end moves less than the volume
+            earlier = t_end - 1e-6
+            if earlier > t0:
+                assert integrate_capacity(trace, 1, t0, earlier) < vol
 
     def test_next_positive_capacity(self):
         trace = CapacityTrace(4.0, [(1, 0.0, 2.0, 0.0), (1, 2.0, 4.0, 1.0)])
