@@ -2,8 +2,11 @@
 
 The engine owns all ground truth (traces, buffers, reservations) and asks
 a scheduler for a decision whenever a user's radio is free: at t = 0, when
-a download completes or aborts, when a wait timer fires, when co-location
-changes, or when a nearby delivery may have changed the picture.  Downloads
+its own download completes or aborts, when a wait timer fires, when a dead
+link regains capacity, at the next mobility breakpoint of any user after it
+idles, and when a READY wakes it from sleep.  Every delivery or abort,
+wherever it happens, also wakes every parked user.  A decider's group comes
+from a hotspot-occupancy index advanced to the decision instant.  Downloads
 run at the full link rate, so a segment's end time is the exact inverse of
 the capacity integral.  Every run is replayed against an independent
 constraint audit before results are returned.
@@ -70,6 +73,9 @@ class MessageStats:
 @dataclass
 class _UserState:
     profile: UserProfile
+    # profile constants read at every decision
+    num_segments: int = field(init=False)
+    is_video_user: bool = field(init=False)
     # playback
     buffer: float = 0.0
     t_last: float = 0.0
@@ -80,7 +86,7 @@ class _UserState:
     last_bitrate: float | None = None
     # downloader side
     records: list[DownloadRecord] = field(default_factory=list)
-    history: list[float] = field(default_factory=list)
+    history: tuple[float, ...] = ()
     abort_count: int = 0
     abort_cost: float = 0.0
     parked: bool = False
@@ -88,10 +94,17 @@ class _UserState:
     # coordination
     asleep: bool = False
     sleep_deadline: float | None = None
+    # cached PeerInfo of this user; reset to None at every write to a field
+    # it copies (buffer, last_bitrate, received, inflight, playback_finished)
+    info: PeerInfo | None = None
+
+    def __post_init__(self):
+        self.num_segments = self.profile.num_segments
+        self.is_video_user = self.profile.is_video_user
 
     @property
     def remaining(self) -> int:
-        return self.profile.num_segments - self.received - self.inflight
+        return self.num_segments - self.received - self.inflight
 
 
 @dataclass
@@ -148,6 +161,19 @@ class _Simulation:
         self.msgs = MessageStats()
         self.heap: list = []
         self.seq = 0
+        # Hotspot-occupancy index: each user's hotspot, the users at each
+        # hotspot, and a heap of (bound, user, piece) for the next mobility
+        # piece of every user whose track has one.
+        self.spot: dict[int, int] = {}
+        self.occupants: dict[int, set[int]] = {}
+        self.moves: list = []
+        for uid in self.profiles:
+            track = mob_trace.tracks[uid]
+            self.spot[uid] = track.values[0]
+            self.occupants.setdefault(track.values[0], set()).add(uid)
+            if len(track.values) > 1:
+                self.moves.append((track.bounds[1], uid, 1))
+        heapq.heapify(self.moves)
 
     # -- event plumbing ----------------------------------------------------
 
@@ -177,29 +203,50 @@ class _Simulation:
         st.t_last = to_t
         if st.received == 0 or st.playback_finished:
             return
+        st.info = None
         st.buffer -= min(st.buffer, dt)
-        if st.received >= st.profile.num_segments and st.buffer <= TIME_EPS:
+        if st.received >= st.num_segments and st.buffer <= TIME_EPS:
             st.playback_finished = True
             st.buffer = 0.0
 
     # -- group / view construction -----------------------------------------
 
+    def _move_to(self, t):
+        """Advance the occupancy index to t; decision times never decrease.
+
+        A piece starting exactly at t applies, as in `_Track.value_at`.
+        """
+        moves = self.moves
+        while moves and moves[0][0] <= t:
+            _, uid, i = heapq.heappop(moves)
+            track = self.mob.tracks[uid]
+            self.occupants[self.spot[uid]].discard(uid)
+            self.spot[uid] = spot = track.values[i]
+            self.occupants.setdefault(spot, set()).add(uid)
+            if i + 1 < len(track.values):
+                heapq.heappush(moves, (track.bounds[i + 1], uid, i + 1))
+
     def _group(self, uid, t) -> list[int]:
-        return [
-            m for m in self.profiles if tr.encountered(self.mob, uid, m, t)
-        ]
+        """Users that `uid` encounters at t (itself included), ascending."""
+        self._move_to(t)
+        spot = self.spot[uid]
+        if spot == 0:
+            return [uid]
+        return sorted(self.occupants[spot])
 
     def _peer_info(self, uid) -> PeerInfo:
         st = self.users[uid]
-        return PeerInfo(
-            profile=st.profile,
-            buffer=st.buffer,
-            last_bitrate=st.last_bitrate,
-            remaining=st.remaining,
-            inflight=st.inflight,
-            playback_started=st.received > 0,
-            playback_finished=st.playback_finished,
-        )
+        if st.info is None:
+            st.info = PeerInfo(
+                profile=st.profile,
+                buffer=st.buffer,
+                last_bitrate=st.last_bitrate,
+                remaining=st.remaining,
+                inflight=st.inflight,
+                playback_started=st.received > 0,
+                playback_finished=st.playback_finished,
+            )
+        return st.info
 
     # -- coordination protocol accounting ----------------------------------
 
@@ -218,7 +265,7 @@ class _Simulation:
         needy = [
             m
             for m in others
-            if self.profiles[m].is_video_user and self.users[m].remaining > 0
+            if self.users[m].is_video_user and self.users[m].remaining > 0
         ]
         if st.asleep:
             if needy:
@@ -276,13 +323,13 @@ class _Simulation:
         else:
             cooperative = True
         peers = tuple(
-            self._peer_info(m) for m in group if self.profiles[m].is_video_user
+            self._peer_info(m) for m in group if self.users[m].is_video_user
         )
         view = SchedulerView(
             profile=st.profile,
             capacity=h,
             peers=peers,
-            history=tuple(st.history),
+            history=st.history,
             cooperative=cooperative,
         )
         decision = self.scheduler(view)
@@ -296,8 +343,9 @@ class _Simulation:
             if wake < self.T:
                 self._schedule_decision(uid, wake)
         elif isinstance(decision, Idle):
-            # Nothing to do here and now; revisit when co-location changes
-            # (deliveries and aborts also wake every parked user).
+            # Nothing to do here and now; revisit at the next mobility
+            # breakpoint of any user (deliveries and aborts anywhere also
+            # wake every parked user).
             st.parked = True
             nxt = self.mob.next_breakpoint(t)
             if nxt is not None and nxt < self.T:
@@ -328,6 +376,7 @@ class _Simulation:
             # Horizon cuts the transfer short: drop it, charge nothing.
             return
         ost.inflight += 1
+        ost.info = None
         if owner_id != uid:
             t_sep = tr.first_separation(self.mob, uid, owner_id, t, t_end)
             if t_sep is not None:
@@ -355,14 +404,16 @@ class _Simulation:
             ost.inflight -= 1
             ost.last_bitrate = bitrate
             ost.buffer = min(ost.buffer + ost.profile.segment_len, ost.profile.buffer_cap)
+            ost.info = None
             st.records.append(rec)
             dur = t - t_start
             if dur > TIME_EPS:
-                st.history.append(rec.bitrate * ost.profile.segment_len / dur)
+                st.history += (rec.bitrate * ost.profile.segment_len / dur,)
         else:  # abort: the pair separated mid-download
             _, owner_id, t_start = payload
             ost = self.users[owner_id]
             ost.inflight -= 1
+            ost.info = None
             partial = tr.integrate_capacity(self.cap, uid, t_start, t)
             st.abort_cost += st.profile.c_time * (t - t_start) + st.profile.c_data * partial
             st.abort_count += 1
@@ -372,8 +423,8 @@ class _Simulation:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> SimResult:
-        for uid, prof in self.profiles.items():
-            if prof.is_video_user and self.users[uid].remaining > 0:
+        for st in self.users.values():
+            if st.is_video_user and st.remaining > 0:
                 self.msgs.virtual_ack += 1
         for uid in self.profiles:
             self._schedule_decision(uid, 0.0)

@@ -21,7 +21,7 @@ from . import traces as tr
 from .engine import RunConfig, SimResult, run, write_records_csv, write_result_json
 from .model import BitrateLadder, UserProfile, validate_profile
 from .schedulers import make_scheduler
-from .welfare import rebuf_loss
+from .welfare import rebuf_loss  # noqa: F401  (bench/layers.py wraps harness.rebuf_loss)
 
 
 class ConfigError(ValueError):
@@ -235,14 +235,13 @@ def build_traces(cfg: ScenarioConfig, rep_seed: int) -> tuple[tr.CapacityTrace, 
 
 
 def _metrics(result: SimResult) -> dict:
-    video_ids = [uid for uid, p in result.profiles.items() if p.is_video_user]
+    stalls = result.rebuffer_by_user()
+    # Kept as +=: from Python 3.12 on, sum() compensates rounding and would
+    # change the bits.
     rebuf = 0.0
-    for uid in video_ids:
-        rx = result.receives.get(uid)
-        if rx is not None:
-            _, log = rebuf_loss(rx, result.profiles[uid])
-            rebuf += sum(stall for _, stall in log)
-    n_video = max(1, len(video_ids))
+    for stall in stalls.values():
+        rebuf += stall
+    n_video = max(1, len(stalls))
     return {
         "avg_bitrate_mbps": result.avg_bitrate(),
         "social_welfare": result.social_welfare,

@@ -7,9 +7,11 @@ local snapshot at a decision instant.  It returns one of three decisions:
 * Wait(duration): hold the radio for `duration` seconds, then re-decide;
 * Idle: nothing to do until the surroundings change.
 
-The engine re-invokes a scheduler whenever its download completes, its
-wait timer fires, a segment is delivered nearby, or co-location changes,
-so Idle never strands a user.
+The engine re-invokes a scheduler whenever the user's own download
+completes or aborts and when its wait timer fires.  Every delivery or
+abort anywhere, nearby or not, wakes every parked user, and an idle user
+is also re-invoked at the next mobility breakpoint of any user, so Idle
+never strands a user.
 """
 
 from __future__ import annotations

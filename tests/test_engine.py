@@ -2,21 +2,25 @@ import math
 
 import pytest
 
+import coopstream.traces as tr
 from coopstream.engine import (
     RunConfig,
     SimAuditError,
     SimError,
+    _Simulation,
     audit_run,
     result_to_dict,
     run,
 )
+from coopstream.harness import ScenarioConfig, build_profiles, build_traces
 from coopstream.model import (
+    TIME_EPS,
     BitrateLadder,
     DownloadRecord,
     DownloadSequence,
     UserProfile,
 )
-from coopstream.schedulers import Download, Idle, Wait, can_afford, make_scheduler
+from coopstream.schedulers import Download, Idle, PeerInfo, Wait, can_afford, make_scheduler
 from coopstream.traces import CapacityTrace, MobilityTrace, constant_capacity, full_coop_mobility
 from coopstream.welfare import rebuf_loss
 
@@ -371,3 +375,103 @@ class TestBadSchedulers:
 
         with pytest.raises(SimError):
             run(profiles, cap, mob, rogue, RunConfig(horizon=10.0))
+
+
+class _CheckedSimulation(_Simulation):
+    """Checks the engine's shortcuts against the paths they replace.
+
+    At every decision the occupancy-index group must equal a scan of all
+    users with `traces.encountered`, and every PeerInfo and the history
+    handed to the scheduler must equal ones built afresh from the state.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.decision_times = []
+        decide = self.scheduler
+
+        def checked(view):
+            st = self.users[view.user_id]
+            for p in view.peers:
+                assert p == self._fresh_peer_info(p.user_id)
+            assert view.history == tuple(
+                r.bitrate * self.profiles[r.owner].segment_len / (r.t_end - r.t_start)
+                for r in st.records
+                if r.t_end - r.t_start > TIME_EPS
+            )
+            return decide(view)
+
+        self.scheduler = checked
+
+    def _group(self, uid, t):
+        group = super()._group(uid, t)
+        assert group == [m for m in self.profiles if tr.encountered(self.mob, uid, m, t)]
+        self.decision_times.append(t)
+        return group
+
+    def _fresh_peer_info(self, uid):
+        st = self.users[uid]
+        return PeerInfo(
+            profile=st.profile,
+            buffer=st.buffer,
+            last_bitrate=st.last_bitrate,
+            remaining=st.profile.num_segments - st.received - st.inflight,
+            inflight=st.inflight,
+            playback_started=st.received > 0,
+            playback_finished=st.playback_finished,
+        )
+
+
+class TestDecisionPathDifferential:
+    """The occupancy index and the snapshot cache change no decision input."""
+
+    @pytest.mark.parametrize("mobility", ["synthetic", "dense-short", "full-coop", "non-coop"])
+    def test_synthesized_traces(self, mobility):
+        cfg = ScenarioConfig(n_users=12, horizon=80.0, mobility=mobility, capacity_hi=2.5)
+        for seed in (1, 2):
+            profiles = build_profiles(cfg, seed)
+            cap, mob, noncoop = build_traces(cfg, seed)
+            for name in ("lyapunov", "buffer"):
+                sim = _CheckedSimulation(
+                    profiles, cap, mob, make_scheduler(name), RunConfig(horizon=80.0, noncoop=noncoop)
+                )
+                sim.run()
+                assert sim.decision_times == sorted(sim.decision_times)
+                assert len(sim.decision_times) > 50
+
+    def test_hand_built_trace(self):
+        # Constant capacities and a two-rate ladder put every event on a
+        # multiple of 0.25 s, so deliveries land exactly on mobility bounds.
+        ladder = BitrateLadder((0.5, 1.0))
+        profiles = {
+            uid: UserProfile(uid, ladder, segment_len=2.0, buffer_cap=cap_s, video_len=video_len)
+            for uid, video_len, cap_s in (
+                (0, 0.0, 8.0), (1, 40.0, 8.0), (2, 40.0, 8.0), (3, 40.0, 8.0),
+                (4, 40.0, 4.0), (5, 0.0, 8.0), (6, 0.0, 8.0),
+            )
+        }
+        cap = constant_capacity({0: 2.0, 1: 0.5, 2: 1.0, 3: 2.0, 4: 0.125, 5: 1.0, 6: 1.0}, 20.0)
+        mob = MobilityTrace(
+            20.0,
+            [
+                # user 0: two consecutive rows at hotspot 1, then a transit stretch
+                (0, 0.0, 4.0, 1), (0, 4.0, 8.0, 1), (0, 8.0, 10.0, 0), (0, 10.0, 20.0, 2),
+                (1, 0.0, 6.0, 1), (1, 6.0, 20.0, 2),
+                (2, 0.0, 20.0, 1),
+                (3, 0.0, 3.0, 0), (3, 3.0, 12.0, 1), (3, 12.0, 20.0, 2),
+                # hotspot 3: helper 5 starts user 4's second segment and leaves
+                # before it lands, while user 4 has received nothing yet and
+                # helper 6 idles beside it, blocked by the in-flight segments
+                (4, 0.0, 20.0, 3),
+                (5, 0.0, 0.75, 3), (5, 0.75, 20.0, 0),
+                (6, 0.0, 20.0, 3),
+            ],
+        )
+        sim = _CheckedSimulation(profiles, cap, mob, make_scheduler("lyapunov"), RunConfig(horizon=20.0))
+        res = sim.run()
+        bounds = {b for track in mob.tracks.values() for b in track.bounds[1:-1]}
+        ends = {r.t_end for seq in res.downloads.values() for r in seq.records}
+        assert {3.0, 4.0, 6.0, 8.0, 10.0} <= bounds & ends
+        assert bounds & set(sim.decision_times) == bounds
+        assert res.aborts[5][0] == 1
+        assert min(r.t_end for r in res.receives[4].records) > 0.75
