@@ -8,6 +8,11 @@ the scenario's segment length gives the coarse slotted optimum (level 0);
 halving the segment length and re-solving gives the refined levels, and the
 finest of them is the upper estimate.  No level is claimed to bound the
 continuous optimum from below.
+
+The exact solver is a depth-first branch-and-bound that carries the prefix
+welfare slot by slot down the search; slotted_welfare stays the only
+definition of a plan's score, and complete plans that may beat the
+incumbent are re-scored with it.
 """
 
 from __future__ import annotations
@@ -263,25 +268,52 @@ def solve_slotted(instance: SlottedInstance, node_budget: int = 2_000_000) -> So
     """Maximise slotted welfare; exact unless the node budget is exhausted.
 
     The search assigns counts slot by slot in a canonical variable order,
-    so the returned optimum does not depend on dict ordering.  Leaves are
-    scored with slotted_welfare itself, which keeps the result bit-equal
-    to exhaustive enumeration.
+    so the returned optimum does not depend on dict ordering.  It carries
+    the prefix welfare down the recursion instead of re-scoring the plan:
+    when a slot's assignment closes, that slot's terms are added (value,
+    cell and wifi energy, degradation against the owner's last high rate,
+    and the dry-slot rebuffering held back until the owner's next
+    receipt).  The carried sums round differently from slotted_breakdowns,
+    which adds wifi energy in entries() order rather than slot order, so a
+    complete plan that comes within 1e-9 of the incumbent is re-scored
+    with slotted_welfare and accepted on that score alone.  This keeps the
+    result bit-equal to exhaustive enumeration.
     """
     profs = instance.profiles
     T = instance.slots
     users = sorted(profs)
     vids = instance.video_users()
-    slot_vars: list[list[tuple[int, int, int]]] = []
+    owners = range(len(vids))
+    # Per-(owner, level) tables; owner j is vids[j], levels are 1-based.
+    rate = [(0.0,) + profs[m].ladder.rates for m in vids]
+    vol = [[0.0] + [segment_volume(profs[m], z) for z in range(1, len(rate[j]))]
+           for j, m in enumerate(vids)]
+    beta = [profs[m].segment_len for m in vids]
+    value = [[beta[j] * quality_value(profs[m].theta, r) for r in rate[j]]
+             for j, m in enumerate(vids)]
+    top_value = [quality_value(profs[m].theta, rate[j][-1]) for j, m in enumerate(vids)]
+    buffer_cap = [profs[m].buffer_cap for m in vids]
+    phi_qdeg = [profs[m].phi_qdeg for m in vids]
+    phi_rebuf = [profs[m].phi_rebuf for m in vids]
+    # Per slot: (downloader index, its capacity, owner index, level, Mbit,
+    # seconds of video, welfare of one such segment net of its energy).
+    slot_vars: list[list[tuple]] = []
     for s in range(1, T + 1):
         vs = []
-        for n in users:
-            if instance.capacity[n][s - 1] <= VOL_EPS:
+        for i, n in enumerate(users):
+            cap = instance.capacity[n][s - 1]
+            if cap <= VOL_EPS:
                 continue
-            for m in vids:
+            p = profs[n]
+            for j, m in enumerate(vids):
                 if not instance.can_pair(n, m, s):
                     continue
-                for z in range(1, profs[m].ladder.top + 1):
-                    vs.append((n, m, z))
+                for z in range(1, len(rate[j])):
+                    v = vol[j][z]
+                    energy = p.c_time * v / cap + p.c_data * v
+                    if m != n:
+                        energy += p.w_data * v
+                    vs.append((i, cap, j, z, v, beta[j], value[j][z] - energy))
         slot_vars.append(vs)
     suffix_cap = [0.0] * (T + 2)
     for s in range(T, 0, -1):
@@ -293,89 +325,104 @@ def solve_slotted(instance: SlottedInstance, node_budget: int = 2_000_000) -> So
             r = p.ladder.rate(z)
             best_rate = max(best_rate, quality_value(p.theta, r) / r)
 
+    # One bit per (owner, level): owner j's levels z sit at bit shift[j] + z.
+    shift = [sum(len(r) for r in rate[:j]) for j in owners]
+    span = [(1 << len(rate[j])) - 1 for j in owners]
+
     kappa: dict[tuple[int, int, int, int], int] = {}
-    rem = {m: profs[m].num_segments for m in vids}
-    qlevel = {m: 0.0 for m in vids}
-    state = {
-        "best_w": slotted_welfare(SlottedPlan(T, {}), instance),
-        "best_plan": {},
-        "nodes": 0,
-    }
+    rem = [profs[m].num_segments for m in vids]
+    best_w = slotted_welfare(SlottedPlan(T, {}), instance)
+    best_plan: dict = {}
+    nodes = 0
 
-    def optimistic(slot: int) -> float:
-        prefix = slotted_welfare(SlottedPlan(T, dict(kappa)), instance)
-        seg_cap = sum(
-            rem[m] * profs[m].segment_len * quality_value(profs[m].theta, profs[m].ladder.rates[-1])
-            for m in vids
-        )
-        return prefix + min(best_rate * suffix_cap[slot], seg_cap)
+    def slot_step(slot: int, w: float, q: list, high: list, pend: list):
+        """Search slots slot..T given the prefix of slots before `slot`.
 
-    def slot_step(slot: int):
+        w is the prefix welfare; per owner, q is the buffer level, high the
+        top rate of the last receiving slot (None before the first), and
+        pend the rebuffering of dry slots since then, charged only if a
+        later slot brings a receipt.
+        """
+        nonlocal best_w, best_plan
         if slot > T:
-            w = slotted_welfare(SlottedPlan(T, dict(kappa)), instance)
-            if w > state["best_w"]:
-                state["best_w"] = w
-                state["best_plan"] = dict(kappa)
+            if w > best_w - 1e-9:
+                scored = slotted_welfare(SlottedPlan(T, dict(kappa)), instance)
+                if scored > best_w:
+                    best_w = scored
+                    best_plan = dict(kappa)
             return
-        if optimistic(slot) <= state["best_w"] + 1e-12:
+        seg_cap = sum(rem[j] * beta[j] * top_value[j] for j in owners)
+        if w + min(best_rate * suffix_cap[slot], seg_cap) <= best_w + 1e-12:
             return
         vs = slot_vars[slot - 1]
-        used = {n: 0.0 for n in users}
-        gained = {m: 0.0 for m in vids}
-        headroom = {
-            m: profs[m].buffer_cap - max(qlevel[m] - 1.0, 0.0) for m in vids
-        }
+        last = len(vs)
+        used = [0.0] * len(users)
+        gained = [0.0] * len(vids)
+        headroom = [buffer_cap[j] - max(q[j] - 1.0, 0.0) for j in owners]
 
-        def assign(i: int):
-            state["nodes"] += 1
-            if state["nodes"] > node_budget:
+        def close(acc: float, received: int):
+            """Add the slot's per-owner terms; `received` has a bit per (owner, level)."""
+            q2, high2, pend2 = [], [], []
+            for j in owners:
+                h, d = high[j], pend[j]
+                if h is not None:
+                    d += phi_rebuf[j] * max(1.0 - q[j], 0.0)
+                levels = received >> shift[j] & span[j]
+                if levels:
+                    acc -= d
+                    d = 0.0
+                    if h is not None:
+                        lo = (levels & -levels).bit_length() - 1
+                        acc -= phi_qdeg[j] * max(h - rate[j][lo], 0.0)
+                    h = rate[j][levels.bit_length() - 1]
+                q2.append(max(q[j] - 1.0, 0.0) + gained[j])
+                high2.append(h)
+                pend2.append(d)
+            slot_step(slot + 1, acc, q2, high2, pend2)
+
+        def assign(i: int, acc: float, received: int):
+            nonlocal nodes
+            nodes += 1
+            if nodes > node_budget:
                 raise _Budget
-            if i == len(vs):
-                saved_q = dict(qlevel)
-                for m in vids:
-                    qlevel[m] = max(qlevel[m] - 1.0, 0.0) + gained[m]
-                slot_step(slot + 1)
-                qlevel.update(saved_q)
+            if i == last:
+                close(acc, received)
                 return
-            n, m, z = vs[i]
-            vol = segment_volume(profs[m], z)
-            beta = profs[m].segment_len
-            cap_left = instance.capacity[n][slot - 1] - used[n]
-            room = headroom[m] - gained[m]
+            u, cap, j, z, v, b, gain = vs[i]
             cmax = max(
                 0,
                 min(
-                    rem[m],
-                    int((cap_left + VOL_EPS) / vol),
-                    int((room + TIME_EPS) / beta),
+                    rem[j],
+                    int((cap - used[u] + VOL_EPS) / v),
+                    int((headroom[j] - gained[j] + TIME_EPS) / b),
                 ),
             )
-            key = (n, m, z, slot)
-            for c in range(cmax, -1, -1):
-                if c > 0:
-                    kappa[key] = c
-                    used[n] += c * vol
-                    gained[m] += c * beta
-                    rem[m] -= c
-                assign(i + 1)
-                if c > 0:
-                    del kappa[key]
-                    used[n] -= c * vol
-                    gained[m] -= c * beta
-                    rem[m] += c
+            key = (users[u], vids[j], z, slot)
+            bit = 1 << (shift[j] + z)
+            for c in range(cmax, 0, -1):
+                kappa[key] = c
+                used[u] += c * v
+                gained[j] += c * b
+                rem[j] -= c
+                assign(i + 1, acc + c * gain, received | bit)
+                del kappa[key]
+                used[u] -= c * v
+                gained[j] -= c * b
+                rem[j] += c
+            assign(i + 1, acc, received)
 
-        assign(0)
+        assign(0, w, 0)
 
     exact = True
     try:
-        slot_step(1)
+        slot_step(1, 0.0, [0.0] * len(vids), [None] * len(vids), [0.0] * len(vids))
     except _Budget:
         exact = False
     return SolveResult(
-        welfare=state["best_w"],
-        plan=SlottedPlan(T, state["best_plan"]),
+        welfare=best_w,
+        plan=SlottedPlan(T, best_plan),
         exact=exact,
-        nodes=state["nodes"],
+        nodes=nodes,
     )
 
 

@@ -108,9 +108,11 @@ def _cmd_bound(args) -> int:
     profiles = build_profiles(cfg, cfg.seed)
     cap, mob, noncoop = build_traces(cfg, cfg.seed)
     _, region = _prefix_bound(cfg, profiles, cap, mob, noncoop)
-    for beta, value, exact in zip(region.segment_lens, region.values, region.exact):
+    for beta, value, exact, nodes in zip(
+        region.segment_lens, region.values, region.exact, region.nodes
+    ):
         tag = "exact" if exact else "budget-limited"
-        print(f"segment_len={beta:g}  welfare={value:.6f}  ({tag})")
+        print(f"segment_len={beta:g}  welfare={value:.6f}  ({tag}, {nodes} nodes)")
     print(f"upper bound estimate: {region.upper:.6f}")
     if args.out is not None:
         bd.write_region_json(region, args.out)

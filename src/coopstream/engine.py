@@ -116,6 +116,7 @@ class SimResult:
     breakdowns: dict[int, WelfareBreakdown]
     messages: MessageStats
     aborts: dict[int, tuple[int, float]]  # per downloader: (count, energy charged)
+    rebuffer: dict[int, float]  # per video user: stall seconds of its rebuf_loss log
 
     @property
     def social_welfare(self) -> float:
@@ -127,13 +128,7 @@ class SimResult:
 
     def rebuffer_by_user(self) -> dict[int, float]:
         """Stall seconds charged by the QoE model, per video user."""
-        return {
-            uid: sum(d for _, d in rebuf_loss(self.receives[uid], prof)[1])
-            if uid in self.receives
-            else 0
-            for uid, prof in sorted(self.profiles.items())
-            if prof.is_video_user
-        }
+        return self.rebuffer
 
     def helper_downloads(self) -> int:
         return sum(
@@ -450,8 +445,15 @@ class _Simulation:
             downloads[uid] = seq
         receives = derive_receive_sequences(downloads, self.profiles)
         breakdowns = {}
+        rebuffer = {}
         for uid, prof in self.profiles.items():
-            b = user_welfare(downloads.get(uid), receives.get(uid), prof, self.profiles)
+            rx = receives.get(uid)
+            rebuf = None
+            if prof.is_video_user:
+                # One stall log per user serves its welfare and its stall seconds.
+                rebuf = rebuf_loss(rx, prof) if rx is not None else (0.0, [])
+                rebuffer[uid] = sum(d for _, d in rebuf[1])
+            b = user_welfare(downloads.get(uid), rx, prof, self.profiles, rebuf)
             st = self.users[uid]
             if st.abort_cost > 0.0:
                 b = b + WelfareBreakdown(energy_cell=st.abort_cost)
@@ -464,6 +466,7 @@ class _Simulation:
             breakdowns=breakdowns,
             messages=self.msgs,
             aborts={uid: (st.abort_count, st.abort_cost) for uid, st in self.users.items()},
+            rebuffer=rebuffer,
         )
 
 

@@ -333,6 +333,7 @@ def run_experiment(cfg: ScenarioConfig, out_dir: str | None = None) -> dict:
             row["welfare_gain"] = _gain(row["social_welfare"], twin_m["social_welfare"])
             if prefix is not None:
                 row["gap_ratio"] = _gap_ratio(cfg, prefix, scheduler, noncoop)
+                row["bound_levels"] = bd.region_to_dict(prefix[1])["levels"]
             rows.append(row)
             first_results.setdefault(name, result)
         gaps = [r["gap_ratio"] for r in rows if r.get("gap_ratio") is not None]

@@ -102,15 +102,19 @@ def user_welfare(
     rx: ReceiveSequence | None,
     profile: UserProfile,
     profiles: dict[int, UserProfile],
+    rebuf: tuple[float, RebufferLog] | None = None,
 ) -> WelfareBreakdown:
-    """Full welfare breakdown for one user from its two sequences."""
+    """Full welfare breakdown for one user from its two sequences.
+
+    `rebuf` is rebuf_loss(rx, profile) when the caller has it already.
+    """
     value = loss_q = loss_r = e_cell = e_wifi = 0.0
     if rx is not None and rx.records:
         if not profile.is_video_user:
             raise ModelError(f"idle helper {profile.user_id} cannot receive segments")
         value = total_value(rx, profile)
         loss_q = qdeg_loss(rx, profile)
-        loss_r, _ = rebuf_loss(rx, profile)
+        loss_r, _ = rebuf if rebuf is not None else rebuf_loss(rx, profile)
     if dl is not None and dl.records:
         e_cell = energy_cell(dl, profile, profiles)
         e_wifi = energy_wifi(dl, profile, profiles)

@@ -35,6 +35,8 @@ from slotted_oracle import (
     count_plans,
     enumerate_plans,
     micro_instance,
+    prefix_instance,
+    reference_solve_slotted,
 )
 
 
@@ -325,6 +327,31 @@ def test_scores_do_not_depend_on_how_the_plan_dict_was_built():
             as_built = SlottedPlan(plan.slots, {**plan.kappa, over: extra})
             rebuilt_plus = SlottedPlan(plan.slots, {**rebuilt, over: extra})
             assert plan_violations(rebuilt_plus, inst) == plan_violations(as_built, inst)
+
+
+def _same_search(inst, budget):
+    got = solve_slotted(inst, budget)
+    ref = reference_solve_slotted(inst, budget)
+    assert (got.nodes, got.exact, got.welfare, got.plan.kappa) == (
+        ref.nodes, ref.exact, ref.welfare, ref.plan.kappa
+    )
+    return got
+
+
+def test_incremental_search_matches_full_rescoring_on_micro_instances():
+    # Carrying the prefix welfare must prune and accept exactly where
+    # re-scoring the whole plan at every step does.
+    for seed in range(200):
+        _same_search(micro_instance(seed), 2_000_000)
+
+
+@pytest.mark.parametrize("halvings", [0, 1, 2])
+def test_incremental_search_matches_full_rescoring_when_budget_limited(halvings):
+    # Cut by the budget, the two searches agree only if they visit the
+    # same nodes in the same order and keep the same incumbents.
+    for seed in range(20):
+        got = _same_search(prefix_instance(seed, halvings), 2_000)
+        assert not got.exact, f"seed {seed} solved within the budget"
 
 
 def test_oracle_overflow_trips_at_the_cap():

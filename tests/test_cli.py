@@ -189,3 +189,5 @@ def test_bound_command_prints_region_and_writes_json(tmp_path, capsys):
     assert set(doc) == {"levels", "upper_estimate"}
     assert len(doc["levels"]) == 2
     assert all(set(lv) == {"segment_len", "welfare", "exact", "nodes"} for lv in doc["levels"])
+    for lv in doc["levels"]:
+        assert f"{lv['nodes']} nodes)" in stdout

@@ -2,11 +2,13 @@
 
 The set runs `run_experiment` once per mobility mode and capacity ceiling
 with all four schedulers, so every run has a cooperative and a
-non-cooperative twin, and solves the slotted bound on micro instances.
-Four sha256 digests cover separate outputs: download records, welfare
-terms, coordination messages and solver values.  A change meant to leave
-outputs alone leaves every digest alone; an intended change updates only
-the digests it means to change.
+non-cooperative twin, and solves the slotted bound on micro instances and,
+cut short by a node budget, on full-coop prefixes.  Five sha256 digests
+cover separate outputs: download records, welfare terms, coordination
+messages, solver values, and the budget-limited searches (nodes, value,
+exactness and plan), which pin down the path the search takes.  A change
+meant to leave outputs alone leaves every digest alone; an intended change
+updates only the digests it means to change.
 
 Floats are hashed exactly (`float.hex`), and `sum()` rounds differently
 from Python 3.12 on, so the committed digests are keyed by platform and
@@ -33,12 +35,14 @@ import coopstream.traces as tr
 from coopstream import harness
 from coopstream.bound import solve_slotted
 from coopstream.schedulers import SCHEDULER_NAMES
-from slotted_oracle import micro_instance
+from slotted_oracle import micro_instance, prefix_instance
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "digests.json")
 SYNTHETIC_MODES = tuple(m for m in harness.MOBILITY_MODES if m != "csv")
 CAPACITY_HIS = (0.7, 5.0)
 SOLVER_SEEDS = range(25)
+SEARCH_SEEDS = range(10)
+SEARCH_BUDGET = 3_000  # every level of every SEARCH_SEEDS prefix runs out
 BASE = harness.ScenarioConfig(
     name="digest", schedulers=SCHEDULER_NAMES, repetitions=1, seed=1
 )
@@ -83,6 +87,17 @@ def _sha(rows) -> str:
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
+def _search_rows() -> list:
+    rows = []
+    for seed in SEARCH_SEEDS:
+        for halvings in range(3):
+            sol = solve_slotted(prefix_instance(seed, halvings), SEARCH_BUDGET)
+            rows.append(
+                [seed, halvings, sol.nodes, sol.welfare.hex(), sol.exact, sol.plan.entries()]
+            )
+    return rows
+
+
 def compute_digests() -> dict[str, str]:
     results = _engine_results()
     records = [
@@ -118,6 +133,7 @@ def compute_digests() -> dict[str, str]:
         "welfare": _sha(welfare),
         "messages": _sha(messages),
         "solver": _sha(solver),
+        "search": _sha(_search_rows()),
     }
 
 

@@ -7,8 +7,10 @@ from dataclasses import replace
 
 import pytest
 
+import coopstream.engine as engine
 import coopstream.harness as harness
 import coopstream.traces as tr
+import coopstream.welfare as welfare
 from coopstream.engine import RunConfig, run
 from coopstream.harness import (
     ConfigError,
@@ -302,6 +304,14 @@ def test_gap_ratio_column_appears_when_bound_enabled(tmp_path, refine, budget, e
     report = run_experiment(cfg, str(tmp_path))
     row = report["schedulers"][0]["repetitions"][0]
     assert "gap_ratio" in row
+    levels = row["bound_levels"]
+    assert len(levels) == refine + 1
+    assert all(set(lv) == {"segment_len", "welfare", "exact", "nodes"} for lv in levels)
+    assert [lv["exact"] for lv in levels] == [exact] * (refine + 1)
+    if not exact:
+        assert all(lv["nodes"] == budget + 1 for lv in levels)
+    with open(tmp_path / "report.json") as fh:
+        assert json.load(fh)["schedulers"][0]["repetitions"][0]["bound_levels"] == levels
     with open(tmp_path / "summary.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0][-1] == "gap_ratio"
@@ -367,6 +377,22 @@ def test_metrics_rebuf_matches_engine_stall_accounting(phi_rebuf):
     assert stalls > 0.0
     assert row["rebuf_s"] == pytest.approx(stalls / n_video, abs=1e-9)
     assert sum(result.rebuffer_by_user().values()) == pytest.approx(stalls, abs=1e-9)
+
+
+def test_a_written_run_computes_each_stall_log_once(tmp_path, monkeypatch):
+    # welfare, rebuf_s and result_*.json's rebuffer_s share one stall log
+    scored = []
+
+    def counted(rx, profile):
+        scored.append(rx)
+        return rebuf_loss(rx, profile)
+
+    for module in (engine, harness, welfare):
+        monkeypatch.setattr(module, "rebuf_loss", counted)
+    cfg = tiny_config(schedulers=("lyapunov",), repetitions=1, seed=4)
+    run_experiment(cfg, str(tmp_path))
+    assert scored
+    assert len({id(rx) for rx in scored}) == len(scored)
 
 
 # ---------------------------------------------------------------------------
