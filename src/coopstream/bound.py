@@ -146,8 +146,9 @@ def _buffer_levels(receipts, instance: SlottedInstance, m: int) -> list[float]:
     return levels
 
 
-def plan_violations(plan: SlottedPlan, instance: SlottedInstance, tol: float = 1e-9) -> list[str]:
+def plan_violations(plan: SlottedPlan, instance: SlottedInstance) -> list[str]:
     """Check a plan against capacity, co-location, and buffer constraints."""
+    tol = 1e-9
     bad: list[str] = []
     profs = instance.profiles
     volumes_defined = True

@@ -4,12 +4,14 @@ The engine owns all ground truth (traces, buffers, reservations) and asks
 a scheduler for a decision whenever a user's radio is free: at t = 0, when
 its own download completes or aborts, when a wait timer fires, when a dead
 link regains capacity, at the next mobility breakpoint of any user after it
-idles, and when a READY wakes it from sleep.  Every delivery or abort,
-wherever it happens, also wakes every parked user.  A decider's group comes
-from a hotspot-occupancy index advanced to the decision instant.  Downloads
-run at the full link rate, so a segment's end time is the exact inverse of
-the capacity integral.  Every run is replayed against an independent
-constraint audit before results are returned.
+idles, and when a READY wakes it from sleep.  A download that the horizon
+would cut short starts no transfer and counts as Idle.  Every decision that
+starts no transfer parks the user, and every delivery or abort, wherever it
+happens, wakes every parked user.  A decider's group comes from a
+hotspot-occupancy index advanced to the decision instant.  Downloads run at
+the full link rate, so a segment's end time is the exact inverse of the
+capacity integral.  Every run is replayed against an independent constraint
+audit before results are returned.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .model import (
     derive_receive_sequences,
     segment_volume,
 )
-from .schedulers import Download, Idle, PeerInfo, SchedulerView, Wait
+from .schedulers import Download, Idle, PeerInfo, SchedulerView, Wait, can_afford
 from .welfare import buffer_trajectory, rebuf_loss, user_welfare
 
 _COMPLETE = 0  # deliveries and aborts apply before same-instant decisions
@@ -62,12 +64,15 @@ class MessageStats:
     """Abstract coordination traffic: one READY per decision instant with
     company, one ACK per needy co-located listener."""
 
-    ready: int = 0
     ack: int = 0
     virtual_ack: int = 0
     sleep: int = 0
     awake: int = 0
     ready_times: list[float] = field(default_factory=list)
+
+    @property
+    def ready(self) -> int:
+        return len(self.ready_times)
 
 
 @dataclass
@@ -125,10 +130,6 @@ class SimResult:
     def avg_bitrate(self) -> float:
         rates = [r for rx in self.receives.values() for r in rx.bitrates]
         return sum(rates) / len(rates) if rates else 0.0
-
-    def rebuffer_by_user(self) -> dict[int, float]:
-        """Stall seconds charged by the QoE model, per video user."""
-        return self.rebuffer
 
     def helper_downloads(self) -> int:
         return sum(
@@ -271,7 +272,6 @@ class _Simulation:
                 return True
             return False
         if others:
-            self.msgs.ready += 1
             self.msgs.ready_times.append(t)
             if needy:
                 self.msgs.ack += len(needy)
@@ -290,6 +290,16 @@ class _Simulation:
 
     # -- decision handling -------------------------------------------------
 
+    def _park(self, uid, wake):
+        """End a decision that starts no transfer.
+
+        The user re-decides at `wake` when that falls before T, and, like
+        every parked user, at any delivery or abort anywhere.
+        """
+        self.users[uid].parked = True
+        if wake is not None and wake < self.T:
+            self._schedule_decision(uid, wake)
+
     def _decide(self, uid, t):
         st = self.users[uid]
         st.parked = False
@@ -298,10 +308,8 @@ class _Simulation:
         h = tr.capacity_at(self.cap, uid, t)
         if h <= 0.0:
             # Dead link: no protocol traffic, come back when the radio has rate.
-            st.parked = True
             nxt = tr.next_positive_capacity(self.cap, uid, t)
-            if nxt is not None and nxt < self.T:
-                self._schedule_decision(uid, max(nxt, t + TIME_EPS))
+            self._park(uid, None if nxt is None else max(nxt, t + TIME_EPS))
             return
         group = self._group(uid, t)
         for m in group:
@@ -309,14 +317,10 @@ class _Simulation:
         # The non-cooperative benchmark severs the download actions and the
         # coordination protocol, but peers stay observable so the drift
         # estimates see the same surroundings as the cooperative twin.
-        if self.cfg.noncoop:
-            cooperative = False
-        elif not self._coordination(uid, t, group):
+        cooperative = not self.cfg.noncoop
+        if cooperative and not self._coordination(uid, t, group):
             # Asleep with nobody needy nearby: act on own state only.
-            cooperative = True
             group = [uid]
-        else:
-            cooperative = True
         peers = tuple(
             self._peer_info(m) for m in group if self.users[m].is_video_user
         )
@@ -328,27 +332,22 @@ class _Simulation:
             cooperative=cooperative,
         )
         decision = self.scheduler(view)
-        if isinstance(decision, Download):
-            self._start_download(uid, t, h, group, decision)
-        elif isinstance(decision, Wait):
+        if isinstance(decision, Download) and self._start_download(uid, t, group, decision):
+            return
+        if isinstance(decision, Wait):
             if decision.duration <= TIME_EPS:
                 raise SimError(f"user {uid}: wait duration must be positive")
-            st.parked = True
-            wake = t + decision.duration
-            if wake < self.T:
-                self._schedule_decision(uid, wake)
-        elif isinstance(decision, Idle):
-            # Nothing to do here and now; revisit at the next mobility
-            # breakpoint of any user (deliveries and aborts anywhere also
-            # wake every parked user).
-            st.parked = True
-            nxt = self.mob.next_breakpoint(t)
-            if nxt is not None and nxt < self.T:
-                self._schedule_decision(uid, nxt)
+            self._park(uid, t + decision.duration)
+        elif isinstance(decision, (Download, Idle)):
+            # Idle, or a download the horizon cuts short: nothing to do here
+            # and now, so revisit at the next mobility breakpoint of any user
+            # (never at t itself, where the same request would come back).
+            self._park(uid, self.mob.next_breakpoint(t))
         else:
             raise SimError(f"user {uid}: unknown decision {decision!r}")
 
-    def _start_download(self, uid, t, h, group, decision):
+    def _start_download(self, uid, t, group, decision) -> bool:
+        """Schedule the delivery or abort; False when the horizon cuts it short."""
         owner_id, level = decision.owner, decision.level
         if self.cfg.noncoop and owner_id != uid:
             raise SimError(f"user {uid}: cross-download in non-cooperative mode")
@@ -362,53 +361,42 @@ class _Simulation:
             raise SimError(f"user {uid}: owner {owner_id} has nothing left to fetch")
         if not 1 <= level <= prof.ladder.top:
             raise SimError(f"user {uid}: level {level} not on owner's ladder")
-        beta = prof.segment_len
-        if ost.buffer + (ost.inflight + 1) * beta > prof.buffer_cap + TIME_EPS:
+        if not can_afford(self._peer_info(owner_id)):
             raise SimError(f"user {uid}: owner {owner_id}'s buffer cannot take a segment")
         volume = segment_volume(prof, level)
         t_end = tr.download_end_time(self.cap, uid, t, volume)
         if t_end is None or t_end > self.T + TIME_EPS:
             # Horizon cuts the transfer short: drop it, charge nothing.
-            return
+            return False
         ost.inflight += 1
         ost.info = None
-        if owner_id != uid:
-            t_sep = tr.first_separation(self.mob, uid, owner_id, t, t_end)
-            if t_sep is not None:
-                self._push(t_sep, _COMPLETE, uid, payload=("abort", owner_id, t))
-                return
-        self._push(
-            t_end,
-            _COMPLETE,
-            uid,
-            payload=("deliver", owner_id, level, prof.ladder.rate(level), t),
-        )
+        t_sep = None if owner_id == uid else tr.first_separation(self.mob, uid, owner_id, t, t_end)
+        if t_sep is None:
+            self._push(t_end, _COMPLETE, uid, payload=("deliver", owner_id, t, level))
+        else:
+            self._push(t_sep, _COMPLETE, uid, payload=("abort", owner_id, t, None))
+        return True
 
     # -- completion handling -----------------------------------------------
 
     def _complete(self, uid, t, payload):
         st = self.users[uid]
-        kind = payload[0]
+        kind, owner_id, t_start, level = payload
+        ost = self.users[owner_id]
+        ost.inflight -= 1
+        ost.info = None
         if kind == "deliver":
-            _, owner_id, level, bitrate, t_start = payload
-            ost = self.users[owner_id]
             self._advance(owner_id, t)
-            seq_no = ost.received + 1
-            rec = DownloadRecord(uid, owner_id, seq_no, level, bitrate, t_start, t)
+            bitrate = ost.profile.ladder.rate(level)
+            rec = DownloadRecord(uid, owner_id, ost.received + 1, level, bitrate, t_start, t)
             ost.received += 1
-            ost.inflight -= 1
             ost.last_bitrate = bitrate
             ost.buffer = min(ost.buffer + ost.profile.segment_len, ost.profile.buffer_cap)
-            ost.info = None
             st.records.append(rec)
             dur = t - t_start
             if dur > TIME_EPS:
                 st.history += (rec.bitrate * ost.profile.segment_len / dur,)
         else:  # abort: the pair separated mid-download
-            _, owner_id, t_start = payload
-            ost = self.users[owner_id]
-            ost.inflight -= 1
-            ost.info = None
             partial = tr.integrate_capacity(self.cap, uid, t_start, t)
             st.abort_cost += st.profile.c_time * (t - t_start) + st.profile.c_data * partial
             st.abort_count += 1
@@ -501,13 +489,13 @@ def audit_run(
     downloads: dict[int, DownloadSequence],
     horizon: float,
     noncoop: bool = False,
-    tol: float = 1e-9,
 ) -> list[str]:
     """Re-verify timing, volume, encounter, and buffer constraints.
 
     Returns a list of human-readable violations; empty means the run is
     feasible.
     """
+    tol = 1e-9
     bad: list[str] = []
     for uid, seq in sorted(downloads.items()):
         recs = seq.records
@@ -564,7 +552,6 @@ def audit_run(
 
 def result_to_dict(result: SimResult) -> dict:
     """JSON-ready view of a run: sequences, welfare, stalls, messages."""
-    rebuffer = result.rebuffer_by_user()
     return {
         "horizon": result.horizon,
         "social_welfare": result.social_welfare,
@@ -577,7 +564,7 @@ def result_to_dict(result: SimResult) -> dict:
                 "segments_received": len(result.receives[uid].records)
                 if uid in result.receives
                 else 0,
-                "rebuffer_s": rebuffer.get(uid, 0.0),
+                "rebuffer_s": result.rebuffer.get(uid, 0.0),
                 "aborted_downloads": result.aborts[uid][0],
             }
             for uid, prof in sorted(result.profiles.items())

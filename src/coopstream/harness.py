@@ -235,7 +235,7 @@ def build_traces(cfg: ScenarioConfig, rep_seed: int) -> tuple[tr.CapacityTrace, 
 
 
 def _metrics(result: SimResult) -> dict:
-    stalls = result.rebuffer_by_user()
+    stalls = result.rebuffer
     # Kept as +=: from Python 3.12 on, sum() compensates rounding and would
     # change the bits.
     rebuf = 0.0
@@ -296,10 +296,10 @@ def _prefix_bound(cfg, profiles, cap, mob, noncoop):
 def _gap_ratio(cfg, prefix, scheduler, noncoop) -> float | None:
     """1 - realized/bound on the prefix instance; None unless its finest level is exact."""
     (sub_profiles, sub_cap, sub_mob), region = prefix
-    run_cfg = RunConfig(horizon=sub_cap.horizon, noncoop=noncoop, ack_window=cfg.ack_window)
-    result = run(sub_profiles, sub_cap, sub_mob, scheduler, run_cfg)
     if not region.exact[-1] or region.upper <= 1e-9:
         return None
+    run_cfg = RunConfig(horizon=sub_cap.horizon, noncoop=noncoop, ack_window=cfg.ack_window)
+    result = run(sub_profiles, sub_cap, sub_mob, scheduler, run_cfg)
     return 1.0 - result.social_welfare / region.upper
 
 

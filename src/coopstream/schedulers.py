@@ -8,10 +8,11 @@ local snapshot at a decision instant.  It returns one of three decisions:
 * Idle: nothing to do until the surroundings change.
 
 The engine re-invokes a scheduler whenever the user's own download
-completes or aborts and when its wait timer fires.  Every delivery or
-abort anywhere, nearby or not, wakes every parked user, and an idle user
-is also re-invoked at the next mobility breakpoint of any user, so Idle
-never strands a user.
+completes or aborts and when its wait timer fires.  A decision that starts
+no transfer parks the user; Idle, and a Download that the horizon would
+cut short, park it until the next mobility breakpoint of any user.  Every
+delivery or abort anywhere, nearby or not, wakes every parked user.  After
+the last breakpoint, only a delivery or an abort re-invokes an idle user.
 """
 
 from __future__ import annotations

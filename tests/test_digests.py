@@ -16,6 +16,9 @@ Python version; on any other key the test skips.  To record or update this
 platform's entry in digests.json, run
 
     PYTHONPATH=src python tests/test_digests.py
+
+It prints each digest with whether it is new, unchanged or CHANGED against
+the entry it replaces, so a change can name exactly the digests it moved.
 """
 
 from __future__ import annotations
@@ -151,8 +154,11 @@ def test_outputs_match_the_committed_digests():
 
 if __name__ == "__main__":
     table = _committed() if os.path.exists(DIGESTS) else {}
-    table[platform_key()] = compute_digests()
+    old = table.get(platform_key(), {})
+    table[platform_key()] = new = compute_digests()
     with open(DIGESTS, "w") as fh:
         json.dump(table, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"{platform_key()}: {table[platform_key()]}")
+    for name, digest in new.items():
+        status = "new" if name not in old else "unchanged" if old[name] == digest else "CHANGED"
+        print(f"{platform_key()} {name}: {status} {digest}")

@@ -7,6 +7,7 @@ from coopstream.engine import (
     RunConfig,
     SimAuditError,
     SimError,
+    _COMPLETE,
     _Simulation,
     audit_run,
     result_to_dict,
@@ -65,7 +66,7 @@ class TestSingleUser:
         assert all(r.bitrate == 2.3 for r in rx.records)
         total, _ = rebuf_loss(rx, profiles[1])
         assert total == 0.0
-        assert res.rebuffer_by_user() == {1: 0.0}
+        assert res.rebuffer == {1: 0.0}
 
     def test_zero_capacity_inert(self):
         profiles = {1: video_profile(1)}
@@ -115,7 +116,33 @@ class TestSingleUser:
         assert [seq for seq, _ in log] == [3]
         assert log[0][1] == pytest.approx(7.5, abs=1e-9)
         assert penalty == pytest.approx(7.5, abs=1e-9)
-        assert res.rebuffer_by_user()[1] == pytest.approx(7.5, abs=1e-9)
+        assert res.rebuffer[1] == pytest.approx(7.5, abs=1e-9)
+
+    def test_download_cut_by_horizon_parks_like_idle(self):
+        # User 1 asks for a top-level segment that would end past T; the
+        # request is dropped, and user 1 waits parked for the next wake-up
+        # (here user 2's delivery at 9.5 s) instead of never deciding again.
+        ladder = BitrateLadder((0.2, 2.3))
+        profiles = {uid: video_profile(uid, ladder=ladder, video_len=40.0) for uid in (1, 2)}
+        cap = constant_capacity({1: 2.0, 2: 0.8}, 10.0)
+        mob = full_coop_mobility([1, 2], 10.0)
+        calls = []
+
+        def scripted(view):
+            me = view.peer(view.user_id)
+            if me.remaining <= 0 or not can_afford(me):
+                return Idle()
+            if view.user_id == 2:
+                return Download(2, 1)
+            calls.append(view)
+            return Download(1, 2 if len(calls) <= 5 else 1)
+
+        res = run(profiles, cap, mob, scripted, RunConfig(horizon=10.0))
+        ends = [r.t_end for r in res.downloads[1].records]
+        # four 2.3 s top-level segments, the fifth would end at 11.5 s
+        assert ends == pytest.approx([2.3, 4.6, 6.9, 9.2, 9.7, 9.9])
+        assert [r.level for r in res.downloads[1].records] == [2, 2, 2, 2, 1, 1]
+        assert 9.5 in [r.t_end for r in res.downloads[2].records]
 
 
 class TestCooperation:
@@ -383,6 +410,8 @@ class _CheckedSimulation(_Simulation):
     At every decision the occupancy-index group must equal a scan of all
     users with `traces.encountered`, and every PeerInfo and the history
     handed to the scheduler must equal ones built afresh from the state.
+    After every decision before T the user is parked or has a delivery or
+    abort pending, so no decision strands it.
     """
 
     def __init__(self, *args):
@@ -402,6 +431,13 @@ class _CheckedSimulation(_Simulation):
             return decide(view)
 
         self.scheduler = checked
+
+    def _decide(self, uid, t):
+        super()._decide(uid, t)
+        if t < self.T - TIME_EPS:
+            assert self.users[uid].parked or any(
+                kind == _COMPLETE and who == uid for _, kind, who, *_ in self.heap
+            )
 
     def _group(self, uid, t):
         group = super()._group(uid, t)
