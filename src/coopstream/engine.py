@@ -5,13 +5,16 @@ a scheduler for a decision whenever a user's radio is free: at t = 0, when
 its own download completes or aborts, when a wait timer fires, when a dead
 link regains capacity, at the next mobility breakpoint of any user after it
 idles, and when a READY wakes it from sleep.  A download that the horizon
-would cut short starts no transfer and counts as Idle.  Every decision that
-starts no transfer parks the user, and every delivery or abort, wherever it
-happens, wakes every parked user.  A decider's group comes from a
-hotspot-occupancy index advanced to the decision instant.  Downloads run at
-the full link rate, so a segment's end time is the exact inverse of the
-capacity integral.  Every run is replayed against an independent constraint
-audit before results are returned.
+would cut short starts no transfer and is handled as Idle.  Every decision
+that starts no transfer parks the user.  A delivery or abort changes only
+the segment owner's snapshot, so it wakes only the parked users in the
+owner's hotspot at that instant (the owner alone when it is in transit); a
+parked user elsewhere cannot see the event and keeps its own timer.  A
+decider's group comes from a hotspot-occupancy index advanced to the
+decision instant.  Downloads run at the full link rate, so a segment's end
+time is the exact inverse of the capacity integral.  Every run is replayed
+against an independent constraint audit before results are returned, and
+counts its event-loop work in `EngineCounters`.
 """
 
 from __future__ import annotations
@@ -76,6 +79,28 @@ class MessageStats:
 
 
 @dataclass
+class EngineCounters:
+    """Deterministic event-loop counts of one run (no wall times).
+
+    events = completions + decisions + stale; each scheduler call ends in
+    exactly one of calls_download (a transfer started), calls_wait,
+    calls_idle or calls_cut (a Download the horizon cuts short).
+    """
+
+    events: int = 0          # events popped at or before the horizon
+    completions: int = 0     # deliveries and aborts applied
+    decisions: int = 0       # decision events run
+    stale: int = 0           # decision events superseded by a later one
+    calls: int = 0           # scheduler calls
+    calls_download: int = 0
+    calls_wait: int = 0
+    calls_idle: int = 0
+    calls_cut: int = 0
+    dead_link_parks: int = 0
+    wakeups: int = 0         # decisions scheduled by completion wake-ups
+
+
+@dataclass
 class _UserState:
     profile: UserProfile
     # profile constants read at every decision
@@ -122,6 +147,7 @@ class SimResult:
     messages: MessageStats
     aborts: dict[int, tuple[int, float]]  # per downloader: (count, energy charged)
     rebuffer: dict[int, float]  # per video user: stall seconds of its rebuf_loss log
+    counters: EngineCounters
 
     @property
     def social_welfare(self) -> float:
@@ -155,6 +181,7 @@ class _Simulation:
                 raise SimError(f"user {uid} missing from a trace")
         self.users = {uid: _UserState(p) for uid, p in self.profiles.items()}
         self.msgs = MessageStats()
+        self.counters = EngineCounters()
         self.heap: list = []
         self.seq = 0
         # Hotspot-occupancy index: each user's hotspot, the users at each
@@ -183,10 +210,16 @@ class _Simulation:
         st.gen += 1
         self._push(t, _DECIDE, uid, gen=st.gen)
 
-    def _wake_parked(self, t):
-        # A parked user has no transfer in flight, so it may decide now.
-        for uid, st in self.users.items():
-            if st.parked:
+    def _wake_parked(self, t, owner):
+        # A delivery or abort changes only the owner's snapshot, and a view
+        # holds the snapshots of the decider's group alone, so only parked
+        # users at the owner's hotspot at t (the owner alone in transit) can
+        # see it.  A parked user has no transfer in flight: it decides now.
+        self._move_to(t)
+        spot = self.spot[owner]
+        for uid in sorted(self.occupants[spot]) if spot else (owner,):
+            if self.users[uid].parked:
+                self.counters.wakeups += 1
                 self._schedule_decision(uid, t)
 
     # -- playback ----------------------------------------------------------
@@ -294,7 +327,8 @@ class _Simulation:
         """End a decision that starts no transfer.
 
         The user re-decides at `wake` when that falls before T, and, like
-        every parked user, at any delivery or abort anywhere.
+        every parked user, at any delivery or abort of a segment whose owner
+        shares its hotspot.
         """
         self.users[uid].parked = True
         if wake is not None and wake < self.T:
@@ -308,6 +342,7 @@ class _Simulation:
         h = tr.capacity_at(self.cap, uid, t)
         if h <= 0.0:
             # Dead link: no protocol traffic, come back when the radio has rate.
+            self.counters.dead_link_parks += 1
             nxt = tr.next_positive_capacity(self.cap, uid, t)
             self._park(uid, None if nxt is None else max(nxt, t + TIME_EPS))
             return
@@ -332,16 +367,24 @@ class _Simulation:
             cooperative=cooperative,
         )
         decision = self.scheduler(view)
-        if isinstance(decision, Download) and self._start_download(uid, t, group, decision):
-            return
+        counters = self.counters
+        counters.calls += 1
+        if isinstance(decision, Download):
+            if self._start_download(uid, t, group, decision):
+                counters.calls_download += 1
+                return
+            counters.calls_cut += 1
         if isinstance(decision, Wait):
             if decision.duration <= TIME_EPS:
                 raise SimError(f"user {uid}: wait duration must be positive")
+            counters.calls_wait += 1
             self._park(uid, t + decision.duration)
         elif isinstance(decision, (Download, Idle)):
             # Idle, or a download the horizon cuts short: nothing to do here
             # and now, so revisit at the next mobility breakpoint of any user
             # (never at t itself, where the same request would come back).
+            if isinstance(decision, Idle):
+                counters.calls_idle += 1
             self._park(uid, self.mob.next_breakpoint(t))
         else:
             raise SimError(f"user {uid}: unknown decision {decision!r}")
@@ -401,7 +444,7 @@ class _Simulation:
             st.abort_cost += st.profile.c_time * (t - t_start) + st.profile.c_data * partial
             st.abort_count += 1
         self._schedule_decision(uid, t)
-        self._wake_parked(t)
+        self._wake_parked(t, owner_id)
 
     # -- main loop ---------------------------------------------------------
 
@@ -411,15 +454,19 @@ class _Simulation:
                 self.msgs.virtual_ack += 1
         for uid in self.profiles:
             self._schedule_decision(uid, 0.0)
+        counters = self.counters
         while self.heap:
             t, kind, uid, _, gen, payload = heapq.heappop(self.heap)
             if t > self.T + TIME_EPS:
                 break
+            counters.events += 1
             if kind == _COMPLETE:
+                counters.completions += 1
                 self._complete(uid, t, payload)
+            elif gen != self.users[uid].gen:
+                counters.stale += 1  # superseded by a later wake-up
             else:
-                if gen != self.users[uid].gen:
-                    continue  # superseded by a later wake-up
+                counters.decisions += 1
                 self._decide(uid, t)
         for uid in self.profiles:
             self._advance(uid, self.T)
@@ -455,6 +502,7 @@ class _Simulation:
             messages=self.msgs,
             aborts={uid: (st.abort_count, st.abort_cost) for uid, st in self.users.items()},
             rebuffer=rebuffer,
+            counters=self.counters,
         )
 
 
@@ -576,6 +624,7 @@ def result_to_dict(result: SimResult) -> dict:
             "sleep": result.messages.sleep,
             "awake": result.messages.awake,
         },
+        "engine": asdict(result.counters),
     }
 
 

@@ -10,9 +10,11 @@ local snapshot at a decision instant.  It returns one of three decisions:
 The engine re-invokes a scheduler whenever the user's own download
 completes or aborts and when its wait timer fires.  A decision that starts
 no transfer parks the user; Idle, and a Download that the horizon would
-cut short, park it until the next mobility breakpoint of any user.  Every
-delivery or abort anywhere, nearby or not, wakes every parked user.  After
-the last breakpoint, only a delivery or an abort re-invokes an idle user.
+cut short, park it until the next mobility breakpoint of any user.  A
+delivery or abort wakes the parked users at the segment owner's hotspot,
+the only ones whose view it changes; a parked user elsewhere keeps its
+timer.  After the last breakpoint, only such a nearby delivery or abort
+re-invokes an idle user.
 """
 
 from __future__ import annotations

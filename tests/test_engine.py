@@ -1,13 +1,16 @@
 import math
+from dataclasses import asdict
 
 import pytest
 
 import coopstream.traces as tr
 from coopstream.engine import (
+    EngineCounters,
     RunConfig,
     SimAuditError,
     SimError,
     _COMPLETE,
+    _DECIDE,
     _Simulation,
     audit_run,
     result_to_dict,
@@ -411,7 +414,9 @@ class _CheckedSimulation(_Simulation):
     users with `traces.encountered`, and every PeerInfo and the history
     handed to the scheduler must equal ones built afresh from the state.
     After every decision before T the user is parked or has a delivery or
-    abort pending, so no decision strands it.
+    abort pending, so no decision strands it.  After every delivery or
+    abort, each parked user co-located with the segment's owner has a
+    decision pending at that instant.
     """
 
     def __init__(self, *args):
@@ -438,6 +443,16 @@ class _CheckedSimulation(_Simulation):
             assert self.users[uid].parked or any(
                 kind == _COMPLETE and who == uid for _, kind, who, *_ in self.heap
             )
+
+    def _complete(self, uid, t, payload):
+        super()._complete(uid, t, payload)
+        owner = payload[1]
+        for m in self.profiles:
+            if self.users[m].parked and tr.encountered(self.mob, owner, m, t):
+                assert (t, _DECIDE, m) in {
+                    (at, kind, who) for at, kind, who, _, gen, _ in self.heap
+                    if gen == self.users[m].gen
+                }
 
     def _group(self, uid, t):
         group = super()._group(uid, t)
@@ -511,3 +526,135 @@ class TestDecisionPathDifferential:
         assert bounds & set(sim.decision_times) == bounds
         assert res.aborts[5][0] == 1
         assert min(r.t_end for r in res.receives[4].records) > 0.75
+
+
+class _WakeAllSimulation(_Simulation):
+    """The wake rule before hotspot pruning: every delivery or abort, nearby
+    or not, re-decides every parked user in ascending uid order."""
+
+    def _wake_parked(self, t, owner):
+        for uid, st in self.users.items():
+            if st.parked:
+                self.counters.wakeups += 1
+                self._schedule_decision(uid, t)
+
+
+class TestWakeRule:
+    """A delivery or abort re-decides only the parked users that can see it."""
+
+    def test_delivery_wakes_only_parked_users_beside_the_owner(self):
+        # User 1 fetches one of its own segments over [0, 1] at hotspot 1.
+        # User 2 walks from hotspot 2 to hotspot 1 at 0.5 s and user 3 the
+        # other way, so at the delivery user 2 sits beside the owner and
+        # user 3 does not.  User 4 fetches its own segment in transit over
+        # [0, 2]; user 5, also in transit, shares no hotspot with it.  Users
+        # 2, 3 and 5 wait past the horizon, so only a wake-up re-decides them.
+        profiles = {uid: video_profile(uid) for uid in range(1, 6)}
+        cap = constant_capacity({1: 0.4, 2: 1.0, 3: 1.0, 4: 0.2, 5: 1.0}, 10.0)
+        mob = MobilityTrace(
+            10.0,
+            [
+                (1, 0.0, 10.0, 1),
+                (2, 0.0, 0.5, 2), (2, 0.5, 10.0, 1),
+                (3, 0.0, 0.5, 1), (3, 0.5, 10.0, 2),
+                (4, 0.0, 10.0, 0),
+                (5, 0.0, 10.0, 0),
+            ],
+        )
+
+        def scripted(view):
+            me = view.peer(view.user_id)
+            if view.user_id in (1, 4) and me.remaining == me.profile.num_segments:
+                return Download(view.user_id, 1)
+            return Wait(100.0)
+
+        sim = _CheckedSimulation(profiles, cap, mob, scripted, RunConfig(horizon=10.0))
+        decided = []
+        decide = sim._decide
+
+        def logged(uid, t):
+            decided.append((uid, t))
+            decide(uid, t)
+
+        sim._decide = logged
+        res = sim.run()
+        assert [r.t_end for r in res.downloads[1].records] == [1.0]
+        assert [r.t_end for r in res.downloads[4].records] == [2.0]
+        later = sorted((t, uid) for uid, t in decided if t > 0.0)
+        # user 1's delivery at 1.0 re-decides user 1 and its new neighbour
+        # 2; user 4's delivery at 2.0 re-decides user 4 alone
+        assert later == [(1.0, 1), (1.0, 2), (2.0, 4)]
+        assert res.counters.wakeups == 1
+
+    @pytest.mark.parametrize("name", ["lyapunov", "buffer", "prediction", "noncoop"])
+    def test_full_coop_matches_wake_all(self, name):
+        # With every user always at one hotspot, the pruned rule wakes the
+        # same users in the same order as waking every parked user.
+        cfg = ScenarioConfig(n_users=8, horizon=80.0, mobility="full-coop")
+        for seed in range(1, 11):
+            profiles = build_profiles(cfg, seed)
+            cap, mob, _ = build_traces(cfg, seed)
+            for noncoop in (False, True):
+                run_cfg = RunConfig(horizon=80.0, noncoop=noncoop)
+                got, want = (
+                    sim_cls(profiles, cap, mob, make_scheduler(name), run_cfg).run()
+                    for sim_cls in (_Simulation, _WakeAllSimulation)
+                )
+                assert got.downloads == want.downloads
+                assert got.aborts == want.aborts
+                assert got.messages == want.messages
+                assert got.counters == want.counters
+                assert any(seq.records for seq in got.downloads.values())
+
+
+class TestEngineCounters:
+    def run_twice(self, mobility):
+        cfg = ScenarioConfig(n_users=12, horizon=80.0, mobility=mobility, capacity_hi=2.5)
+        profiles = build_profiles(cfg, 3)
+        cap, mob, noncoop = build_traces(cfg, 3)
+        return [
+            run(profiles, cap, mob, make_scheduler("lyapunov"), RunConfig(horizon=80.0, noncoop=noncoop))
+            for _ in range(2)
+        ]
+
+    @pytest.mark.parametrize("mobility", ["dense-short", "full-coop", "non-coop"])
+    def test_counts_repeat_and_add_up(self, mobility):
+        a, b = self.run_twice(mobility)
+        c = a.counters
+        assert c == b.counters
+        assert c.calls == c.calls_download + c.calls_wait + c.calls_idle + c.calls_cut
+        assert c.events == c.completions + c.decisions + c.stale
+        # every started transfer lands or aborts by the horizon
+        downloads = sum(len(seq.records) for seq in a.downloads.values())
+        aborts = sum(count for count, _ in a.aborts.values())
+        assert c.calls_download == c.completions == downloads + aborts
+        assert c.decisions >= c.calls + c.dead_link_parks
+        assert c.calls > c.calls_download > 0 and c.stale > 0
+        assert result_to_dict(a)["engine"] == asdict(c)
+
+    def test_scheduler_outcomes_are_classified(self):
+        # User 1 fetches a segment over [0, 0.4], then asks for one that the
+        # horizon cuts.  User 2's link is dead until 1.5 s; the delivery at
+        # 0.4 wakes it onto the dead link again, which supersedes its first
+        # timer.  At 1.5 s it waits 1 s, then idles.
+        profiles = {1: video_profile(1), 2: video_profile(2)}
+        cap = CapacityTrace(3.0, [(1, 0.0, 3.0, 1.0), (2, 0.0, 1.5, 0.0), (2, 1.5, 3.0, 1.0)])
+        mob = full_coop_mobility([1, 2], 3.0)
+        waited = []
+
+        def scripted(view):
+            if view.user_id == 2:
+                if waited:
+                    return Idle()
+                waited.append(view)
+                return Wait(1.0)
+            me = view.peer(1)
+            return Download(1, 1 if me.remaining == me.profile.num_segments else 5)
+
+        res = run(profiles, cap, mob, scripted, RunConfig(horizon=3.0))
+        assert [r.t_end for r in res.downloads[1].records] == [0.4]
+        assert res.counters == EngineCounters(
+            events=8, completions=1, decisions=6, stale=1,
+            calls=4, calls_download=1, calls_wait=1, calls_idle=1, calls_cut=1,
+            dead_link_parks=2, wakeups=1,
+        )

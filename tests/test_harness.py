@@ -236,6 +236,9 @@ def test_run_experiment_report_reconciles_with_direct_runs(tmp_path):
         assert doc["social_welfare"] == pytest.approx(row["social_welfare"], abs=1e-9)
         total = sum(u["welfare"] for u in doc["users"].values())
         assert total == pytest.approx(doc["social_welfare"], abs=1e-6)
+        # the engine counters are integer counts, never wall times
+        assert doc["engine"]["calls"] > 0
+        assert all(type(v) is int for v in doc["engine"].values())
 
     # Records CSV pools exactly the receipts behind the bitrate average.
     with open(tmp_path / "records_lyapunov.csv", newline="") as fh:
