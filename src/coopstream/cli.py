@@ -92,10 +92,12 @@ def _cmd_sweep(args) -> int:
     reports = sweep(cfg, args.axis, values, args.out)
     for rep in reports:
         for s in rep["schedulers"]:
+            gain = "n/a" if s["welfare_gain"] is None else f"{s['welfare_gain']:.3f}"
             print(
                 f"{rep['scenario']}  {s['scheduler']:<10}"
                 f"  welfare={s['social_welfare']:.3f}"
-                f"  gain={s['welfare_gain']:.3f}"
+                f"  gain={gain}"
+                f"  diff={s['welfare_diff']:.3f}"
             )
     return 0
 

@@ -5,12 +5,19 @@ a scheduler for a decision whenever a user's radio is free: at t = 0, when
 its own download completes or aborts, when a wait timer fires, when a dead
 link regains capacity, at the next mobility breakpoint of any user after it
 idles, and when a READY wakes it from sleep.  A download that the horizon
-would cut short starts no transfer and is handled as Idle.  Every decision
-that starts no transfer parks the user.  A delivery or abort changes only
-the segment owner's snapshot, so it wakes only the parked users in the
-owner's hotspot at that instant (the owner alone when it is in transit); a
-parked user elsewhere cannot see the event and keeps its own timer.  A
-decider's group comes from a hotspot-occupancy index advanced to the
+would cut short starts no transfer and revisits at the next breakpoint, as
+an Idle does.  Every decision that starts no transfer parks the user.  A
+delivery or abort changes only the segment owner's snapshot, so it wakes
+only the parked users in the owner's hotspot at that instant (the owner
+alone when it is in transit); a parked user elsewhere cannot see the event
+and keeps its own timer.  The non-cooperative twin (`RunConfig.noncoop`)
+re-decides only on its own events: its candidates are its own segments,
+none of them in flight when it decides, so its Wait, Idle or dead-link
+answer depends on its own state alone.  A twin's Idle (nothing of its own
+left) parks it for good, its Wait and dead link keep only their own timers,
+and only a twin parked by a horizon-cut Download, whose level depends on
+its neighbours and the time, still wakes at nearby deliveries and aborts.
+A decider's group comes from a hotspot-occupancy index advanced to the
 decision instant.  Downloads run at the full link rate, so a segment's end
 time is the exact inverse of the capacity integral.  Every run is replayed
 against an independent constraint audit before results are returned, and
@@ -120,6 +127,7 @@ class _UserState:
     abort_count: int = 0
     abort_cost: float = 0.0
     parked: bool = False
+    peer_wake: bool = False  # a parked user whose answer a peer's completion can change
     gen: int = 0
     # coordination
     asleep: bool = False
@@ -214,11 +222,14 @@ class _Simulation:
         # A delivery or abort changes only the owner's snapshot, and a view
         # holds the snapshots of the decider's group alone, so only parked
         # users at the owner's hotspot at t (the owner alone in transit) can
-        # see it.  A parked user has no transfer in flight: it decides now.
+        # see it, and of those only the ones whose park said that a peer's
+        # completion can change their answer.  A parked user has no transfer
+        # in flight: it decides now.
         self._move_to(t)
         spot = self.spot[owner]
         for uid in sorted(self.occupants[spot]) if spot else (owner,):
-            if self.users[uid].parked:
+            st = self.users[uid]
+            if st.parked and st.peer_wake:
                 self.counters.wakeups += 1
                 self._schedule_decision(uid, t)
 
@@ -323,14 +334,16 @@ class _Simulation:
 
     # -- decision handling -------------------------------------------------
 
-    def _park(self, uid, wake):
+    def _park(self, uid, wake, peers):
         """End a decision that starts no transfer.
 
-        The user re-decides at `wake` when that falls before T, and, like
-        every parked user, at any delivery or abort of a segment whose owner
-        shares its hotspot.
+        The user re-decides at `wake` when that falls before T and, when
+        `peers` says that a peer's completion can change its answer, at any
+        delivery or abort of a segment whose owner shares its hotspot.
         """
-        self.users[uid].parked = True
+        st = self.users[uid]
+        st.parked = True
+        st.peer_wake = peers
         if wake is not None and wake < self.T:
             self._schedule_decision(uid, wake)
 
@@ -339,20 +352,21 @@ class _Simulation:
         st.parked = False
         if t >= self.T - TIME_EPS:
             return
-        h = tr.capacity_at(self.cap, uid, t)
-        if h <= 0.0:
-            # Dead link: no protocol traffic, come back when the radio has rate.
-            self.counters.dead_link_parks += 1
-            nxt = tr.next_positive_capacity(self.cap, uid, t)
-            self._park(uid, None if nxt is None else max(nxt, t + TIME_EPS))
-            return
-        group = self._group(uid, t)
-        for m in group:
-            self._advance(m, t)
         # The non-cooperative benchmark severs the download actions and the
         # coordination protocol, but peers stay observable so the drift
         # estimates see the same surroundings as the cooperative twin.
         cooperative = not self.cfg.noncoop
+        h = tr.capacity_at(self.cap, uid, t)
+        if h <= 0.0:
+            # Dead link: no protocol traffic, come back when the radio has rate
+            # (in a twin, only then: no peer's completion revives the link).
+            self.counters.dead_link_parks += 1
+            nxt = tr.next_positive_capacity(self.cap, uid, t)
+            self._park(uid, None if nxt is None else max(nxt, t + TIME_EPS), cooperative)
+            return
+        group = self._group(uid, t)
+        for m in group:
+            self._advance(m, t)
         if cooperative and not self._coordination(uid, t, group):
             # Asleep with nobody needy nearby: act on own state only.
             group = [uid]
@@ -373,19 +387,24 @@ class _Simulation:
             if self._start_download(uid, t, group, decision):
                 counters.calls_download += 1
                 return
+            # The horizon cuts the transfer short.  The level asked for may
+            # change with the peers and the time, so revisit at the next
+            # mobility breakpoint of any user (never at t itself, where the
+            # same request would come back) and at nearby completions.
             counters.calls_cut += 1
-        if isinstance(decision, Wait):
+            self._park(uid, self.mob.next_breakpoint(t), True)
+        elif isinstance(decision, Wait):
             if decision.duration <= TIME_EPS:
                 raise SimError(f"user {uid}: wait duration must be positive")
+            # A twin's Wait is its own buffer's shortfall: only its timer ends it.
             counters.calls_wait += 1
-            self._park(uid, t + decision.duration)
-        elif isinstance(decision, (Download, Idle)):
-            # Idle, or a download the horizon cuts short: nothing to do here
-            # and now, so revisit at the next mobility breakpoint of any user
-            # (never at t itself, where the same request would come back).
-            if isinstance(decision, Idle):
-                counters.calls_idle += 1
-            self._park(uid, self.mob.next_breakpoint(t))
+            self._park(uid, t + decision.duration, cooperative)
+        elif isinstance(decision, Idle):
+            # Nothing to do here and now: revisit at the next mobility
+            # breakpoint of any user.  A twin's Idle means nothing of its own
+            # is left to fetch, so it parks for good.
+            counters.calls_idle += 1
+            self._park(uid, self.mob.next_breakpoint(t) if cooperative else None, cooperative)
         else:
             raise SimError(f"user {uid}: unknown decision {decision!r}")
 

@@ -4,7 +4,10 @@ A scenario bundles synthetic (or CSV) traces, a population of video users
 and idle helpers, and a set of schedulers.  Every scheduler is also run
 with cooperation severed on the same traces and seed, so bitrate and
 welfare gains are always paired against the scheduler's own
-non-cooperative twin.
+non-cooperative twin.  A gain is a ratio over the twin's value and is null
+when that value is <= 0; the paired `welfare_diff` (cooperative - twin) is
+defined for every row.  A summary gain is the mean over the rows that have
+one, and `*_gain_n` says how many that is.
 """
 
 from __future__ import annotations
@@ -254,12 +257,10 @@ def _metrics(result: SimResult) -> dict:
     }
 
 
-def _gain(value: float, base: float) -> float:
-    if base > 0.0:
-        return (value - base) / base
-    if value <= 0.0:
-        return 0.0
-    return float("inf")
+def _gain(value: float, base: float) -> float | None:
+    """Relative gain over the twin's value; None over a base <= 0, where a
+    ratio is no measurement."""
+    return (value - base) / base if base > 0.0 else None
 
 
 def _bound_subinstance(cfg, profiles, cap, mob):
@@ -331,21 +332,24 @@ def run_experiment(cfg: ScenarioConfig, out_dir: str | None = None) -> dict:
             row["noncoop_social_welfare"] = twin_m["social_welfare"]
             row["bitrate_gain"] = _gain(row["avg_bitrate_mbps"], twin_m["avg_bitrate_mbps"])
             row["welfare_gain"] = _gain(row["social_welfare"], twin_m["social_welfare"])
+            row["welfare_diff"] = row["social_welfare"] - twin_m["social_welfare"]
             if prefix is not None:
                 row["gap_ratio"] = _gap_ratio(cfg, prefix, scheduler, noncoop)
                 row["bound_levels"] = bd.region_to_dict(prefix[1])["levels"]
             rows.append(row)
             first_results.setdefault(name, result)
-        gaps = [r["gap_ratio"] for r in rows if r.get("gap_ratio") is not None]
         summaries.append(
             {
                 "scheduler": name,
                 "avg_bitrate_mbps": _mean(rows, "avg_bitrate_mbps"),
                 "bitrate_gain": _mean(rows, "bitrate_gain"),
+                "bitrate_gain_n": _count(rows, "bitrate_gain"),
                 "social_welfare": _mean(rows, "social_welfare"),
                 "welfare_gain": _mean(rows, "welfare_gain"),
+                "welfare_gain_n": _count(rows, "welfare_gain"),
+                "welfare_diff": _mean(rows, "welfare_diff"),
                 "rebuf_s": _mean(rows, "rebuf_s"),
-                "gap_ratio": sum(gaps) / len(gaps) if gaps else None,
+                "gap_ratio": _mean(rows, "gap_ratio"),
                 "stdev_welfare": _stdev(rows, "social_welfare"),
                 "repetitions": rows,
             }
@@ -390,8 +394,11 @@ SUMMARY_COLUMNS = (
     "scheduler",
     "avg_bitrate_mbps",
     "bitrate_gain",
+    "bitrate_gain_n",
     "social_welfare",
     "welfare_gain",
+    "welfare_gain_n",
+    "welfare_diff",
     "rebuf_s",
     "gap_ratio",
 )
@@ -415,12 +422,15 @@ def _csv_num(x) -> str:
     return format(float(x), ".9g")
 
 
-def _mean(rows: list[dict], key: str) -> float:
+def _mean(rows: list[dict], key: str) -> float | None:
+    """Mean over the rows where `key` is a number; None when no row has one."""
     vals = [r[key] for r in rows if r.get(key) is not None]
-    finite = [v for v in vals if v == v and abs(v) != float("inf")]
-    if not finite:
-        return 0.0
-    return sum(finite) / len(finite)
+    return sum(vals) / len(vals) if vals else None
+
+
+def _count(rows: list[dict], key: str) -> int:
+    """How many rows a `_mean` over `key` averages."""
+    return sum(r.get(key) is not None for r in rows)
 
 
 def _stdev(rows: list[dict], key: str) -> float:

@@ -15,6 +15,13 @@ delivery or abort wakes the parked users at the segment owner's hotspot,
 the only ones whose view it changes; a parked user elsewhere keeps its
 timer.  After the last breakpoint, only such a nearby delivery or abort
 re-invokes an idle user.
+
+In the non-cooperative twin (`SchedulerView.cooperative` False) a rule's
+candidates are the decider's own segments, so its Wait and Idle must follow
+from the decider's own snapshot alone: the engine re-invokes a twin's Wait
+only at its timer and never re-invokes a twin's Idle.  Only a twin's
+horizon-cut Download still wakes at nearby deliveries and aborts, since the
+lyapunov level depends on the bystanders' buffers.
 """
 
 from __future__ import annotations
@@ -24,8 +31,8 @@ import math
 from dataclasses import dataclass, replace
 from functools import partial
 
-from .model import TIME_EPS, UserProfile, segment_volume
-from .welfare import decision_welfare
+from .model import TIME_EPS, UserProfile
+from .welfare import quality_value
 
 
 @dataclass(frozen=True)
@@ -97,6 +104,7 @@ def can_afford(peer: PeerInfo) -> bool:
 
 
 def _pending(view: SchedulerView) -> list[PeerInfo]:
+    """Owners with segments nobody has reserved: the decider alone in the twin."""
     peers = view.peers
     if not view.cooperative:
         me = view.peer(view.user_id)
@@ -104,19 +112,15 @@ def _pending(view: SchedulerView) -> list[PeerInfo]:
     return [p for p in peers if p.remaining > 0]
 
 
-def _candidates(view: SchedulerView) -> list[PeerInfo]:
-    return [p for p in _pending(view) if can_afford(p)]
-
-
-def _wait_or_idle(view: SchedulerView):
-    """Fallback when no owner can accept a segment right now.
+def _wait_or_idle(pending: list[PeerInfo]):
+    """Fallback when no pending owner can accept a segment right now.
 
     Per-owner shortfall q + beta - Q is the drain time until the buffer
     can take one more segment; owners blocked only by in-flight segments
     are left to the delivery wake-up instead of a timer.
     """
     shortfalls = []
-    for p in _pending(view):
+    for p in pending:
         gap = p.buffer + p.profile.segment_len - p.profile.buffer_cap
         if gap > TIME_EPS:
             shortfalls.append(gap)
@@ -144,39 +148,64 @@ def drift_term(cap: float, q_now: float, q_next: float) -> float:
     return 0.5 * ((cap - q_next) ** 2 - (cap - q_now) ** 2)
 
 
-def _drifting_peers(view: SchedulerView, owner_id: int) -> list[PeerInfo]:
-    """Bystanders whose buffers drain during a download: playing, unfinished."""
+def _drifting(view: SchedulerView) -> list[tuple]:
+    """(uid, Q, q, (Q - q)**2, phi_rebuf) of each peer whose buffer drains
+    during a download: playing and unfinished."""
     return [
-        p
+        (p.user_id, p.profile.buffer_cap, p.buffer,
+         (p.profile.buffer_cap - p.buffer) ** 2, p.profile.phi_rebuf)
         for p in view.peers
-        if p.user_id != owner_id and p.playback_started and not p.playback_finished
+        if p.playback_started and not p.playback_finished
     ]
 
 
-def lyapunov_score(view: SchedulerView, owner: PeerInfo, level: int, drift_weight: float) -> float:
-    """Drift minus weighted one-step welfare; lower is better."""
+def lyapunov_scores(
+    view: SchedulerView, owner: PeerInfo, drift_weight: float, drifting: list[tuple] | None = None
+) -> list[float]:
+    """Drift minus weighted one-step welfare of fetching `owner`'s next
+    segment, one score per ladder level (index level - 1); lower is better.
+
+    The drift is `drift_term` over `projected_owner_buffer` plus, for every
+    drifting bystander, `drift_term` over `projected_peer_buffer`; the
+    welfare is `decision_welfare` with those bystanders.  Each quantity keeps
+    one accumulator, added in that order, so every score is bit for bit the
+    composition of those functions.  `drifting` is `_drifting(view)` when the
+    caller has it already.
+    """
+    if drifting is None:
+        drifting = _drifting(view)
+    decider = view.profile
     prof = owner.profile
-    dl_time = segment_volume(prof, level) / view.capacity
-    others = _drifting_peers(view, owner.user_id)
-    drift = drift_term(
-        prof.buffer_cap,
-        owner.buffer,
-        projected_owner_buffer(owner.buffer, dl_time, prof.segment_len, prof.buffer_cap),
-    )
-    for p in others:
-        drift += drift_term(
-            p.profile.buffer_cap, p.buffer, projected_peer_buffer(p.buffer, dl_time)
-        )
-    welfare = decision_welfare(
-        view.profile,
-        prof,
-        level,
-        view.capacity,
-        owner.buffer,
-        owner.last_bitrate,
-        [(p.profile, p.buffer) for p in others],
-    )
-    return drift - drift_weight * welfare
+    uid = owner.user_id
+    others = [d for d in drifting if d[0] != uid]
+    beta, cap, q = prof.segment_len, prof.buffer_cap, owner.buffer
+    base = (cap - q) ** 2
+    helping = uid != decider.user_id
+    last = owner.last_bitrate
+    scores = []
+    for rate in prof.ladder.rates:
+        volume = rate * beta
+        dl_time = volume / view.capacity
+        # owner: drain through the download, then gain one segment
+        q_next = q - dl_time
+        q_next = (0.0 if q_next < 0.0 else q_next) + beta
+        drift = 0.5 * ((cap - (q_next if q_next < cap else cap)) ** 2 - base)
+        cost = decider.c_time * dl_time + decider.c_data * volume
+        if helping:
+            cost += decider.w_data * volume
+        gain = quality_value(prof.theta, rate) * beta
+        if last is not None:
+            drop = last - rate
+            gain -= prof.phi_qdeg * (0.0 if drop < 0.0 else drop)
+        stall = dl_time - q
+        gain -= prof.phi_rebuf * (0.0 if stall < 0.0 else stall)
+        for _, p_cap, p_q, p_base, phi in others:
+            left = p_q - dl_time
+            drift += 0.5 * ((p_cap - (0.0 if left < 0.0 else left)) ** 2 - p_base)
+            stall = dl_time - p_q
+            gain -= phi * (0.0 if stall < 0.0 else stall)
+        scores.append(drift - drift_weight * (gain - cost))
+    return scores
 
 
 def lyapunov_decide(view: SchedulerView, drift_weight: float = 100.0):
@@ -185,13 +214,14 @@ def lyapunov_decide(view: SchedulerView, drift_weight: float = 100.0):
     `drift_weight` weighs the one-step welfare against the buffer drift.
     Ties break toward the lower owner id, then the lower level.
     """
-    cands = _candidates(view)
+    pending = _pending(view)
+    cands = [p for p in pending if can_afford(p)]
     if not cands:
-        return _wait_or_idle(view)
+        return _wait_or_idle(pending)
+    drifting = _drifting(view)
     best = None
     for p in sorted(cands, key=lambda c: c.user_id):
-        for level in range(1, p.profile.ladder.top + 1):
-            score = lyapunov_score(view, p, level, drift_weight)
+        for level, score in enumerate(lyapunov_scores(view, p, drift_weight, drifting), 1):
             key = (score, p.user_id, level)
             if best is None or key < best:
                 best = key
@@ -205,9 +235,9 @@ def lyapunov_decide(view: SchedulerView, drift_weight: float = 100.0):
 # seconds; they differ in how the bitrate level is chosen.
 
 
-def _choose_owner(view: SchedulerView, low_reserve: float, min_gap: float):
+def _choose_owner(view: SchedulerView, pending: list[PeerInfo], low_reserve: float, min_gap: float):
     """Owner choice shared by the baselines; None means wait/idle fallback."""
-    cands = _candidates(view)
+    cands = [p for p in pending if can_afford(p)]
     if not cands:
         return None
     poorest = min(cands, key=lambda p: (p.buffer, p.user_id))
@@ -238,9 +268,10 @@ def _buffer_level(owner: PeerInfo) -> int:
 
 def buffer_based_decide(view: SchedulerView, low_reserve: float = 0.5, min_gap: float = 4.0):
     """Baseline: bitrate follows the owner's buffer fill level; owner by the shared rule."""
-    owner = _choose_owner(view, low_reserve, min_gap)
+    pending = _pending(view)
+    owner = _choose_owner(view, pending, low_reserve, min_gap)
     if owner is None:
-        return _wait_or_idle(view)
+        return _wait_or_idle(pending)
     return Download(owner.user_id, _buffer_level(owner))
 
 
@@ -259,9 +290,10 @@ def prediction_based_decide(
 ):
     """Baseline: bitrate follows the mean Mbps of the last `window` completed
     downloads (the current capacity before any); owner by the shared rule."""
-    owner = _choose_owner(view, low_reserve, min_gap)
+    pending = _pending(view)
+    owner = _choose_owner(view, pending, low_reserve, min_gap)
     if owner is None:
-        return _wait_or_idle(view)
+        return _wait_or_idle(pending)
     tail = view.history[-window:] if window > 0 else ()
     estimate = sum(tail) / len(tail) if tail else view.capacity
     return Download(owner.user_id, _prediction_level(owner, estimate))

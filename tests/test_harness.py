@@ -262,12 +262,33 @@ def test_run_experiment_pairs_each_run_with_its_noncoop_twin(tmp_path):
         row["social_welfare"], row["noncoop_social_welfare"]
     )
 
-    # A non-cooperative scenario is its own twin: gains pin to zero.
+    assert row["welfare_diff"] == row["social_welfare"] - row["noncoop_social_welfare"]
+
+    # A non-cooperative scenario is its own twin: gains pin to zero where
+    # the twin's value is positive, and the difference is zero.
     nc = run_experiment(tiny_config(mobility="non-coop", schedulers=("lyapunov",)))
     for r in nc["schedulers"][0]["repetitions"]:
         assert r["social_welfare"] == r["noncoop_social_welfare"]
-        assert r["bitrate_gain"] == 0.0
-        assert r["welfare_gain"] == 0.0
+        assert r["welfare_diff"] == 0.0
+        for gain, base in (("bitrate_gain", "noncoop_avg_bitrate_mbps"),
+                           ("welfare_gain", "noncoop_social_welfare")):
+            assert r[gain] == (0.0 if r[base] > 0.0 else None)
+
+
+def test_summary_gains_average_only_rows_with_a_positive_twin_value():
+    # At capacity_hi 1.0 three of four lyapunov twins end with welfare <= 0.
+    report = run_experiment(tiny_config(capacity_hi=1.0, repetitions=4, schedulers=("lyapunov",)))
+    summary = report["schedulers"][0]
+    rows = summary["repetitions"]
+    for key, base in (("welfare_gain", "noncoop_social_welfare"),
+                      ("bitrate_gain", "noncoop_avg_bitrate_mbps")):
+        kept = [r[key] for r in rows if r[base] > 0.0]
+        assert all((r[key] is None) == (r[base] <= 0.0) for r in rows)
+        assert summary[key + "_n"] == len(kept)
+        assert summary[key] == (sum(kept) / len(kept) if kept else None)
+    assert summary["welfare_gain_n"] == 1 and summary["bitrate_gain_n"] == 4
+    diffs = [r["social_welfare"] - r["noncoop_social_welfare"] for r in rows]
+    assert summary["welfare_diff"] == sum(diffs) / len(diffs)
 
 
 def test_summary_csv_is_byte_identical_across_reruns(tmp_path):
@@ -456,10 +477,9 @@ def test_sweep_casts_values_to_the_field_type():
 def test_gain_handles_zero_and_negative_baselines():
     assert _gain(1.2, 1.0) == pytest.approx(0.2)
     assert _gain(0.8, 1.0) == pytest.approx(-0.2)
-    assert _gain(0.0, 0.0) == 0.0
-    assert _gain(-1.0, 0.0) == 0.0
-    assert _gain(2.0, 0.0) == float("inf")
-    assert _gain(2.0, -1.0) == float("inf")
+    # a ratio over a base <= 0 is no measurement, whatever the value
+    for value, base in ((0.0, 0.0), (-1.0, 0.0), (2.0, 0.0), (2.0, -1.0), (-95.76, -207.82)):
+        assert _gain(value, base) is None
 
 
 def test_write_summary_csv_formats_missing_gaps_as_empty(tmp_path):
@@ -470,8 +490,11 @@ def test_write_summary_csv_formats_missing_gaps_as_empty(tmp_path):
                 "scheduler": "lyapunov",
                 "avg_bitrate_mbps": 1.23456789012,
                 "bitrate_gain": 0.25,
+                "bitrate_gain_n": 3,
                 "social_welfare": -3.5,
-                "welfare_gain": 0.1,
+                "welfare_gain": None,
+                "welfare_gain_n": 0,
+                "welfare_diff": 1.5,
                 "rebuf_s": 0.0,
                 "gap_ratio": None,
             }
@@ -483,3 +506,5 @@ def test_write_summary_csv_formats_missing_gaps_as_empty(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[1][2] == "1.23456789"  # nine significant digits
     assert rows[1][-1] == ""
+    row = dict(zip(rows[0], rows[1]))
+    assert (row["bitrate_gain_n"], row["welfare_gain"], row["welfare_gain_n"]) == ("3", "", "0")

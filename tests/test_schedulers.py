@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from coopstream.model import BitrateLadder, UserProfile
+from coopstream.model import BitrateLadder, UserProfile, segment_volume
 from coopstream.schedulers import (
     Download,
     Idle,
@@ -15,12 +15,13 @@ from coopstream.schedulers import (
     can_afford,
     drift_term,
     lyapunov_decide,
-    lyapunov_score,
+    lyapunov_scores,
     make_scheduler,
     prediction_based_decide,
     projected_owner_buffer,
     projected_peer_buffer,
 )
+from coopstream.welfare import decision_welfare
 
 LADDER = BitrateLadder((0.2, 0.4, 0.7, 1.3, 2.3))
 
@@ -162,8 +163,73 @@ class TestScoreScaling:
         v = view(1, [owner, bystander], capacity=2.3)
         # gamma = 2: owner drift 0, bystander drift 62, welfare golden
         expected_welfare = 2.0 * math.log(3.3) - 1.46
-        got = lyapunov_score(v, owner, 5, drift_weight=100.0)
+        got = lyapunov_scores(v, owner, drift_weight=100.0)[5 - 1]
         assert got == pytest.approx(62.0 - 100.0 * expected_welfare, abs=1e-9)
+
+
+def composed_score(v, owner, level, drift_weight):
+    """The drift-plus-penalty score composed of the public per-term pieces."""
+    prof = owner.profile
+    dl_time = segment_volume(prof, level) / v.capacity
+    others = [
+        p for p in v.peers
+        if p.user_id != owner.user_id and p.playback_started and not p.playback_finished
+    ]
+    drift = drift_term(
+        prof.buffer_cap,
+        owner.buffer,
+        projected_owner_buffer(owner.buffer, dl_time, prof.segment_len, prof.buffer_cap),
+    )
+    for p in others:
+        drift += drift_term(p.profile.buffer_cap, p.buffer, projected_peer_buffer(p.buffer, dl_time))
+    welfare = decision_welfare(
+        v.profile, prof, level, v.capacity, owner.buffer, owner.last_bitrate,
+        [(p.profile, p.buffer) for p in others],
+    )
+    return drift - drift_weight * welfare
+
+
+class TestScoreKernel:
+    def test_ladder_scores_equal_the_composed_terms(self):
+        # Random ladders, coefficients and views: own and helped owners,
+        # with and without a last bitrate, peers not yet started or already
+        # finished, several candidates per view.  Each score is bit for bit
+        # the per-level composition of the public terms.
+        rng = random.Random(23)
+        seen = {"own": 0, "helper": 0, "last": 0, "no_last": 0, "waiting": 0, "finished": 0}
+        for _ in range(400):
+            ladder = BitrateLadder(tuple(sorted(rng.uniform(0.1, 3.0) for _ in range(rng.randint(1, 6)))))
+
+            def prof(uid):
+                return video_profile(
+                    uid, ladder=ladder, segment_len=rng.choice([1.0, 2.0, 2.5]),
+                    buffer_cap=rng.choice([8.0, 40.0]), theta=rng.uniform(0.0, 2.0),
+                    phi_qdeg=rng.uniform(0.0, 2.0), phi_rebuf=rng.uniform(0.0, 3.0),
+                    c_time=rng.uniform(0.0, 1.0), c_data=rng.uniform(0.0, 0.3),
+                    w_data=rng.uniform(0.0, 0.2),
+                )
+
+            peers = []
+            for uid in range(1, rng.randint(2, 7)):
+                p = prof(uid)
+                peers.append(peer(
+                    uid, rng.uniform(0.0, p.buffer_cap), last=rng.choice([None, 0.3, 1.7]),
+                    started=rng.random() < 0.8, finished=rng.random() < 0.15, profile=p,
+                ))
+            decider = rng.randint(1, len(peers) + 1)
+            v = view(decider, peers, capacity=rng.uniform(0.05, 5.0), profile=prof(decider))
+            weight = rng.choice([0.0, 1.0, 100.0])
+            for owner in peers:
+                got = lyapunov_scores(v, owner, weight)
+                assert got == [
+                    composed_score(v, owner, level, weight)
+                    for level in range(1, ladder.top + 1)
+                ]
+                seen["own" if owner.user_id == v.user_id else "helper"] += 1
+                seen["no_last" if owner.last_bitrate is None else "last"] += 1
+            seen["waiting"] += any(not p.playback_started for p in peers)
+            seen["finished"] += any(p.playback_finished for p in peers)
+        assert min(seen.values()) > 20
 
 
 class TestGreedyNoncoop:
