@@ -18,7 +18,12 @@ left) parks it for good, its Wait and dead link keep only their own timers,
 and only a twin parked by a horizon-cut Download, whose level depends on
 its neighbours and the time, still wakes at nearby deliveries and aborts.
 A decider's group comes from a hotspot-occupancy index advanced to the
-decision instant.  Downloads run at the full link rate, so a segment's end
+decision instant.  Time state is anchored to writes: a buffer is stored as
+its level just after the last delivery and that instant, and is drained to
+the decision instant whenever it is read, and a Wait names the absolute
+instant at which an owner's buffer can take one more segment.  So no time
+or level depends on how often a user happened to decide, and users waiting
+on one owner wake at one instant, in ascending uid order.  Downloads run at the full link rate, so a segment's end
 time is the exact inverse of the capacity integral.  Every run is replayed
 against an independent constraint audit before results are returned, and
 counts its event-loop work in `EngineCounters`.
@@ -113,10 +118,10 @@ class _UserState:
     # profile constants read at every decision
     num_segments: int = field(init=False)
     is_video_user: bool = field(init=False)
-    # playback
-    buffer: float = 0.0
-    t_last: float = 0.0
-    playback_finished: bool = False
+    # playback, anchored at the last delivery: the buffer held q0 seconds
+    # just after it, at t0, and has drained since (see `_playback`)
+    q0: float = 0.0
+    t0: float = 0.0
     # segment bookkeeping (owner side)
     received: int = 0
     inflight: int = 0
@@ -132,9 +137,12 @@ class _UserState:
     # coordination
     asleep: bool = False
     sleep_deadline: float | None = None
-    # cached PeerInfo of this user; reset to None at every write to a field
-    # it copies (buffer, last_bitrate, received, inflight, playback_finished)
+    # cached PeerInfo of this user, valid at info_t (at any instant when
+    # None: its buffer is empty before playback and after it has finished);
+    # reset to None at every write to a field it reads (q0, t0,
+    # last_bitrate, received, inflight)
     info: PeerInfo | None = None
+    info_t: float | None = None
 
     def __post_init__(self):
         self.num_segments = self.profile.num_segments
@@ -235,19 +243,20 @@ class _Simulation:
 
     # -- playback ----------------------------------------------------------
 
-    def _advance(self, uid, to_t):
+    def _playback(self, uid, t) -> tuple[float, bool]:
+        """(buffer, playback finished) of `uid` at t, from its anchors.
+
+        The buffer drains in real time from its level q0 at the last
+        delivery t0; playback has finished once every segment is in and the
+        buffer has run dry, and a finished buffer reads 0.
+        """
         st = self.users[uid]
-        dt = to_t - st.t_last
-        if dt <= 0.0:
-            return
-        st.t_last = to_t
-        if st.received == 0 or st.playback_finished:
-            return
-        st.info = None
-        st.buffer -= min(st.buffer, dt)
-        if st.received >= st.num_segments and st.buffer <= TIME_EPS:
-            st.playback_finished = True
-            st.buffer = 0.0
+        q = st.q0 - (t - st.t0)
+        if q < 0.0:
+            q = 0.0
+        if st.received >= st.num_segments and q <= TIME_EPS:
+            return 0.0, True
+        return q, False
 
     # -- group / view construction -----------------------------------------
 
@@ -274,19 +283,25 @@ class _Simulation:
             return [uid]
         return sorted(self.occupants[spot])
 
-    def _peer_info(self, uid) -> PeerInfo:
+    def _peer_info(self, uid, t) -> PeerInfo:
         st = self.users[uid]
-        if st.info is None:
-            st.info = PeerInfo(
-                profile=st.profile,
-                buffer=st.buffer,
-                last_bitrate=st.last_bitrate,
-                remaining=st.remaining,
-                inflight=st.inflight,
-                playback_started=st.received > 0,
-                playback_finished=st.playback_finished,
-            )
-        return st.info
+        info = st.info
+        if info is not None and (st.info_t is None or st.info_t == t):
+            return info
+        prof = st.profile
+        buffer, finished = self._playback(uid, t)
+        st.info = info = PeerInfo(
+            profile=prof,
+            buffer=buffer,
+            last_bitrate=st.last_bitrate,
+            remaining=st.remaining,
+            inflight=st.inflight,
+            playback_started=st.received > 0,
+            playback_finished=finished,
+            room_at=st.t0 + st.q0 + prof.segment_len - prof.buffer_cap,
+        )
+        st.info_t = None if finished or st.received == 0 else t
+        return info
 
     # -- coordination protocol accounting ----------------------------------
 
@@ -365,13 +380,11 @@ class _Simulation:
             self._park(uid, None if nxt is None else max(nxt, t + TIME_EPS), cooperative)
             return
         group = self._group(uid, t)
-        for m in group:
-            self._advance(m, t)
         if cooperative and not self._coordination(uid, t, group):
             # Asleep with nobody needy nearby: act on own state only.
             group = [uid]
         peers = tuple(
-            self._peer_info(m) for m in group if self.users[m].is_video_user
+            self._peer_info(m, t) for m in group if self.users[m].is_video_user
         )
         view = SchedulerView(
             profile=st.profile,
@@ -394,11 +407,11 @@ class _Simulation:
             counters.calls_cut += 1
             self._park(uid, self.mob.next_breakpoint(t), True)
         elif isinstance(decision, Wait):
-            if decision.duration <= TIME_EPS:
-                raise SimError(f"user {uid}: wait duration must be positive")
+            if not decision.until > t:
+                raise SimError(f"user {uid}: a wait must end after the decision instant")
             # A twin's Wait is its own buffer's shortfall: only its timer ends it.
             counters.calls_wait += 1
-            self._park(uid, t + decision.duration, cooperative)
+            self._park(uid, decision.until, cooperative)
         elif isinstance(decision, Idle):
             # Nothing to do here and now: revisit at the next mobility
             # breakpoint of any user.  A twin's Idle means nothing of its own
@@ -423,7 +436,7 @@ class _Simulation:
             raise SimError(f"user {uid}: owner {owner_id} has nothing left to fetch")
         if not 1 <= level <= prof.ladder.top:
             raise SimError(f"user {uid}: level {level} not on owner's ladder")
-        if not can_afford(self._peer_info(owner_id)):
+        if not can_afford(self._peer_info(owner_id, t)):
             raise SimError(f"user {uid}: owner {owner_id}'s buffer cannot take a segment")
         volume = segment_volume(prof, level)
         t_end = tr.download_end_time(self.cap, uid, t, volume)
@@ -448,12 +461,13 @@ class _Simulation:
         ost.inflight -= 1
         ost.info = None
         if kind == "deliver":
-            self._advance(owner_id, t)
+            q, _ = self._playback(owner_id, t)
             bitrate = ost.profile.ladder.rate(level)
             rec = DownloadRecord(uid, owner_id, ost.received + 1, level, bitrate, t_start, t)
             ost.received += 1
             ost.last_bitrate = bitrate
-            ost.buffer = min(ost.buffer + ost.profile.segment_len, ost.profile.buffer_cap)
+            ost.q0 = min(q + ost.profile.segment_len, ost.profile.buffer_cap)
+            ost.t0 = t
             st.records.append(rec)
             dur = t - t_start
             if dur > TIME_EPS:
@@ -487,8 +501,6 @@ class _Simulation:
             else:
                 counters.decisions += 1
                 self._decide(uid, t)
-        for uid in self.profiles:
-            self._advance(uid, self.T)
         return self._collect()
 
     def _collect(self) -> SimResult:

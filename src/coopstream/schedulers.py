@@ -4,7 +4,8 @@ Every scheduler is a pure function of a SchedulerView: the deciding user's
 local snapshot at a decision instant.  It returns one of three decisions:
 
 * Download(owner, level): fetch the owner's next segment at that level;
-* Wait(duration): hold the radio for `duration` seconds, then re-decide;
+* Wait(until): hold the radio until the absolute instant `until`, then
+  re-decide;
 * Idle: nothing to do until the surroundings change.
 
 The engine re-invokes a scheduler whenever the user's own download
@@ -43,7 +44,7 @@ class Download:
 
 @dataclass(frozen=True)
 class Wait:
-    duration: float
+    until: float   # absolute instant, seconds
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,7 @@ class PeerInfo:
     inflight: int                  # reserved segments not yet delivered
     playback_started: bool
     playback_finished: bool
+    room_at: float                 # instant the buffer can take one more segment
 
     @property
     def user_id(self) -> int:
@@ -115,17 +117,18 @@ def _pending(view: SchedulerView) -> list[PeerInfo]:
 def _wait_or_idle(pending: list[PeerInfo]):
     """Fallback when no pending owner can accept a segment right now.
 
-    Per-owner shortfall q + beta - Q is the drain time until the buffer
-    can take one more segment; owners blocked only by in-flight segments
-    are left to the delivery wake-up instead of a timer.
+    An owner with a shortfall q + beta - Q has a buffer that can take one
+    more segment once it drains, at its `room_at`; wait for the earliest.
+    Owners blocked only by in-flight segments are left to the delivery
+    wake-up instead of a timer.
     """
-    shortfalls = []
+    rooms = []
     for p in pending:
         gap = p.buffer + p.profile.segment_len - p.profile.buffer_cap
         if gap > TIME_EPS:
-            shortfalls.append(gap)
-    if shortfalls:
-        return Wait(min(shortfalls))
+            rooms.append(p.room_at)
+    if rooms:
+        return Wait(min(rooms))
     return Idle()
 
 

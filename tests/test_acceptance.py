@@ -382,7 +382,8 @@ def test_arithmetic_goldens(verdict):
     drift = drift_term(40.0, 10.0, projected_peer_buffer(10.0, 2.0))
     checks.append(("drift 62", abs(drift - 62.0)))
 
-    # Both buffers nearly full: wait for the smaller shortfall, 39+2-40 = 1 s.
+    # Both buffers nearly full: wait for the smaller shortfall, 39+2-40 = 1 s,
+    # at t = 0, where both buffers last filled.
     def full_peer(uid, buffer):
         return PeerInfo(
             profile=golden_profile(uid),
@@ -392,6 +393,7 @@ def test_arithmetic_goldens(verdict):
             inflight=0,
             playback_started=True,
             playback_finished=False,
+            room_at=buffer + 2.0 - 40.0,
         )
 
     v = SchedulerView(
@@ -403,7 +405,7 @@ def test_arithmetic_goldens(verdict):
     )
     got = lyapunov_decide(v)
     assert isinstance(got, Wait)
-    checks.append(("wait 1.0s", abs(got.duration - 1.0)))
+    checks.append(("wait 1.0s", abs(got.until - 1.0)))
 
     # Top rate on a matching link: 2*ln(1+2.3) value, 1.0+0.46 energy.
     me = golden_profile(1)

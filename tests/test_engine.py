@@ -56,7 +56,7 @@ def top_rate_scheduler(view):
     if can_afford(me):
         return Download(view.user_id, me.profile.ladder.top)
     gap = me.buffer + me.profile.segment_len - me.profile.buffer_cap
-    return Wait(gap) if gap > 1e-9 else Idle()
+    return Wait(me.room_at) if gap > 1e-9 else Idle()
 
 
 class TestSingleUser:
@@ -413,7 +413,8 @@ class _CheckedSimulation(_Simulation):
 
     At every decision the occupancy-index group must equal a scan of all
     users with `traces.encountered`, and every PeerInfo and the history
-    handed to the scheduler must equal ones built afresh from the state.
+    handed to the scheduler must equal ones built afresh from the state,
+    the buffer drained from its delivery anchors to the decision instant.
     After every decision before T the user is parked or has a delivery or
     abort pending, so no decision strands it.  After every delivery or
     abort, each parked user co-located with the segment's owner whose park
@@ -434,7 +435,7 @@ class _CheckedSimulation(_Simulation):
             if not view.cooperative:
                 assert st.inflight == 0
             for p in view.peers:
-                assert p == self._fresh_peer_info(p.user_id)
+                assert p == self._fresh_peer_info(p.user_id, self.now)
             assert view.history == tuple(
                 r.bitrate * self.profiles[r.owner].segment_len / (r.t_end - r.t_start)
                 for r in st.records
@@ -445,6 +446,7 @@ class _CheckedSimulation(_Simulation):
         self.scheduler = checked
 
     def _decide(self, uid, t):
+        self.now = t
         idles, cuts = self.counters.calls_idle, self.counters.calls_cut
         super()._decide(uid, t)
         st = self.users[uid]
@@ -478,16 +480,20 @@ class _CheckedSimulation(_Simulation):
         self.decision_times.append(t)
         return group
 
-    def _fresh_peer_info(self, uid):
+    def _fresh_peer_info(self, uid, t):
         st = self.users[uid]
+        prof = st.profile
+        buffer = max(st.q0 - (t - st.t0), 0.0)
+        finished = st.received >= prof.num_segments and buffer <= TIME_EPS
         return PeerInfo(
-            profile=st.profile,
-            buffer=st.buffer,
+            profile=prof,
+            buffer=0.0 if finished else buffer,
             last_bitrate=st.last_bitrate,
-            remaining=st.profile.num_segments - st.received - st.inflight,
+            remaining=prof.num_segments - st.received - st.inflight,
             inflight=st.inflight,
             playback_started=st.received > 0,
-            playback_finished=st.playback_finished,
+            playback_finished=finished,
+            room_at=st.t0 + st.q0 + prof.segment_len - prof.buffer_cap,
         )
 
 
@@ -623,8 +629,8 @@ class TestWakeRule:
     def test_full_coop_matches_wake_all(self, name):
         # With every user always at one hotspot, the pruned rule wakes the
         # same users in the same order as waking every parked user.  A twin
-        # wakes only its horizon-cut parks: the same downloads within float
-        # noise (fewer buffer drains round differently), from fewer calls.
+        # wakes only its horizon-cut parks: the same downloads bit for bit
+        # (every time is anchored to a write), from fewer calls.
         cfg = ScenarioConfig(n_users=8, horizon=80.0, mobility="full-coop")
         for seed in range(1, 11):
             profiles = build_profiles(cfg, seed)
@@ -636,7 +642,7 @@ class TestWakeRule:
                     for sim_cls in (_Simulation, _WakeAllSimulation)
                 )
                 if noncoop:
-                    assert classify(outcome(got), outcome(want)) in ("identical", "noise")
+                    assert classify(outcome(got), outcome(want)) == "identical"
                     assert got.counters.calls < want.counters.calls
                 else:
                     assert got.downloads == want.downloads
@@ -737,7 +743,7 @@ class TestEngineCounters:
                 if waited:
                     return Idle()
                 waited.append(view)
-                return Wait(1.0)
+                return Wait(2.5)
             me = view.peer(1)
             return Download(1, 1 if me.remaining == me.profile.num_segments else 5)
 
@@ -751,6 +757,19 @@ class TestEngineCounters:
 
 
 class TestEngineDifferential:
+    def test_one_seed_of_the_engine_set_against_wake_all(self):
+        # Buffers read from their delivery anchors and Wait expiries at an
+        # owner's anchored instant make every time a function of the writes,
+        # not of how often a user decided, so no run differs from waking
+        # every parked user in the last bits only.  A twin makes the old
+        # rule's decisions that matter, so it is identical.
+        parts = split(compare(_Simulation, _WakeAllSimulation, seeds=(1,)))
+        coop, twin = parts["cooperative"], parts["twin"]
+        assert coop["noise"] == twin["noise"] == 0
+        assert coop["identical"] > 0
+        assert twin["identical"] == twin["same_messages"] == twin["runs"] == 36
+        assert twin["calls_a"] < twin["calls_b"]
+
     def test_one_seed_of_the_engine_set_against_the_old_twin_rule(self):
         # Seed 1 of the 720-run set: cooperative runs are bit for bit the
         # old rule's, twins differ at most by float noise and make far

@@ -40,14 +40,17 @@ def video_profile(uid=1, **kw):
 
 def peer(uid, buffer, last=None, remaining=10, inflight=0, started=True,
          finished=False, profile=None):
+    """A peer as seen at a decision at t = 0, where its buffer last filled."""
+    prof = profile or video_profile(uid)
     return PeerInfo(
-        profile=profile or video_profile(uid),
+        profile=prof,
         buffer=buffer,
         last_bitrate=last,
         remaining=remaining,
         inflight=inflight,
         playback_started=started,
         playback_finished=finished,
+        room_at=buffer + prof.segment_len - prof.buffer_cap,
     )
 
 
@@ -84,7 +87,7 @@ class TestLyapunovDecide:
         v = view(1, [peer(1, 39.5), peer(2, 39.0)])
         got = lyapunov_decide(v)
         assert isinstance(got, Wait)
-        assert got.duration == pytest.approx(1.0, abs=1e-9)
+        assert got.until == pytest.approx(1.0, abs=1e-9)
 
     def test_inflight_blocked_owner_idles_instead_of_waiting(self):
         v = view(1, [peer(1, 30.0, inflight=5)])
@@ -248,7 +251,7 @@ class TestGreedyNoncoop:
         v = view(1, [peer(1, 39.0), peer(2, 0.0)])
         got = self.noncoop(v)
         assert isinstance(got, Wait)
-        assert got.duration == pytest.approx(1.0, abs=1e-9)
+        assert got.until == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_lyapunov_when_alone(self):
         for cap in (0.4, 1.0, 2.3, 6.0):
