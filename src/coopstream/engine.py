@@ -10,23 +10,30 @@ an Idle does.  Every decision that starts no transfer parks the user.  A
 delivery or abort changes only the segment owner's snapshot, so it wakes
 only the parked users in the owner's hotspot at that instant (the owner
 alone when it is in transit); a parked user elsewhere cannot see the event
-and keeps its own timer.  The non-cooperative twin (`RunConfig.noncoop`)
-re-decides only on its own events: its candidates are its own segments,
-none of them in flight when it decides, so its Wait, Idle or dead-link
-answer depends on its own state alone.  A twin's Idle (nothing of its own
-left) parks it for good, its Wait and dead link keep only their own timers,
-and only a twin parked by a horizon-cut Download, whose level depends on
-its neighbours and the time, still wakes at nearby deliveries and aborts.
+and keeps its own timer.  Nor does a delivery wake a parked user whose
+park was its group's hold (`schedulers.hold`, the answer of every holding
+rule when no pending owner can take a segment) when the group's new hold
+is the same and the skipped decision would only count a READY and ACKs.
+
+The non-cooperative twin (`RunConfig.noncoop`) re-decides only on its own
+events: its candidates are its own segments, none of them in flight when
+it decides, so its Wait, Idle or dead-link answer depends on its own state
+alone.  A twin's Idle (nothing of its own left) parks it for good, its Wait
+and dead link keep only their own timers, and only a twin parked by a
+horizon-cut Download, whose level depends on its neighbours and the time,
+still wakes at nearby deliveries and aborts.
+
 A decider's group comes from a hotspot-occupancy index advanced to the
 decision instant.  Time state is anchored to writes: a buffer is stored as
 its level just after the last delivery and that instant, and is drained to
 the decision instant whenever it is read, and a Wait names the absolute
 instant at which an owner's buffer can take one more segment.  So no time
 or level depends on how often a user happened to decide, and users waiting
-on one owner wake at one instant, in ascending uid order.  Downloads run at the full link rate, so a segment's end
-time is the exact inverse of the capacity integral.  Every run is replayed
-against an independent constraint audit before results are returned, and
-counts its event-loop work in `EngineCounters`.
+on one owner wake at one instant, in ascending uid order.  Downloads run
+at the full link rate, so a segment's end time is the exact inverse of the
+capacity integral.  Every run is replayed against an independent
+constraint audit before results are returned, and counts its event-loop
+work in `EngineCounters`.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from .model import (
     derive_receive_sequences,
     segment_volume,
 )
-from .schedulers import Download, Idle, PeerInfo, SchedulerView, Wait, can_afford
+from .schedulers import Download, Idle, PeerInfo, SchedulerView, Wait, can_afford, hold, holds
 from .welfare import buffer_trajectory, rebuf_loss, user_welfare
 
 _COMPLETE = 0  # deliveries and aborts apply before same-instant decisions
@@ -110,6 +117,7 @@ class EngineCounters:
     calls_cut: int = 0
     dead_link_parks: int = 0
     wakeups: int = 0         # decisions scheduled by completion wake-ups
+    wakes_held: int = 0      # wake-ups not scheduled: the group's hold is the park's
 
 
 @dataclass
@@ -133,6 +141,7 @@ class _UserState:
     abort_cost: float = 0.0
     parked: bool = False
     peer_wake: bool = False  # a parked user whose answer a peer's completion can change
+    hold: Wait | Idle | None = None  # the park's answer when it was its group's hold
     gen: int = 0
     # coordination
     asleep: bool = False
@@ -196,6 +205,10 @@ class _Simulation:
             if uid not in cap_trace.tracks or uid not in mob_trace.tracks:
                 raise SimError(f"user {uid} missing from a trace")
         self.users = {uid: _UserState(p) for uid, p in self.profiles.items()}
+        # A holding scheduler answers its group's `hold` whenever that is not
+        # None, which lets a delivery skip re-deciding a parked user whose
+        # park is the group's hold (twins keep their own wake rule).
+        self.holding = holds(scheduler) and not cfg.noncoop
         self.msgs = MessageStats()
         self.counters = EngineCounters()
         self.heap: list = []
@@ -226,20 +239,66 @@ class _Simulation:
         st.gen += 1
         self._push(t, _DECIDE, uid, gen=st.gen)
 
-    def _wake_parked(self, t, owner):
+    def _wake_parked(self, t, owner, delivered):
         # A delivery or abort changes only the owner's snapshot, and a view
         # holds the snapshots of the decider's group alone, so only parked
         # users at the owner's hotspot at t (the owner alone in transit) can
         # see it, and of those only the ones whose park said that a peer's
         # completion can change their answer.  A parked user has no transfer
-        # in flight: it decides now.
+        # in flight: it decides now, unless a delivery left its group's hold
+        # equal to its park (see `_repeats`).
         self._move_to(t)
         spot = self.spot[owner]
-        for uid in sorted(self.occupants[spot]) if spot else (owner,):
+        group = sorted(self.occupants[spot]) if spot else [owner]
+        counters = self.counters
+        held = None  # (hold, needy) of the group, once a parked user needs it
+        for uid in group:
             st = self.users[uid]
-            if st.parked and st.peer_wake:
-                self.counters.wakeups += 1
-                self._schedule_decision(uid, t)
+            if not (st.parked and st.peer_wake):
+                continue
+            if st.hold is not None and delivered:
+                if held is None:
+                    held = self._group_hold(group, t)
+                if self._repeats(uid, t, *held):
+                    counters.wakes_held += 1
+                    continue
+            counters.wakeups += 1
+            self._schedule_decision(uid, t)
+
+    def _group_hold(self, group, t):
+        """(hold, needy members) of `group` at t; the hold is None when a
+        pending owner can take a segment or when a member's decision at t
+        could change more than READY/ACK counts: a member is asleep, or a
+        member's no-ACK window has run out (its decision at t puts it to
+        sleep, and a later decider would wake it).
+        """
+        users = self.users
+        needy = [m for m in group if users[m].is_video_user and users[m].remaining > 0]
+        for m in group:
+            st = users[m]
+            if st.asleep or (
+                st.sleep_deadline is not None and t >= st.sleep_deadline - TIME_EPS
+            ):
+                return None, needy
+        return hold([self._peer_info(m, t) for m in needy]), needy
+
+    def _repeats(self, uid, t, group_hold, needy) -> bool:
+        """True when re-deciding parked `uid` at t would repeat its park.
+
+        A holding scheduler answers the group's hold, so with the park equal
+        to it (the same `until` bit for bit, or Idle, whose next breakpoint
+        cannot have passed), an alive link, and a coordination step that
+        only counts a READY and ACKs (awake, no no-ACK window armed, a needy
+        peer present), the decision would change nothing but those counts.
+        """
+        st = self.users[uid]
+        return (
+            group_hold is not None
+            and st.hold == group_hold
+            and st.sleep_deadline is None
+            and any(m != uid for m in needy)
+            and tr.capacity_at(self.cap, uid, t) > 0.0
+        )
 
     # -- playback ----------------------------------------------------------
 
@@ -349,16 +408,19 @@ class _Simulation:
 
     # -- decision handling -------------------------------------------------
 
-    def _park(self, uid, wake, peers):
+    def _park(self, uid, wake, peers, held=None):
         """End a decision that starts no transfer.
 
         The user re-decides at `wake` when that falls before T and, when
         `peers` says that a peer's completion can change its answer, at any
         delivery or abort of a segment whose owner shares its hotspot.
+        `held` is the Wait or Idle answered by a holding scheduler on the
+        whole group, which a delivery compares with the group's new hold.
         """
         st = self.users[uid]
         st.parked = True
         st.peer_wake = peers
+        st.hold = held
         if wake is not None and wake < self.T:
             self._schedule_decision(uid, wake)
 
@@ -380,7 +442,8 @@ class _Simulation:
             self._park(uid, None if nxt is None else max(nxt, t + TIME_EPS), cooperative)
             return
         group = self._group(uid, t)
-        if cooperative and not self._coordination(uid, t, group):
+        alone = cooperative and not self._coordination(uid, t, group)
+        if alone:
             # Asleep with nobody needy nearby: act on own state only.
             group = [uid]
         peers = tuple(
@@ -396,6 +459,8 @@ class _Simulation:
         decision = self.scheduler(view)
         counters = self.counters
         counters.calls += 1
+        # A holding scheduler's Wait or Idle on the whole group is its hold.
+        held = decision if self.holding and not alone else None
         if isinstance(decision, Download):
             if self._start_download(uid, t, group, decision):
                 counters.calls_download += 1
@@ -411,13 +476,13 @@ class _Simulation:
                 raise SimError(f"user {uid}: a wait must end after the decision instant")
             # A twin's Wait is its own buffer's shortfall: only its timer ends it.
             counters.calls_wait += 1
-            self._park(uid, decision.until, cooperative)
+            self._park(uid, decision.until, cooperative, held)
         elif isinstance(decision, Idle):
             # Nothing to do here and now: revisit at the next mobility
             # breakpoint of any user.  A twin's Idle means nothing of its own
             # is left to fetch, so it parks for good.
             counters.calls_idle += 1
-            self._park(uid, self.mob.next_breakpoint(t) if cooperative else None, cooperative)
+            self._park(uid, self.mob.next_breakpoint(t) if cooperative else None, cooperative, held)
         else:
             raise SimError(f"user {uid}: unknown decision {decision!r}")
 
@@ -477,7 +542,7 @@ class _Simulation:
             st.abort_cost += st.profile.c_time * (t - t_start) + st.profile.c_data * partial
             st.abort_count += 1
         self._schedule_decision(uid, t)
-        self._wake_parked(t, owner_id)
+        self._wake_parked(t, owner_id, kind == "deliver")
 
     # -- main loop ---------------------------------------------------------
 

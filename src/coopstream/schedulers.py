@@ -17,6 +17,12 @@ the only ones whose view it changes; a parked user elsewhere keeps its
 timer.  After the last breakpoint, only such a nearby delivery or abort
 re-invokes an idle user.
 
+The lyapunov and baseline rules hold alike: when no pending owner can
+take a segment, each answers `hold(pending)`, a Wait until the earliest
+instant an owner's buffer has room, or Idle.  A delivery that leaves a
+group's hold where a waiting user parked therefore need not re-invoke it;
+`holds` names the rules the engine trusts with that.
+
 In the non-cooperative twin (`SchedulerView.cooperative` False) a rule's
 candidates are the decider's own segments, so its Wait and Idle must follow
 from the decider's own snapshot alone: the engine re-invokes a twin's Wait
@@ -112,6 +118,15 @@ def _pending(view: SchedulerView) -> list[PeerInfo]:
         me = view.peer(view.user_id)
         peers = (me,) if me is not None else ()
     return [p for p in peers if p.remaining > 0]
+
+
+def hold(pending: list[PeerInfo]):
+    """None when a pending owner can take a segment now; otherwise the
+    fallback every holding rule (`holds`) answers, `_wait_or_idle(pending)`."""
+    for p in pending:
+        if can_afford(p):
+            return None
+    return _wait_or_idle(pending)
 
 
 def _wait_or_idle(pending: list[PeerInfo]):
@@ -218,9 +233,10 @@ def lyapunov_decide(view: SchedulerView, drift_weight: float = 100.0):
     Ties break toward the lower owner id, then the lower level.
     """
     pending = _pending(view)
+    held = hold(pending)
+    if held is not None:
+        return held
     cands = [p for p in pending if can_afford(p)]
-    if not cands:
-        return _wait_or_idle(pending)
     drifting = _drifting(view)
     best = None
     for p in sorted(cands, key=lambda c: c.user_id):
@@ -239,7 +255,11 @@ def lyapunov_decide(view: SchedulerView, drift_weight: float = 100.0):
 
 
 def _choose_owner(view: SchedulerView, pending: list[PeerInfo], low_reserve: float, min_gap: float):
-    """Owner choice shared by the baselines; None means wait/idle fallback."""
+    """Owner choice shared by the baselines; None means wait/idle fallback.
+
+    It is None whenever no pending owner can take a segment, so the
+    baselines' fallback is then `hold(pending)`.
+    """
     cands = [p for p in pending if can_afford(p)]
     if not cands:
         return None
@@ -318,6 +338,19 @@ _RULES = {
     "noncoop": _noncoop_decide,
 }
 SCHEDULER_NAMES = tuple(_RULES)
+# Rules that answer `hold(pending)` of their cooperative view whenever it is
+# not None.  (`noncoop` holds on a self-only view, which the engine's group
+# hold does not see.)
+_HOLDING = frozenset({"lyapunov", "buffer", "prediction"})
+
+
+def holds(scheduler) -> bool:
+    """True for a scheduler named after a holding rule.
+
+    The engine trusts the `name` that `make_scheduler` gives: a wrapper
+    that keeps the name must keep the rule's answers.
+    """
+    return getattr(scheduler, "name", None) in _HOLDING
 
 
 def make_scheduler(name: str, **params):

@@ -9,13 +9,16 @@ its download records each run is one of
 
 * identical: records, aborts and welfare terms are equal bit for bit;
 * noise: every downloader has the same records in (owner, seq, level)
-  order and the same abort count, and every record time lies within 1e-9 s
-  of the other side's;
+  order and the same abort count, every record time lies within 1e-9 s of
+  the other side's, and every abort energy within 1e-6 (an aborted transfer
+  leaves no record, so its energy is all that shows it);
 * material: anything else.
 
 Messages (READY/ACK counts and READY instants) and `EngineCounters` are
 compared on their own, since a change to the decision policy moves them on
-purpose.  Each class runs on the scenario builders,
+purpose; so are the sleep transitions (sleep, awake and virtual ACK
+counts), which a change that only skips decisions repeating their answer
+leaves alone.  Each class runs on the scenario builders,
 schedulers and audit of its own package, so a class from another checkout,
 loaded with `load_package` under another name, can be compared with this
 one.  From the repository root,
@@ -23,7 +26,8 @@ one.  From the repository root,
     PYTHONPATH=src python tests/engine_differential.py OTHER/src [SEED ...]
 
 compares OTHER's `engine._Simulation` (first) with this checkout's and
-prints the split by engine mode.
+prints the material runs, the split by engine mode with READY/ACK totals
+per side, and the mean cooperative welfare per mobility and scheduler.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ CAPACITY_HIS = (0.7, 2.5, 5.0)
 SEEDS = range(1, 11)
 SCHEDULERS = ("lyapunov", "buffer", "prediction", "noncoop")
 TOL = 1e-9
+ENERGY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,7 @@ class Outcome:
     welfare: tuple    # (uid, value, loss_qdeg, loss_rebuf, energy_cell, energy_wifi) rows
     messages: tuple   # (ready, ack, virtual_ack, sleep, awake, ready_times)
     counters: dict
+    social_welfare: float
 
 
 @dataclass(frozen=True)
@@ -57,8 +63,12 @@ class Row:
     key: tuple        # (mobility, capacity_hi, seed, scheduler, twin)
     verdict: str      # identical | noise | material
     same_messages: bool
+    same_sleep: bool  # equal sleep, awake and virtual ACK counts
     same_counters: bool
     calls: tuple      # scheduler calls of (a, b)
+    ready: tuple      # READY counts of (a, b)
+    ack: tuple        # ACK counts of (a, b)
+    welfare: tuple    # social welfare of (a, b)
 
 
 def load_package(src_dir: str, alias: str):
@@ -111,6 +121,7 @@ def outcome(res) -> Outcome:
         ),
         messages=(m.ready, m.ack, m.virtual_ack, m.sleep, m.awake, tuple(m.ready_times)),
         counters=asdict(res.counters),
+        social_welfare=res.social_welfare,
     )
 
 
@@ -129,6 +140,7 @@ def classify(a: Outcome, b: Outcome) -> str:
             for ra, rb in zip(a.records, b.records)
         )
         and [x[:2] for x in a.aborts] == [x[:2] for x in b.aborts]
+        and all(abs(x[2] - y[2]) <= ENERGY_TOL for x, y in zip(a.aborts, b.aborts))
     )
     return "noise" if same_shape else "material"
 
@@ -148,16 +160,20 @@ def compare(sim_a, sim_b, seeds=SEEDS) -> list[Row]:
                                 key,
                                 classify(a, b),
                                 a.messages == b.messages,
+                                a.messages[2:5] == b.messages[2:5],
                                 a.counters == b.counters,
                                 (a.counters["calls"], b.counters["calls"]),
+                                (a.messages[0], b.messages[0]),
+                                (a.messages[1], b.messages[1]),
+                                (a.social_welfare, b.social_welfare),
                             )
                         )
     return rows
 
 
 def split(rows: list[Row]) -> dict[str, dict]:
-    """Per engine mode: verdict counts, runs with equal messages and equal
-    counters, total calls."""
+    """Per engine mode: verdict counts, runs with equal messages, sleep
+    transitions and counters, and total calls, READYs and ACKs per side."""
     out = {}
     for mode, twin in (("cooperative", False), ("twin", True)):
         part = [r for r in rows if r.key[4] == twin]
@@ -165,11 +181,27 @@ def split(rows: list[Row]) -> dict[str, dict]:
             "runs": len(part),
             **{v: sum(r.verdict == v for r in part) for v in ("identical", "noise", "material")},
             "same_messages": sum(r.same_messages for r in part),
+            "same_sleep": sum(r.same_sleep for r in part),
             "same_counters": sum(r.same_counters for r in part),
-            "calls_a": sum(r.calls[0] for r in part),
-            "calls_b": sum(r.calls[1] for r in part),
+            **{
+                f"{name}_{side}": sum(getattr(r, name)[i] for r in part)
+                for name in ("calls", "ready", "ack")
+                for i, side in enumerate("ab")
+            },
         }
     return out
+
+
+def welfare_means(rows: list[Row]) -> dict[tuple, tuple]:
+    """Mean cooperative social welfare of (a, b) per (mobility, scheduler)."""
+    groups: dict[tuple, list] = {}
+    for r in rows:
+        if not r.key[4]:
+            groups.setdefault((r.key[0], r.key[3]), []).append(r.welfare)
+    return {
+        key: tuple(sum(w[i] for w in ws) / len(ws) for i in (0, 1))
+        for key, ws in groups.items()
+    }
 
 
 if __name__ == "__main__":
@@ -185,3 +217,5 @@ if __name__ == "__main__":
             print("material", *row.key)
     for mode, counts in split(rows).items():
         print(mode, counts)
+    for (mobility, scheduler), (a, b) in welfare_means(rows).items():
+        print(f"welfare {mobility} {scheduler}: {a:.4f} -> {b:.4f}")

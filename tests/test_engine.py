@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import asdict
 
 import pytest
@@ -24,7 +25,15 @@ from coopstream.model import (
     DownloadSequence,
     UserProfile,
 )
-from coopstream.schedulers import Download, Idle, PeerInfo, Wait, can_afford, make_scheduler
+from coopstream.schedulers import (
+    Download,
+    Idle,
+    PeerInfo,
+    SchedulerView,
+    Wait,
+    can_afford,
+    make_scheduler,
+)
 from coopstream.traces import CapacityTrace, MobilityTrace, constant_capacity, full_coop_mobility
 from coopstream.welfare import rebuf_loss
 from engine_differential import classify, compare, outcome, split
@@ -407,6 +416,19 @@ class TestBadSchedulers:
         with pytest.raises(SimError):
             run(profiles, cap, mob, rogue, RunConfig(horizon=10.0))
 
+    def test_wait_that_does_not_end_after_now_rejected(self):
+        # A Wait names an absolute instant; one at the decision instant
+        # would re-decide at that instant forever.
+        profiles = {1: video_profile(1)}
+        cap = constant_capacity({1: 2.0}, 10.0)
+        mob = full_coop_mobility([1], 10.0)
+
+        def rogue(view):
+            return Wait(0.0)
+
+        with pytest.raises(SimError, match="wait must end after"):
+            run(profiles, cap, mob, rogue, RunConfig(horizon=10.0))
+
 
 class _CheckedSimulation(_Simulation):
     """Checks the engine's shortcuts against the paths they replace.
@@ -419,16 +441,22 @@ class _CheckedSimulation(_Simulation):
     abort pending, so no decision strands it.  After every delivery or
     abort, each parked user co-located with the segment's owner whose park
     lets a peer's completion change its answer has a decision pending at
-    that instant.  Every cooperative park is such a park.  In a
-    non-cooperative twin only a horizon-cut Download is: a twin decider has
-    no segment of its own in flight, and its Idle finds nothing of its own
-    left to fetch and leaves no decision pending.
+    that instant, unless its wake was held.  Every cooperative park is such
+    a park.  In a non-cooperative twin only a horizon-cut Download is: a
+    twin decider has no segment of its own in flight, and its Idle finds
+    nothing of its own left to fetch and leaves no decision pending.
+
+    A wake is held only after a delivery in a cooperative run of a holding
+    scheduler.  For each held wake the scheduler runs on the view that the
+    skipped decision would have had, built afresh, and must repeat the
+    user's park; that decision's coordination step must only count a READY
+    and ACKs.
     """
 
     def __init__(self, *args):
         super().__init__(*args)
         self.decision_times = []
-        decide = self.scheduler
+        self.decide = decide = self.scheduler
 
         def checked(view):
             st = self.users[view.user_id]
@@ -464,15 +492,61 @@ class _CheckedSimulation(_Simulation):
                 )
 
     def _complete(self, uid, t, payload):
+        kind, owner = payload[:2]
+        gens = {m: st.gen for m, st in self.users.items()}
+        wakes_held = self.counters.wakes_held
         super()._complete(uid, t, payload)
-        owner = payload[1]
+        held = 0
         for m in self.profiles:
             st = self.users[m]
             if st.parked and st.peer_wake and tr.encountered(self.mob, owner, m, t):
-                assert (t, _DECIDE, m) in {
-                    (at, kind, who) for at, kind, who, _, gen, _ in self.heap
-                    if gen == self.users[m].gen
-                }
+                if st.gen == gens[m]:
+                    assert kind == "deliver" and self.holding and not self.cfg.noncoop
+                    self._check_held(m, t)
+                    held += 1
+                else:
+                    assert (t, _DECIDE, m) in {
+                        (at, kind, who) for at, kind, who, _, gen, _ in self.heap
+                        if gen == self.users[m].gen
+                    }
+        assert self.counters.wakes_held - wakes_held == held
+
+    def _check_held(self, uid, t):
+        st = self.users[uid]
+        h = tr.capacity_at(self.cap, uid, t)
+        assert h > 0.0  # else the decision would park on the dead link
+        group = [m for m in self.profiles if tr.encountered(self.mob, uid, m, t)]
+        # The coordination step would only count: the decider is awake with
+        # no no-ACK window armed and has a needy peer, and nobody in the
+        # group is asleep or falls asleep at t.
+        assert not st.asleep and st.sleep_deadline is None
+        assert any(
+            m != uid and self.users[m].is_video_user and self.users[m].remaining > 0
+            for m in group
+        )
+        for m in group:
+            peer = self.users[m]
+            assert not peer.asleep
+            assert peer.sleep_deadline is None or t < peer.sleep_deadline - TIME_EPS
+        view = SchedulerView(
+            profile=st.profile,
+            capacity=h,
+            peers=tuple(
+                self._fresh_peer_info(m, t) for m in group if self.users[m].is_video_user
+            ),
+            history=st.history,
+            cooperative=True,
+        )
+        decision = self.decide(view)
+        assert isinstance(decision, (Wait, Idle)) and decision == st.hold
+        # ... and the same park: its pending decision is where the decision
+        # would put it (or at t, where it decides anyway)
+        wake = decision.until if isinstance(decision, Wait) else self.mob.next_breakpoint(t)
+        pending = [
+            at for at, kind, who, _, gen, _ in self.heap
+            if kind == _DECIDE and who == uid and gen == st.gen
+        ]
+        assert pending in ([wake] if wake is not None and wake < self.T else [], [t])
 
     def _group(self, uid, t):
         group = super()._group(uid, t)
@@ -553,14 +627,25 @@ class TestDecisionPathDifferential:
 
 
 class _WakeAllSimulation(_Simulation):
-    """The wake rule before hotspot pruning: every delivery or abort, nearby
-    or not, re-decides every parked user in ascending uid order."""
+    """The wake rule before hotspot pruning and held wakes: every delivery
+    or abort, nearby or not, re-decides every parked user in ascending uid
+    order."""
 
-    def _wake_parked(self, t, owner):
+    def _wake_parked(self, t, owner, delivered):
         for uid, st in self.users.items():
             if st.parked:
                 self.counters.wakeups += 1
                 self._schedule_decision(uid, t)
+
+
+class _UnheldSimulation(_Simulation):
+    """The wake rule before held wakes: every delivery re-decides each
+    parked user at the owner's hotspot whose park a peer's completion can
+    change."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.holding = False
 
 
 class _TwinWakeAllSimulation(_Simulation):
@@ -628,9 +713,11 @@ class TestWakeRule:
     @pytest.mark.parametrize("name", ["lyapunov", "buffer", "prediction", "noncoop"])
     def test_full_coop_matches_wake_all(self, name):
         # With every user always at one hotspot, the pruned rule wakes the
-        # same users in the same order as waking every parked user.  A twin
-        # wakes only its horizon-cut parks: the same downloads bit for bit
-        # (every time is anchored to a write), from fewer calls.
+        # same users in the same order as waking every parked user, bar the
+        # held wakes, whose decisions would repeat their parks: the same
+        # outcome and sleep transitions from no more calls and READYs.  A
+        # twin wakes only its horizon-cut parks: the same downloads bit for
+        # bit (every time is anchored to a write), from fewer calls.
         cfg = ScenarioConfig(n_users=8, horizon=80.0, mobility="full-coop")
         for seed in range(1, 11):
             profiles = build_profiles(cfg, seed)
@@ -641,14 +728,17 @@ class TestWakeRule:
                     sim_cls(profiles, cap, mob, make_scheduler(name), run_cfg).run()
                     for sim_cls in (_Simulation, _WakeAllSimulation)
                 )
+                assert classify(outcome(got), outcome(want)) == "identical"
                 if noncoop:
-                    assert classify(outcome(got), outcome(want)) == "identical"
                     assert got.counters.calls < want.counters.calls
+                    assert got.messages == want.messages
                 else:
-                    assert got.downloads == want.downloads
-                    assert got.counters == want.counters
-                assert got.aborts == want.aborts
-                assert got.messages == want.messages
+                    assert got.counters.calls <= want.counters.calls
+                    assert got.messages.ready <= want.messages.ready
+                    assert got.messages.ack <= want.messages.ack
+                    assert (got.messages.sleep, got.messages.awake, got.messages.virtual_ack) == (
+                        want.messages.sleep, want.messages.awake, want.messages.virtual_ack
+                    )
                 assert any(seq.records for seq in got.downloads.values())
 
     def test_twin_re_decides_only_on_its_own_events(self):
@@ -694,6 +784,53 @@ class TestWakeRule:
         assert res.counters.wakeups == 3  # user 4 at 1, 2 and 3 s
         old, _ = decisions(_TwinWakeAllSimulation)
         assert old == [(1.0, 1), (1.0, 2), (1.0, 3), (1.0, 4), (2.0, 1), (2.0, 2), (2.0, 3), (2.0, 4)]
+
+
+def _micro_scenario(seed):
+    """A small random cooperative scenario: 2-6 users with their own
+    segment lengths and buffer caps (so anchored instants differ in the
+    last bits), idle helpers, dead-link stretches, two hotspots and
+    transit, and a short no-ACK window, so users fall asleep."""
+    rng = random.Random(seed)
+    ladder = BitrateLadder(tuple(sorted(rng.sample([0.25, 0.5, 0.75, 1.0, 1.5], rng.randint(1, 3)))))
+    T = 20.0
+    profiles, cap_rows, mob_rows = {}, [], []
+    for uid in range(1, rng.randint(2, 6) + 1):
+        beta = rng.choice([0.5, 1.0, 1.5, 2.0, 3.0])
+        profiles[uid] = UserProfile(
+            uid, ladder, segment_len=beta,
+            buffer_cap=beta * rng.choice([1, 2, 3]) + rng.choice([0.0, 0.1, 0.3, 0.7]),
+            video_len=rng.choice([0.0, 0.0, 30.0, 60.0]),
+        )
+        for rows, cuts, values in (
+            (cap_rows, [1.0, 2.0, 3.0, 4.5, 6.0, 8.0, 10.0, 13.0, 16.0], [0.0, 0.3, 0.5, 1.0, 1.3, 2.0, 4.0]),
+            (mob_rows, [2.0, 3.5, 5.0, 7.0, 9.0, 11.0, 15.0], [1, 1, 2, 0]),
+        ):
+            bounds = [0.0, *sorted(rng.sample(cuts, rng.randint(0, 4))), T]
+            rows.extend((uid, lo, hi, rng.choice(values)) for lo, hi in zip(bounds, bounds[1:]))
+    run_cfg = RunConfig(horizon=T, ack_window=rng.choice([0.5, 1.0, 2.0, 5.0]))
+    return profiles, CapacityTrace(T, cap_rows), MobilityTrace(T, mob_rows), run_cfg
+
+
+class TestHeldWakes:
+    def test_random_micro_scenarios(self):
+        # Every held wake repeats its park (checked against the scheduler on
+        # a fresh view), and holding them changes no download, abort,
+        # welfare term or sleep transition: only READY/ACK and the counters.
+        held = 0
+        for seed in range(150):
+            profiles, cap, mob, run_cfg = _micro_scenario(seed)
+            for name in ("lyapunov", "buffer", "prediction"):
+                got, want = (
+                    sim_cls(profiles, cap, mob, make_scheduler(name), run_cfg).run()
+                    for sim_cls in (_CheckedSimulation, _UnheldSimulation)
+                )
+                a, b = outcome(got), outcome(want)
+                assert classify(a, b) == "identical"
+                assert a.messages[2:5] == b.messages[2:5]  # virtual ACK, sleep, awake
+                assert got.messages.ready <= want.messages.ready
+                held += got.counters.wakes_held
+        assert held > 1000
 
 
 class TestEngineCounters:
@@ -752,8 +889,36 @@ class TestEngineCounters:
         assert res.counters == EngineCounters(
             events=8, completions=1, decisions=6, stale=1,
             calls=4, calls_download=1, calls_wait=1, calls_idle=1, calls_cut=1,
-            dead_link_parks=2, wakeups=1,
+            dead_link_parks=2, wakeups=1, wakes_held=0,
         )
+
+    def test_held_wakes_are_counted(self):
+        # Three video users at one hotspot fill 4 s buffers over 4, 2 and
+        # 1 Mbps links and spend most of the run waiting for room.  Ten
+        # deliveries leave the group's hold equal to a waiting user's park,
+        # so those wake-ups are held: the downloads are those of waking
+        # every parked user, from fewer calls and READYs.
+        ladder = BitrateLadder((0.5, 1.0))
+        profiles = {
+            uid: video_profile(uid, ladder=ladder, buffer_cap=4.0, video_len=40.0)
+            for uid in (1, 2, 3)
+        }
+        cap = constant_capacity({1: 4.0, 2: 2.0, 3: 1.0}, 10.0)
+        mob = full_coop_mobility([1, 2, 3], 10.0)
+        got, want = (
+            sim_cls(profiles, cap, mob, make_scheduler("lyapunov"), RunConfig(horizon=10.0)).run()
+            for sim_cls in (_CheckedSimulation, _WakeAllSimulation)
+        )
+        assert got.counters == EngineCounters(
+            events=59, completions=18, decisions=37, stale=4,
+            calls=37, calls_download=18, calls_wait=19, calls_idle=0, calls_cut=0,
+            dead_link_parks=0, wakeups=4, wakes_held=10,
+        )
+        assert result_to_dict(got)["engine"]["wakes_held"] == 10
+        assert got.downloads == want.downloads
+        assert want.counters.wakeups == got.counters.wakeups + got.counters.wakes_held
+        assert (got.counters.calls, got.messages.ready) == (37, 37)
+        assert (want.counters.calls, want.messages.ready) == (42, 42)
 
 
 class TestEngineDifferential:

@@ -14,6 +14,8 @@ from coopstream.schedulers import (
     buffer_based_decide,
     can_afford,
     drift_term,
+    hold,
+    holds,
     lyapunov_decide,
     lyapunov_scores,
     make_scheduler,
@@ -323,6 +325,43 @@ class TestPredictionBaseline:
         high = view(1, [peer(1, 10.0)], history=(5.0, 5.0, 5.0))
         assert prediction_based_decide(low).level == 1
         assert prediction_based_decide(high).level == 5
+
+
+class TestHold:
+    def test_none_while_an_owner_can_take_a_segment(self):
+        assert hold([peer(1, 39.5), peer(2, 20.0)]) is None
+        assert hold([peer(1, 39.5), peer(2, 39.0)]) == Wait(1.0)
+        assert hold([peer(1, 30.0, inflight=5)]) == Idle()
+        assert hold([]) == Idle()
+
+    def test_holding_rules_answer_the_hold(self):
+        # Random cooperative views, many with every owner full or blocked by
+        # in-flight segments: whenever the hold is not None, each holding
+        # rule answers exactly it.
+        rng = random.Random(5)
+        rules = {name: make_scheduler(name) for name in ("lyapunov", "buffer", "prediction")}
+        held = 0
+        for _ in range(300):
+            peers = [
+                peer(uid, rng.choice([rng.uniform(0.0, 40.0), rng.uniform(37.0, 40.0)]),
+                     remaining=rng.choice([0, 3]), inflight=rng.choice([0, 0, 1, 2]),
+                     last=rng.choice([None, 0.7]))
+                for uid in range(1, rng.randint(2, 6))
+            ]
+            v = view(rng.randint(1, len(peers) + 1), peers, capacity=rng.uniform(0.1, 5.0),
+                     history=[rng.uniform(0.1, 3.0) for _ in range(rng.randint(0, 3))])
+            want = hold([p for p in peers if p.remaining > 0])
+            if want is None:
+                continue
+            held += 1
+            for rule in rules.values():
+                assert rule(v) == want
+        assert held > 50
+
+    def test_holding_rules_are_marked_by_name(self):
+        assert all(holds(make_scheduler(n)) for n in ("lyapunov", "buffer", "prediction"))
+        assert not holds(make_scheduler("noncoop"))
+        assert not holds(lyapunov_decide)
 
 
 class TestAffordGuard:
