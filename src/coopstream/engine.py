@@ -1,23 +1,24 @@
 """Discrete-event simulation of cooperative segmented streaming.
 
-The engine owns all ground truth (traces, buffers, reservations) and asks
-a scheduler for a decision whenever a user's radio is free: at t = 0, when
-its own download completes or aborts, when a wait timer fires, when a dead
-link regains capacity, at the next mobility breakpoint of any user after it
-idles, and when a READY wakes it from sleep.  A download that the horizon
-would cut short starts no transfer and revisits at the next breakpoint, as
-an Idle does.  Every decision that starts no transfer parks the user.  A
-delivery or abort changes only the segment owner's snapshot, so it wakes
-only the parked users in the owner's hotspot at that instant (the owner
-alone when it is in transit); a parked user elsewhere cannot see the event
-and keeps its own timer.  Nor does a delivery wake a parked user whose
-park was its group's hold (`schedulers.hold`, the answer of every holding
-rule when no pending owner can take a segment) when the group's new hold
-is the same and the skipped decision would only count a READY and ACKs.
+The engine owns all ground truth (traces, buffers, reservations) and
+decides for a user whenever its radio is free: at t = 0, when its own
+download completes or aborts, when a wait timer fires, when a dead link
+regains capacity, at the next mobility breakpoint of any user after it
+idles, and when a READY wakes it from sleep; never at the horizon.  When
+no pending owner (a video user of its group with segments unreserved; in
+the twin, the decider alone) can take a segment, the engine answers
+`schedulers.hold` itself; only when a transfer can start is the scheduler
+asked.  A download that the horizon would cut short starts no transfer
+and revisits at the next breakpoint, as an Idle does.  Every decision
+that starts no transfer parks the user.  A delivery or abort changes only
+the segment owner's snapshot, so it wakes only the parked users in the
+owner's hotspot at that instant (the owner alone when it is in transit),
+and not one whose park equals its group's new hold when the skipped
+decision would only count a READY and ACKs.
 
 The non-cooperative twin (`RunConfig.noncoop`) re-decides only on its own
-events: its candidates are its own segments, none of them in flight when
-it decides, so its Wait, Idle or dead-link answer depends on its own state
+events: its pending owner is itself, with nothing in flight when it
+decides, so its Wait, Idle or dead-link answer depends on its own state
 alone.  A twin's Idle (nothing of its own left) parks it for good, its Wait
 and dead link keep only their own timers, and only a twin parked by a
 horizon-cut Download, whose level depends on its neighbours and the time,
@@ -54,7 +55,7 @@ from .model import (
     derive_receive_sequences,
     segment_volume,
 )
-from .schedulers import Download, Idle, PeerInfo, SchedulerView, Wait, can_afford, hold, holds
+from .schedulers import Download, Idle, PeerInfo, SchedulerView, Wait, can_afford, hold
 from .welfare import buffer_trajectory, rebuf_loss, user_welfare
 
 _COMPLETE = 0  # deliveries and aborts apply before same-instant decisions
@@ -101,15 +102,19 @@ class MessageStats:
 class EngineCounters:
     """Deterministic event-loop counts of one run (no wall times).
 
-    events = completions + decisions + stale; each scheduler call ends in
-    exactly one of calls_download (a transfer started), calls_wait,
-    calls_idle or calls_cut (a Download the horizon cuts short).
+    events = completions + decisions + stale, and
+    decisions = dead_link_parks + hold_parks + calls: a decision on a live
+    link that no pending owner can serve parks on the group's hold without
+    asking the scheduler.  Each scheduler call ends in exactly one of
+    calls_download (a transfer started), calls_wait, calls_idle or calls_cut
+    (a Download the horizon cuts short).
     """
 
     events: int = 0          # events popped at or before the horizon
     completions: int = 0     # deliveries and aborts applied
     decisions: int = 0       # decision events run
     stale: int = 0           # decision events superseded by a later one
+    hold_parks: int = 0      # decisions answered with the hold, no scheduler call
     calls: int = 0           # scheduler calls
     calls_download: int = 0
     calls_wait: int = 0
@@ -141,7 +146,7 @@ class _UserState:
     abort_cost: float = 0.0
     parked: bool = False
     peer_wake: bool = False  # a parked user whose answer a peer's completion can change
-    hold: Wait | Idle | None = None  # the park's answer when it was its group's hold
+    hold: Wait | Idle | None = None  # the park's Wait or Idle on its whole cooperative group
     gen: int = 0
     # coordination
     asleep: bool = False
@@ -205,10 +210,6 @@ class _Simulation:
             if uid not in cap_trace.tracks or uid not in mob_trace.tracks:
                 raise SimError(f"user {uid} missing from a trace")
         self.users = {uid: _UserState(p) for uid, p in self.profiles.items()}
-        # A holding scheduler answers its group's `hold` whenever that is not
-        # None, which lets a delivery skip re-deciding a parked user whose
-        # park is the group's hold (twins keep their own wake rule).
-        self.holding = holds(scheduler) and not cfg.noncoop
         self.msgs = MessageStats()
         self.counters = EngineCounters()
         self.heap: list = []
@@ -235,9 +236,11 @@ class _Simulation:
 
     def _schedule_decision(self, uid, t):
         # Supersedes any pending decision event for uid via the gen counter.
+        # A decision at the horizon could start nothing, so none is made.
         st = self.users[uid]
         st.gen += 1
-        self._push(t, _DECIDE, uid, gen=st.gen)
+        if t < self.T - TIME_EPS:
+            self._push(t, _DECIDE, uid, gen=st.gen)
 
     def _wake_parked(self, t, owner, delivered):
         # A delivery or abort changes only the owner's snapshot, and a view
@@ -272,10 +275,9 @@ class _Simulation:
         member's no-ACK window has run out (its decision at t puts it to
         sleep, and a later decider would wake it).
         """
-        users = self.users
-        needy = [m for m in group if users[m].is_video_user and users[m].remaining > 0]
+        needy = self._needy(group)
         for m in group:
-            st = users[m]
+            st = self.users[m]
             if st.asleep or (
                 st.sleep_deadline is not None and t >= st.sleep_deadline - TIME_EPS
             ):
@@ -285,11 +287,12 @@ class _Simulation:
     def _repeats(self, uid, t, group_hold, needy) -> bool:
         """True when re-deciding parked `uid` at t would repeat its park.
 
-        A holding scheduler answers the group's hold, so with the park equal
-        to it (the same `until` bit for bit, or Idle, whose next breakpoint
-        cannot have passed), an alive link, and a coordination step that
-        only counts a READY and ACKs (awake, no no-ACK window armed, a needy
-        peer present), the decision would change nothing but those counts.
+        The engine answers the group's hold whenever it is not None, so with
+        the park equal to it (the same `until` bit for bit, or Idle, whose
+        next breakpoint cannot have passed), an alive link, and a
+        coordination step that only counts a READY and ACKs (awake, no
+        no-ACK window armed, a needy peer present), the decision would
+        change nothing but those counts.
         """
         st = self.users[uid]
         return (
@@ -334,6 +337,11 @@ class _Simulation:
             if i + 1 < len(track.values):
                 heapq.heappush(moves, (track.bounds[i + 1], uid, i + 1))
 
+    def _needy(self, members) -> list[int]:
+        """The video users among `members` with segments nobody has reserved."""
+        users = self.users
+        return [m for m in members if users[m].is_video_user and users[m].remaining > 0]
+
     def _group(self, uid, t) -> list[int]:
         """Users that `uid` encounters at t (itself included), ascending."""
         self._move_to(t)
@@ -376,11 +384,7 @@ class _Simulation:
             st.sleep_deadline = None
             self.msgs.sleep += 1
         others = [m for m in group if m != uid]
-        needy = [
-            m
-            for m in others
-            if self.users[m].is_video_user and self.users[m].remaining > 0
-        ]
+        needy = self._needy(others)
         if st.asleep:
             if needy:
                 # A co-located requester pings the sleeper back awake.
@@ -414,30 +418,29 @@ class _Simulation:
         The user re-decides at `wake` when that falls before T and, when
         `peers` says that a peer's completion can change its answer, at any
         delivery or abort of a segment whose owner shares its hotspot.
-        `held` is the Wait or Idle answered by a holding scheduler on the
-        whole group, which a delivery compares with the group's new hold.
+        `held` is the Wait or Idle of a cooperative decision on the whole
+        group, which a delivery compares with the group's new hold.
         """
         st = self.users[uid]
         st.parked = True
         st.peer_wake = peers
         st.hold = held
-        if wake is not None and wake < self.T:
+        if wake is not None:
             self._schedule_decision(uid, wake)
 
     def _decide(self, uid, t):
         st = self.users[uid]
         st.parked = False
-        if t >= self.T - TIME_EPS:
-            return
         # The non-cooperative benchmark severs the download actions and the
         # coordination protocol, but peers stay observable so the drift
         # estimates see the same surroundings as the cooperative twin.
         cooperative = not self.cfg.noncoop
         h = tr.capacity_at(self.cap, uid, t)
+        counters = self.counters
         if h <= 0.0:
             # Dead link: no protocol traffic, come back when the radio has rate
             # (in a twin, only then: no peer's completion revives the link).
-            self.counters.dead_link_parks += 1
+            counters.dead_link_parks += 1
             nxt = tr.next_positive_capacity(self.cap, uid, t)
             self._park(uid, None if nxt is None else max(nxt, t + TIME_EPS), cooperative)
             return
@@ -446,45 +449,44 @@ class _Simulation:
         if alone:
             # Asleep with nobody needy nearby: act on own state only.
             group = [uid]
-        peers = tuple(
-            self._peer_info(m, t) for m in group if self.users[m].is_video_user
-        )
-        view = SchedulerView(
-            profile=st.profile,
-            capacity=h,
-            peers=peers,
-            history=st.history,
-            cooperative=cooperative,
-        )
-        decision = self.scheduler(view)
-        counters = self.counters
-        counters.calls += 1
-        # A holding scheduler's Wait or Idle on the whole group is its hold.
-        held = decision if self.holding and not alone else None
-        if isinstance(decision, Download):
-            if self._start_download(uid, t, group, decision):
-                counters.calls_download += 1
+        answer = hold([self._peer_info(m, t) for m in self._needy(group if cooperative else [uid])])
+        if answer is not None:
+            # No pending owner can take a segment: the hold is the answer.
+            counters.hold_parks += 1
+        else:
+            peers = tuple(self._peer_info(m, t) for m in group if self.users[m].is_video_user)
+            answer = self.scheduler(SchedulerView(st.profile, h, peers, st.history, cooperative))
+            counters.calls += 1
+            if isinstance(answer, Download):
+                if self._start_download(uid, t, group, answer):
+                    counters.calls_download += 1
+                    return
+                # The horizon cuts the transfer short.  The level asked for may
+                # change with the peers and the time, so revisit at the next
+                # mobility breakpoint of any user (never at t itself, where the
+                # same request would come back) and at nearby completions.
+                counters.calls_cut += 1
+                self._park(uid, self.mob.next_breakpoint(t), True)
                 return
-            # The horizon cuts the transfer short.  The level asked for may
-            # change with the peers and the time, so revisit at the next
-            # mobility breakpoint of any user (never at t itself, where the
-            # same request would come back) and at nearby completions.
-            counters.calls_cut += 1
-            self._park(uid, self.mob.next_breakpoint(t), True)
-        elif isinstance(decision, Wait):
-            if not decision.until > t:
+            if isinstance(answer, Wait):
+                counters.calls_wait += 1
+            elif isinstance(answer, Idle):
+                counters.calls_idle += 1
+            else:
+                raise SimError(f"user {uid}: unknown decision {answer!r}")
+        # A cooperative Wait or Idle on the whole group is kept for the
+        # delivery check in `_repeats`.
+        held = answer if cooperative and not alone else None
+        if isinstance(answer, Wait):
+            if not answer.until > t:
                 raise SimError(f"user {uid}: a wait must end after the decision instant")
             # A twin's Wait is its own buffer's shortfall: only its timer ends it.
-            counters.calls_wait += 1
-            self._park(uid, decision.until, cooperative, held)
-        elif isinstance(decision, Idle):
+            self._park(uid, answer.until, cooperative, held)
+        else:
             # Nothing to do here and now: revisit at the next mobility
             # breakpoint of any user.  A twin's Idle means nothing of its own
             # is left to fetch, so it parks for good.
-            counters.calls_idle += 1
             self._park(uid, self.mob.next_breakpoint(t) if cooperative else None, cooperative, held)
-        else:
-            raise SimError(f"user {uid}: unknown decision {decision!r}")
 
     def _start_download(self, uid, t, group, decision) -> bool:
         """Schedule the delivery or abort; False when the horizon cuts it short."""
@@ -541,8 +543,9 @@ class _Simulation:
             partial = tr.integrate_capacity(self.cap, uid, t_start, t)
             st.abort_cost += st.profile.c_time * (t - t_start) + st.profile.c_data * partial
             st.abort_count += 1
-        self._schedule_decision(uid, t)
-        self._wake_parked(t, owner_id, kind == "deliver")
+        if t < self.T - TIME_EPS:  # else nobody decides or wakes
+            self._schedule_decision(uid, t)
+            self._wake_parked(t, owner_id, kind == "deliver")
 
     # -- main loop ---------------------------------------------------------
 

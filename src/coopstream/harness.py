@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import random
 import statistics
@@ -92,6 +93,8 @@ class ScenarioConfig:
             raise ConfigError("repetitions must be at least 1")
         if self.horizon <= 0:
             raise ConfigError("horizon must be positive")
+        if self.ack_window < 0:
+            raise ConfigError("ack_window must be at least 0")
         if self.bound_users < 1 or self.bound_horizon < 1 or self.bound_refine < 0:
             raise ConfigError("bound_users and bound_horizon must be at least 1, bound_refine at least 0")
         try:
@@ -119,7 +122,7 @@ class ScenarioConfig:
         )
 
     def scheduler_params(self, name: str) -> dict:
-        if name in ("lyapunov", "noncoop"):
+        if name == "lyapunov":
             return {"drift_weight": self.drift_weight}
         if name == "buffer":
             return {"low_reserve": self.low_reserve, "min_gap": self.min_gap}
@@ -143,10 +146,14 @@ def _parse_scalar(text: str, kind):
         if text.lower() in ("false", "no", "off", "0"):
             return False
         raise ConfigError(f"expected boolean, got {text!r}")
-    if kind is int:
-        return int(text)
-    if kind is float:
-        return float(text)
+    if kind is int or kind is float:
+        try:
+            value = kind(text)
+        except ValueError:
+            raise ConfigError(f"expected {kind.__name__}, got {text!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"expected a finite number, got {text!r}")
+        return value
     return text
 
 
@@ -367,14 +374,15 @@ def sweep(cfg: ScenarioConfig, axis: str, values: list, out_dir: str | None = No
     """Re-run the scenario for each value of one config field, shared seeds."""
     if axis not in {f.name for f in fields(ScenarioConfig)}:
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    reports = []
-    for value in values:
-        current = getattr(cfg, axis)
-        if isinstance(current, tuple):
-            raise ConfigError(f"cannot sweep list-valued field {axis!r}")
-        cast = _parse_scalar(str(value), type(current))
-        sub = replace(cfg, **{axis: cast, "name": f"{cfg.name}:{axis}={cast}"})
-        reports.append(run_experiment(sub))
+    current = getattr(cfg, axis)
+    if isinstance(current, tuple):
+        raise ConfigError(f"cannot sweep list-valued field {axis!r}")
+    # every value is parsed before the first run
+    casts = [_parse_scalar(str(value), type(current)) for value in values]
+    reports = [
+        run_experiment(replace(cfg, **{axis: cast, "name": f"{cfg.name}:{axis}={cast}"}))
+        for cast in casts
+    ]
     if out_dir is not None:
         _write_reports(reports, reports, out_dir)
     return reports

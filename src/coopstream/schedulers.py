@@ -8,34 +8,24 @@ local snapshot at a decision instant.  It returns one of three decisions:
   re-decide;
 * Idle: nothing to do until the surroundings change.
 
-The engine re-invokes a scheduler whenever the user's own download
-completes or aborts and when its wait timer fires.  A decision that starts
-no transfer parks the user; Idle, and a Download that the horizon would
-cut short, park it until the next mobility breakpoint of any user.  A
-delivery or abort wakes the parked users at the segment owner's hotspot,
-the only ones whose view it changes; a parked user elsewhere keeps its
-timer.  After the last breakpoint, only such a nearby delivery or abort
-re-invokes an idle user.
-
-The lyapunov and baseline rules hold alike: when no pending owner can
-take a segment, each answers `hold(pending)`, a Wait until the earliest
-instant an owner's buffer has room, or Idle.  A delivery that leaves a
-group's hold where a waiting user parked therefore need not re-invoke it;
-`holds` names the rules the engine trusts with that.
+One rule decides when a scheduler is asked.  When no pending owner can
+take a segment, the answer is `hold(pending)`: a Wait until the earliest
+instant an owner's buffer has room, or Idle.  The engine answers that
+itself, so it asks a scheduler only when a transfer can start.  The rules
+below still answer `hold(pending)` in that case, so each stays a total
+function of its view for a direct caller.
 
 In the non-cooperative twin (`SchedulerView.cooperative` False) a rule's
-candidates are the decider's own segments, so its Wait and Idle must follow
-from the decider's own snapshot alone: the engine re-invokes a twin's Wait
-only at its timer and never re-invokes a twin's Idle.  Only a twin's
-horizon-cut Download still wakes at nearby deliveries and aborts, since the
-lyapunov level depends on the bystanders' buffers.
+pending owner is the decider alone: peers stay visible, since their
+buffers feed the lyapunov drift, but none of them is served.  Every row
+reports the twin's figures as its `noncoop_*` columns.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 from .model import TIME_EPS, UserProfile
@@ -122,7 +112,7 @@ def _pending(view: SchedulerView) -> list[PeerInfo]:
 
 def hold(pending: list[PeerInfo]):
     """None when a pending owner can take a segment now; otherwise the
-    fallback every holding rule (`holds`) answers, `_wait_or_idle(pending)`."""
+    answer to the decision, `_wait_or_idle(pending)`."""
     for p in pending:
         if can_afford(p):
             return None
@@ -326,31 +316,12 @@ def prediction_based_decide(
 # Registry used by the harness and the CLI.
 
 
-def _noncoop_decide(view: SchedulerView, drift_weight: float = 100.0):
-    """The lyapunov rule on a self-only view: peers still drift, none are served."""
-    return lyapunov_decide(replace(view, cooperative=False), drift_weight)
-
-
 _RULES = {
     "lyapunov": lyapunov_decide,
     "buffer": buffer_based_decide,
     "prediction": prediction_based_decide,
-    "noncoop": _noncoop_decide,
 }
 SCHEDULER_NAMES = tuple(_RULES)
-# Rules that answer `hold(pending)` of their cooperative view whenever it is
-# not None.  (`noncoop` holds on a self-only view, which the engine's group
-# hold does not see.)
-_HOLDING = frozenset({"lyapunov", "buffer", "prediction"})
-
-
-def holds(scheduler) -> bool:
-    """True for a scheduler named after a holding rule.
-
-    The engine trusts the `name` that `make_scheduler` gives: a wrapper
-    that keeps the name must keep the rule's answers.
-    """
-    return getattr(scheduler, "name", None) in _HOLDING
 
 
 def make_scheduler(name: str, **params):

@@ -1,8 +1,8 @@
 """Engine differential: one fixed set of engine runs through two simulation
 classes, each run classified by how far the two outputs differ.
 
-The set is 720 runs: dense-short, sparse-long and full-coop mobility x
-capacity_hi 0.7/2.5/5 x repetition seeds 1-10 x the four registry
+The set is 540 runs: dense-short, sparse-long and full-coop mobility x
+capacity_hi 0.7/2.5/5 x repetition seeds 1-10 x the three registry
 schedulers x a cooperative run and its non-cooperative twin
 (`RunConfig.noncoop`), on the default scenario otherwise, audit on.  By
 its download records each run is one of
@@ -26,8 +26,9 @@ one.  From the repository root,
     PYTHONPATH=src python tests/engine_differential.py OTHER/src [SEED ...]
 
 compares OTHER's `engine._Simulation` (first) with this checkout's and
-prints the material runs, the split by engine mode with READY/ACK totals
-per side, and the mean cooperative welfare per mobility and scheduler.
+prints the material runs, the split by engine mode with decision,
+scheduler-call and READY/ACK totals per side, and the mean cooperative
+welfare per mobility and scheduler.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import asdict, dataclass
 MOBILITIES = ("dense-short", "sparse-long", "full-coop")
 CAPACITY_HIS = (0.7, 2.5, 5.0)
 SEEDS = range(1, 11)
-SCHEDULERS = ("lyapunov", "buffer", "prediction", "noncoop")
+SCHEDULERS = ("lyapunov", "buffer", "prediction")
 TOL = 1e-9
 ENERGY_TOL = 1e-6
 
@@ -65,6 +66,7 @@ class Row:
     same_messages: bool
     same_sleep: bool  # equal sleep, awake and virtual ACK counts
     same_counters: bool
+    decisions: tuple  # decisions of (a, b)
     calls: tuple      # scheduler calls of (a, b)
     ready: tuple      # READY counts of (a, b)
     ack: tuple        # ACK counts of (a, b)
@@ -162,6 +164,7 @@ def compare(sim_a, sim_b, seeds=SEEDS) -> list[Row]:
                                 a.messages == b.messages,
                                 a.messages[2:5] == b.messages[2:5],
                                 a.counters == b.counters,
+                                (a.counters["decisions"], b.counters["decisions"]),
                                 (a.counters["calls"], b.counters["calls"]),
                                 (a.messages[0], b.messages[0]),
                                 (a.messages[1], b.messages[1]),
@@ -173,7 +176,8 @@ def compare(sim_a, sim_b, seeds=SEEDS) -> list[Row]:
 
 def split(rows: list[Row]) -> dict[str, dict]:
     """Per engine mode: verdict counts, runs with equal messages, sleep
-    transitions and counters, and total calls, READYs and ACKs per side."""
+    transitions and counters, and total decisions, scheduler calls, READYs
+    and ACKs per side."""
     out = {}
     for mode, twin in (("cooperative", False), ("twin", True)):
         part = [r for r in rows if r.key[4] == twin]
@@ -185,7 +189,7 @@ def split(rows: list[Row]) -> dict[str, dict]:
             "same_counters": sum(r.same_counters for r in part),
             **{
                 f"{name}_{side}": sum(getattr(r, name)[i] for r in part)
-                for name in ("calls", "ready", "ack")
+                for name in ("decisions", "calls", "ready", "ack")
                 for i, side in enumerate("ab")
             },
         }

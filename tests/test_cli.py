@@ -86,6 +86,13 @@ def test_usage_and_config_errors_exit_1(tmp_path, capsys):
         ),
         pytest.param("bound", SUBSECOND, id="subsecond-horizon-bound"),
         pytest.param("run", SUBSECOND + "bound_enable = true\n", id="subsecond-horizon-run-bound"),
+        # trace synthesis would never reach an infinite horizon
+        pytest.param("run", "horizon = inf\n", id="infinite-horizon"),
+        pytest.param("run", "horizon = nan\n", id="nan-horizon"),
+        pytest.param("run", "ack_window = nan\n", id="nan-ack-window"),
+        pytest.param("run", "ack_window = -1\n", id="negative-ack-window"),
+        pytest.param("run", "capacity_hi = -inf\n", id="infinite-capacity"),
+        pytest.param("run", "ladder = 0.2,inf\n", id="infinite-ladder-rate"),
     ],
 )
 def test_values_the_run_would_reject_are_config_errors(tmp_path, capsys, command, lines):
@@ -93,6 +100,25 @@ def test_values_the_run_would_reject_are_config_errors(tmp_path, capsys, command
     cfg.write_text(TINY + lines)
     assert main([command, "--config", str(cfg)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_noncoop_is_no_scheduler_name(tmp_path, capsys):
+    # every scheduler runs with its own non-cooperative twin instead
+    cfg = tmp_path / "twin.cfg"
+    cfg.write_text(TINY + "schedulers = lyapunov,noncoop\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "'noncoop'" in err
+    assert "('lyapunov', 'buffer', 'prediction')" in err
+
+
+@pytest.mark.parametrize("values", ["20,inf", "20,abc"])
+def test_sweep_rejects_bad_values_before_running(tiny_cfg, tmp_path, capsys, values):
+    out_dir = tmp_path / "sweep"
+    args = ["sweep", "--config", tiny_cfg, "--axis", "horizon", "--values", values]
+    assert main(args + ["--out", str(out_dir)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_subsecond_horizon_runs_without_the_bound(tmp_path):

@@ -1,7 +1,7 @@
 """Standing output digests: a fixed seeded set of runs and solves, hashed.
 
 The set runs `run_experiment` once per mobility mode and capacity ceiling
-with all four schedulers, so every run has a cooperative and a
+with all three schedulers, so every run has a cooperative and a
 non-cooperative twin, and solves the slotted bound on micro instances and,
 cut short by a node budget, on full-coop prefixes.  Five sha256 digests
 cover separate outputs: download records, welfare terms, coordination

@@ -29,9 +29,11 @@ from coopstream.schedulers import (
     Download,
     Idle,
     PeerInfo,
+    SCHEDULER_NAMES,
     SchedulerView,
     Wait,
     can_afford,
+    hold,
     make_scheduler,
 )
 from coopstream.traces import CapacityTrace, MobilityTrace, constant_capacity, full_coop_mobility
@@ -395,14 +397,17 @@ class TestBadSchedulers:
             run(profiles, cap, mob, rogue, RunConfig(horizon=10.0))
 
     def test_overfull_owner_rejected(self):
-        profiles = {1: video_profile(1, buffer_cap=4.0)}
-        cap = CapacityTrace(20.0, [(1, 0.0, 20.0, 50.0)])
-        mob = full_coop_mobility([1], 20.0)
+        # Owner 2 always has room, so the engine asks the scheduler even
+        # once owner 1's 4 s buffer is full, and the rogue keeps asking for
+        # owner 1's next segment.
+        profiles = {1: video_profile(1, buffer_cap=4.0), 2: video_profile(2)}
+        cap = CapacityTrace(20.0, [(1, 0.0, 20.0, 50.0), (2, 0.0, 20.0, 50.0)])
+        mob = full_coop_mobility([1, 2], 20.0)
 
         def rogue(view):
             return Download(1, 1)
 
-        with pytest.raises(SimError):
+        with pytest.raises(SimError, match="buffer cannot take a segment"):
             run(profiles, cap, mob, rogue, RunConfig(horizon=20.0))
 
     def test_bad_level_rejected(self):
@@ -437,26 +442,32 @@ class _CheckedSimulation(_Simulation):
     users with `traces.encountered`, and every PeerInfo and the history
     handed to the scheduler must equal ones built afresh from the state,
     the buffer drained from its delivery anchors to the decision instant.
-    After every decision before T the user is parked or has a delivery or
-    abort pending, so no decision strands it.  After every delivery or
-    abort, each parked user co-located with the segment's owner whose park
-    lets a peer's completion change its answer has a decision pending at
-    that instant, unless its wake was held.  Every cooperative park is such
-    a park.  In a non-cooperative twin only a horizon-cut Download is: a
-    twin decider has no segment of its own in flight, and its Idle finds
-    nothing of its own left to fetch and leaves no decision pending.
+    After every decision the user is parked or has a delivery or abort
+    pending, so no decision strands it.  After every delivery or abort
+    before the horizon, each parked user co-located with the segment's
+    owner whose park lets a peer's completion change its answer has a
+    decision pending at that instant, unless its wake was held.  Every
+    cooperative park is such a park.  In a non-cooperative twin only a
+    horizon-cut Download is: a twin decider has no segment of its own in
+    flight, and its Idle finds nothing of its own left to fetch and leaves
+    no decision pending.
 
-    A wake is held only after a delivery in a cooperative run of a holding
-    scheduler.  For each held wake the scheduler runs on the view that the
-    skipped decision would have had, built afresh, and must repeat the
-    user's park; that decision's coordination step must only count a READY
-    and ACKs.
+    At every decision that the engine answers with the hold, without a
+    scheduler call, a registry rule runs on the view that the decision
+    would have handed it, built afresh, and must answer that same Wait or
+    Idle; the user must be parked where that answer puts it.
+
+    A wake is held only after a delivery in a cooperative run.  For each
+    held wake the hold of the group, built afresh, must equal the user's
+    park, and the skipped decision's coordination step must only count a
+    READY and ACKs.
     """
 
     def __init__(self, *args):
         super().__init__(*args)
         self.decision_times = []
         self.decide = decide = self.scheduler
+        self.registry = getattr(decide, "name", None) in SCHEDULER_NAMES
 
         def checked(view):
             st = self.users[view.user_id]
@@ -475,21 +486,43 @@ class _CheckedSimulation(_Simulation):
 
     def _decide(self, uid, t):
         self.now = t
-        idles, cuts = self.counters.calls_idle, self.counters.calls_cut
+        parks, cuts = self.counters.hold_parks, self.counters.calls_cut
         super()._decide(uid, t)
         st = self.users[uid]
-        if t < self.T - TIME_EPS:
-            assert st.parked or any(
-                kind == _COMPLETE and who == uid for _, kind, who, *_ in self.heap
-            )
+        assert st.parked or any(
+            kind == _COMPLETE and who == uid for _, kind, who, *_ in self.heap
+        )
         if st.parked:
             assert st.peer_wake == (not self.cfg.noncoop or self.counters.calls_cut > cuts)
-            if self.cfg.noncoop and self.counters.calls_idle > idles:
-                assert st.remaining == 0
-                assert not any(
-                    kind == _DECIDE and who == uid and gen == st.gen
-                    for _, kind, who, _, gen, _ in self.heap
-                )
+        if self.counters.hold_parks > parks:
+            self._check_hold_park(uid, t)
+
+    def _check_hold_park(self, uid, t):
+        st = self.users[uid]
+        cooperative = not self.cfg.noncoop
+        # A cooperative decider still asleep after its coordination step
+        # acted on its own state alone.
+        alone = cooperative and st.asleep
+        group = [uid] if alone else self._scan_group(uid, t)
+        view = SchedulerView(
+            profile=st.profile,
+            capacity=tr.capacity_at(self.cap, uid, t),
+            peers=tuple(
+                self._fresh_peer_info(m, t) for m in group if self.users[m].is_video_user
+            ),
+            history=st.history,
+            cooperative=cooperative,
+        )
+        answer = hold(
+            [p for p in view.peers if p.remaining > 0 and (cooperative or p.user_id == uid)]
+        )
+        assert isinstance(answer, (Wait, Idle))
+        if self.registry:
+            assert self.decide(view) == answer
+        if not cooperative and isinstance(answer, Idle):
+            assert st.remaining == 0
+        assert st.parked and st.hold == (answer if cooperative and not alone else None)
+        assert self._pending_decisions(uid) == self._wakes(t, answer)
 
     def _complete(self, uid, t, payload):
         kind, owner = payload[:2]
@@ -497,11 +530,11 @@ class _CheckedSimulation(_Simulation):
         wakes_held = self.counters.wakes_held
         super()._complete(uid, t, payload)
         held = 0
-        for m in self.profiles:
+        for m in self.profiles if t < self.T - TIME_EPS else ():
             st = self.users[m]
             if st.parked and st.peer_wake and tr.encountered(self.mob, owner, m, t):
                 if st.gen == gens[m]:
-                    assert kind == "deliver" and self.holding and not self.cfg.noncoop
+                    assert kind == "deliver" and not self.cfg.noncoop
                     self._check_held(m, t)
                     held += 1
                 else:
@@ -513,44 +546,42 @@ class _CheckedSimulation(_Simulation):
 
     def _check_held(self, uid, t):
         st = self.users[uid]
-        h = tr.capacity_at(self.cap, uid, t)
-        assert h > 0.0  # else the decision would park on the dead link
-        group = [m for m in self.profiles if tr.encountered(self.mob, uid, m, t)]
+        assert tr.capacity_at(self.cap, uid, t) > 0.0  # else the decision would park on the dead link
+        group = self._scan_group(uid, t)
         # The coordination step would only count: the decider is awake with
         # no no-ACK window armed and has a needy peer, and nobody in the
         # group is asleep or falls asleep at t.
         assert not st.asleep and st.sleep_deadline is None
-        assert any(
-            m != uid and self.users[m].is_video_user and self.users[m].remaining > 0
-            for m in group
-        )
+        needy = [m for m in group if self.users[m].is_video_user and self.users[m].remaining > 0]
+        assert any(m != uid for m in needy)
         for m in group:
             peer = self.users[m]
             assert not peer.asleep
             assert peer.sleep_deadline is None or t < peer.sleep_deadline - TIME_EPS
-        view = SchedulerView(
-            profile=st.profile,
-            capacity=h,
-            peers=tuple(
-                self._fresh_peer_info(m, t) for m in group if self.users[m].is_video_user
-            ),
-            history=st.history,
-            cooperative=True,
-        )
-        decision = self.decide(view)
-        assert isinstance(decision, (Wait, Idle)) and decision == st.hold
-        # ... and the same park: its pending decision is where the decision
-        # would put it (or at t, where it decides anyway)
-        wake = decision.until if isinstance(decision, Wait) else self.mob.next_breakpoint(t)
-        pending = [
-            at for at, kind, who, _, gen, _ in self.heap
-            if kind == _DECIDE and who == uid and gen == st.gen
-        ]
-        assert pending in ([wake] if wake is not None and wake < self.T else [], [t])
+        # The engine would answer the decision with the group's hold, and
+        # park the user where it is parked (or decide at t anyway).
+        answer = hold([self._fresh_peer_info(m, t) for m in needy])
+        assert isinstance(answer, (Wait, Idle)) and answer == st.hold
+        assert self._pending_decisions(uid) in (self._wakes(t, answer), [t])
+
+    def _pending_decisions(self, uid):
+        gen = self.users[uid].gen
+        return [at for at, kind, who, _, g, _ in self.heap if kind == _DECIDE and who == uid and g == gen]
+
+    def _wakes(self, t, answer):
+        """The pending decisions a park on `answer` at t leaves."""
+        if isinstance(answer, Wait):
+            wake = answer.until
+        else:
+            wake = self.mob.next_breakpoint(t) if not self.cfg.noncoop else None
+        return [wake] if wake is not None and wake < self.T - TIME_EPS else []
+
+    def _scan_group(self, uid, t):
+        return [m for m in self.profiles if tr.encountered(self.mob, uid, m, t)]
 
     def _group(self, uid, t):
         group = super()._group(uid, t)
-        assert group == [m for m in self.profiles if tr.encountered(self.mob, uid, m, t)]
+        assert group == self._scan_group(uid, t)
         self.decision_times.append(t)
         return group
 
@@ -643,9 +674,8 @@ class _UnheldSimulation(_Simulation):
     parked user at the owner's hotspot whose park a peer's completion can
     change."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.holding = False
+    def _park(self, uid, wake, peers, held=None):
+        super()._park(uid, wake, peers)
 
 
 class _TwinWakeAllSimulation(_Simulation):
@@ -654,13 +684,17 @@ class _TwinWakeAllSimulation(_Simulation):
     the next mobility breakpoint.  Cooperative runs are unchanged."""
 
     def _decide(self, uid, t):
-        idles = self.counters.calls_idle
+        self.now = t
         super()._decide(uid, t)
-        st = self.users[uid]
-        if st.parked and self.cfg.noncoop:
-            st.peer_wake = True
-            if self.counters.calls_idle > idles:
-                self._park(uid, self.mob.next_breakpoint(t), True)
+
+    def _park(self, uid, wake, peers, held=None):
+        if self.cfg.noncoop:
+            peers = True
+            # Only an Idle parks on a live link with no timer; a horizon-cut
+            # Download's timer is already the next breakpoint.
+            if wake is None and tr.capacity_at(self.cap, uid, self.now) > 0.0:
+                wake = self.mob.next_breakpoint(self.now)
+        super()._park(uid, wake, peers, held)
 
 
 class TestWakeRule:
@@ -710,14 +744,16 @@ class TestWakeRule:
         assert later == [(1.0, 1), (1.0, 2), (2.0, 4)]
         assert res.counters.wakeups == 1
 
-    @pytest.mark.parametrize("name", ["lyapunov", "buffer", "prediction", "noncoop"])
+    @pytest.mark.parametrize("name", ["lyapunov", "buffer", "prediction"])
     def test_full_coop_matches_wake_all(self, name):
         # With every user always at one hotspot, the pruned rule wakes the
         # same users in the same order as waking every parked user, bar the
         # held wakes, whose decisions would repeat their parks: the same
-        # outcome and sleep transitions from no more calls and READYs.  A
-        # twin wakes only its horizon-cut parks: the same downloads bit for
-        # bit (every time is anchored to a write), from fewer calls.
+        # outcome and sleep transitions from no more decisions and READYs.
+        # A twin wakes only its horizon-cut parks: the same downloads bit for
+        # bit (every time is anchored to a write), from fewer decisions.
+        # Either way a decision that no pending owner can serve is answered
+        # with the hold, so both sides ask the scheduler the same questions.
         cfg = ScenarioConfig(n_users=8, horizon=80.0, mobility="full-coop")
         for seed in range(1, 11):
             profiles = build_profiles(cfg, seed)
@@ -729,11 +765,12 @@ class TestWakeRule:
                     for sim_cls in (_Simulation, _WakeAllSimulation)
                 )
                 assert classify(outcome(got), outcome(want)) == "identical"
+                assert got.counters.calls == want.counters.calls
                 if noncoop:
-                    assert got.counters.calls < want.counters.calls
+                    assert got.counters.decisions < want.counters.decisions
                     assert got.messages == want.messages
                 else:
-                    assert got.counters.calls <= want.counters.calls
+                    assert got.counters.decisions <= want.counters.decisions
                     assert got.messages.ready <= want.messages.ready
                     assert got.messages.ack <= want.messages.ack
                     assert (got.messages.sleep, got.messages.awake, got.messages.virtual_ack) == (
@@ -757,9 +794,7 @@ class TestWakeRule:
         def decisions(sim_cls):
             waits = []
 
-            def scripted(view):
-                if view.user_id == 3:
-                    return Idle()
+            def scripted(view):  # never asked for helper 3, which has nothing pending
                 if view.user_id == 2:
                     waits.append(view)
                     return Wait(1.5 if len(waits) == 1 else 100.0)
@@ -780,8 +815,8 @@ class TestWakeRule:
         got, res = decisions(_CheckedSimulation)
         assert [r.t_end for r in res.downloads[1].records] == [1.0, 2.0, 3.0]
         assert got == [(1.0, 1), (1.0, 4), (1.5, 2), (2.0, 1), (2.0, 4)]
-        assert res.counters.calls_idle == 1 and res.counters.calls_cut == 3
-        assert res.counters.wakeups == 3  # user 4 at 1, 2 and 3 s
+        assert res.counters.hold_parks == 1 and res.counters.calls_cut == 3  # user 3's Idle
+        assert res.counters.wakeups == 2  # user 4 at 1 and 2 s; nobody decides at T
         old, _ = decisions(_TwinWakeAllSimulation)
         assert old == [(1.0, 1), (1.0, 2), (1.0, 3), (1.0, 4), (2.0, 1), (2.0, 2), (2.0, 3), (2.0, 4)]
 
@@ -854,12 +889,13 @@ class TestEngineCounters:
         downloads = sum(len(seq.records) for seq in a.downloads.values())
         aborts = sum(count for count, _ in a.aborts.values())
         assert c.calls_download == c.completions == downloads + aborts
-        assert c.decisions >= c.calls + c.dead_link_parks
-        assert c.calls > c.calls_download > 0
+        # every decision parks on a dead link, parks on the hold, or asks
+        # the scheduler, and lyapunov downloads whenever it is asked
+        assert c.decisions == c.dead_link_parks + c.hold_parks + c.calls
+        assert c.calls == c.calls_download + c.calls_cut
+        assert c.hold_parks > 0 and c.calls_download > 0
         if mobility == "non-coop":
-            # A twin's Idle parks for good, and only a wake-up can
-            # supersede a twin's pending decision.
-            assert c.calls_idle <= len(a.profiles)
+            # Only a wake-up can supersede a twin's pending decision.
             assert c.stale <= c.wakeups
         else:
             assert c.stale > 0
@@ -887,7 +923,7 @@ class TestEngineCounters:
         res = run(profiles, cap, mob, scripted, RunConfig(horizon=3.0))
         assert [r.t_end for r in res.downloads[1].records] == [0.4]
         assert res.counters == EngineCounters(
-            events=8, completions=1, decisions=6, stale=1,
+            events=8, completions=1, decisions=6, stale=1, hold_parks=0,
             calls=4, calls_download=1, calls_wait=1, calls_idle=1, calls_cut=1,
             dead_link_parks=2, wakeups=1, wakes_held=0,
         )
@@ -909,16 +945,19 @@ class TestEngineCounters:
             sim_cls(profiles, cap, mob, make_scheduler("lyapunov"), RunConfig(horizon=10.0)).run()
             for sim_cls in (_CheckedSimulation, _WakeAllSimulation)
         )
+        # Every Wait is the group's hold, answered by the engine: the
+        # scheduler is asked only for the 18 downloads.
         assert got.counters == EngineCounters(
-            events=59, completions=18, decisions=37, stale=4,
-            calls=37, calls_download=18, calls_wait=19, calls_idle=0, calls_cut=0,
+            events=59, completions=18, decisions=37, stale=4, hold_parks=19,
+            calls=18, calls_download=18, calls_wait=0, calls_idle=0, calls_cut=0,
             dead_link_parks=0, wakeups=4, wakes_held=10,
         )
         assert result_to_dict(got)["engine"]["wakes_held"] == 10
         assert got.downloads == want.downloads
         assert want.counters.wakeups == got.counters.wakeups + got.counters.wakes_held
-        assert (got.counters.calls, got.messages.ready) == (37, 37)
-        assert (want.counters.calls, want.messages.ready) == (42, 42)
+        assert (got.counters.decisions, got.counters.hold_parks, got.messages.ready) == (37, 19, 37)
+        assert (want.counters.decisions, want.counters.hold_parks, want.messages.ready) == (42, 24, 42)
+        assert got.counters.calls == want.counters.calls == 18
 
 
 class TestEngineDifferential:
@@ -932,17 +971,18 @@ class TestEngineDifferential:
         coop, twin = parts["cooperative"], parts["twin"]
         assert coop["noise"] == twin["noise"] == 0
         assert coop["identical"] > 0
-        assert twin["identical"] == twin["same_messages"] == twin["runs"] == 36
-        assert twin["calls_a"] < twin["calls_b"]
+        assert twin["identical"] == twin["same_messages"] == twin["runs"] == 27
+        assert twin["calls_a"] == twin["calls_b"]
+        assert twin["decisions_a"] < twin["decisions_b"]
 
     def test_one_seed_of_the_engine_set_against_the_old_twin_rule(self):
-        # Seed 1 of the 720-run set: cooperative runs are bit for bit the
-        # old rule's, twins differ at most by float noise and make far
-        # fewer scheduler calls.
+        # Seed 1 of the 540-run set: cooperative runs are bit for bit the
+        # old rule's, and so are twins, from far fewer decisions.  The old
+        # rule's extra twin decisions are all answered with the hold, so
+        # both sides ask the scheduler the same questions.
         parts = split(compare(_Simulation, _TwinWakeAllSimulation, seeds=(1,)))
         coop, twin = parts["cooperative"], parts["twin"]
-        assert coop["identical"] == coop["same_messages"] == coop["same_counters"] == coop["runs"] == 36
-        assert coop["calls_a"] == coop["calls_b"]
-        assert twin["runs"] == twin["same_messages"] == 36
-        assert twin["material"] == 0 and twin["identical"] > 0
-        assert twin["calls_a"] <= 0.4 * twin["calls_b"]
+        assert coop["identical"] == coop["same_messages"] == coop["same_counters"] == coop["runs"] == 27
+        assert twin["identical"] == twin["same_messages"] == twin["runs"] == 27
+        assert twin["calls_a"] == twin["calls_b"]
+        assert twin["decisions_a"] <= 0.4 * twin["decisions_b"]

@@ -6,6 +6,7 @@ import pytest
 
 from coopstream.model import BitrateLadder, UserProfile, segment_volume
 from coopstream.schedulers import (
+    SCHEDULER_NAMES,
     Download,
     Idle,
     PeerInfo,
@@ -15,7 +16,6 @@ from coopstream.schedulers import (
     can_afford,
     drift_term,
     hold,
-    holds,
     lyapunov_decide,
     lyapunov_scores,
     make_scheduler,
@@ -238,7 +238,12 @@ class TestScoreKernel:
 
 
 class TestGreedyNoncoop:
-    noncoop = staticmethod(make_scheduler("noncoop"))
+    """The lyapunov rule in the non-cooperative twin: peers still drift,
+    none are served."""
+
+    @staticmethod
+    def noncoop(v):
+        return make_scheduler("lyapunov")(replace(v, cooperative=False))
 
     def test_self_only(self):
         v = view(1, [peer(1, 30.0), peer(2, 0.0)], capacity=10.0)
@@ -261,7 +266,7 @@ class TestGreedyNoncoop:
                 v = view(1, [peer(1, buf)], capacity=cap)
                 assert self.noncoop(v) == lyapunov_decide(v)
         # with co-located peers, which still enter the drift and bystander
-        # terms, it is the same rule on the self-only view
+        # terms, it is the cooperative rule with nothing of theirs left
         rng = random.Random(11)
         for _ in range(60):
             peers = [
@@ -271,7 +276,8 @@ class TestGreedyNoncoop:
                 for uid in (1, 2, 3)
             ]
             v = view(1, peers, capacity=rng.uniform(0.3, 6.0))
-            assert self.noncoop(v) == lyapunov_decide(replace(v, cooperative=False))
+            served = [p if p.user_id == 1 else replace(p, remaining=0) for p in peers]
+            assert self.noncoop(v) == lyapunov_decide(replace(v, peers=tuple(served)))
 
 
 class TestBufferBaseline:
@@ -358,11 +364,6 @@ class TestHold:
                 assert rule(v) == want
         assert held > 50
 
-    def test_holding_rules_are_marked_by_name(self):
-        assert all(holds(make_scheduler(n)) for n in ("lyapunov", "buffer", "prediction"))
-        assert not holds(make_scheduler("noncoop"))
-        assert not holds(lyapunov_decide)
-
 
 class TestAffordGuard:
     def test_counts_inflight(self):
@@ -375,15 +376,18 @@ class TestAffordGuard:
 
 class TestRegistry:
     def test_known_names(self):
-        for name in ("lyapunov", "buffer", "prediction", "noncoop"):
+        assert SCHEDULER_NAMES == ("lyapunov", "buffer", "prediction")
+        for name in SCHEDULER_NAMES:
             fn = make_scheduler(name)
             assert fn.name == name
             v = view(1, [peer(1, 10.0)], capacity=2.3)
             assert fn(v) is not None
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            make_scheduler("nope")
+        # the twin is every rule's own non-cooperative run, not a rule
+        for name in ("nope", "noncoop"):
+            with pytest.raises(ValueError):
+                make_scheduler(name)
 
     def test_params_forwarded(self):
         fn = make_scheduler("lyapunov", drift_weight=0.0)
@@ -419,7 +423,7 @@ class TestRegistry:
         assert changed > 0
 
     def test_unknown_param_rejected_when_built(self):
-        for name in ("lyapunov", "buffer", "prediction", "noncoop"):
+        for name in SCHEDULER_NAMES:
             with pytest.raises(TypeError):
                 make_scheduler(name, bogus=1.0)
         with pytest.raises(TypeError):
