@@ -2,27 +2,25 @@
 
 The engine owns all ground truth (traces, buffers, reservations) and
 decides for a user whenever its radio is free: at t = 0, when its own
-download completes or aborts, when a wait timer fires, when a dead link
-regains capacity, at the next mobility breakpoint of any user after it
-idles, and when a READY wakes it from sleep; never at the horizon.  When
-no pending owner (a video user of its group with segments unreserved; in
-the twin, the decider alone) can take a segment, the engine answers
-`schedulers.hold` itself; only when a transfer can start is the scheduler
-asked.  A download that the horizon would cut short starts no transfer
-and revisits at the next breakpoint, as an Idle does.  Every decision
-that starts no transfer parks the user.  A delivery or abort changes only
-the segment owner's snapshot, so it wakes only the parked users in the
-owner's hotspot at that instant (the owner alone when it is in transit),
-and not one whose park equals its group's new hold when the skipped
-decision would only count a READY and ACKs.
+download completes or aborts, and when its park ends; never at the
+horizon.  When no pending owner (a video user of its group with segments
+unreserved; in the non-cooperative twin, `RunConfig.noncoop`, the decider
+alone) can take a segment, the engine answers `schedulers.hold` itself;
+only when a transfer can start is the scheduler asked.
 
-The non-cooperative twin (`RunConfig.noncoop`) re-decides only on its own
-events: its pending owner is itself, with nothing in flight when it
-decides, so its Wait, Idle or dead-link answer depends on its own state
-alone.  A twin's Idle (nothing of its own left) parks it for good, its Wait
-and dead link keep only their own timers, and only a twin parked by a
-horizon-cut Download, whose level depends on its neighbours and the time,
-still wakes at nearby deliveries and aborts.
+Every decision that starts no transfer parks the user on one value, read
+by one wake rule (`_wake_parked`):
+
+* `_OWN` (a dead link; a twin's Wait or Idle): only its own timer ends it;
+* `_ANY` (a Download the horizon would cut short): any delivery or abort
+  of a segment whose owner shares its hotspot ends it;
+* a cooperative Wait or Idle: such a completion ends it unless it leaves
+  the group's hold equal to the park (see `_repeats`).
+
+A Wait's timer is its instant, a dead link's the link's return, a cut
+Download's or cooperative Idle's the next mobility breakpoint of any user;
+a twin's Idle has none.  A READY wakes a sleeping user unless it is parked
+`_OWN`.
 
 A decider's group comes from a hotspot-occupancy index advanced to the
 decision instant.  Time state is anchored to writes: a buffer is stored as
@@ -60,6 +58,9 @@ from .welfare import buffer_trajectory, rebuf_loss, user_welfare
 
 _COMPLETE = 0  # deliveries and aborts apply before same-instant decisions
 _DECIDE = 1
+
+_OWN = "own"  # park kinds besides a cooperative Wait or Idle (see `_wake_parked`)
+_ANY = "any"
 
 
 class SimError(RuntimeError):
@@ -144,9 +145,9 @@ class _UserState:
     history: tuple[float, ...] = ()
     abort_count: int = 0
     abort_cost: float = 0.0
-    parked: bool = False
-    peer_wake: bool = False  # a parked user whose answer a peer's completion can change
-    hold: Wait | Idle | None = None  # the park's Wait or Idle on its whole cooperative group
+    # None while deciding or with a transfer in flight, else the park:
+    # _OWN, _ANY or a cooperative Wait or Idle (see `_wake_parked`)
+    park: str | Wait | Idle | None = None
     gen: int = 0
     # coordination
     asleep: bool = False
@@ -242,24 +243,23 @@ class _Simulation:
         if t < self.T - TIME_EPS:
             self._push(t, _DECIDE, uid, gen=st.gen)
 
-    def _wake_parked(self, t, owner, delivered):
+    def _wake_parked(self, t, owner):
         # A delivery or abort changes only the owner's snapshot, and a view
         # holds the snapshots of the decider's group alone, so only parked
         # users at the owner's hotspot at t (the owner alone in transit) can
-        # see it, and of those only the ones whose park said that a peer's
-        # completion can change their answer.  A parked user has no transfer
-        # in flight: it decides now, unless a delivery left its group's hold
-        # equal to its park (see `_repeats`).
+        # see it.  Of those, an _OWN park keeps its timer, an _ANY park
+        # decides now, and a cooperative Wait or Idle decides now unless the
+        # group's hold still equals it (see `_repeats`).
         self._move_to(t)
         spot = self.spot[owner]
         group = sorted(self.occupants[spot]) if spot else [owner]
         counters = self.counters
         held = None  # (hold, needy) of the group, once a parked user needs it
         for uid in group:
-            st = self.users[uid]
-            if not (st.parked and st.peer_wake):
+            park = self.users[uid].park
+            if park is None or park is _OWN:
                 continue
-            if st.hold is not None and delivered:
+            if park is not _ANY:
                 if held is None:
                     held = self._group_hold(group, t)
                 if self._repeats(uid, t, *held):
@@ -297,7 +297,7 @@ class _Simulation:
         st = self.users[uid]
         return (
             group_hold is not None
-            and st.hold == group_hold
+            and st.park == group_hold
             and st.sleep_deadline is None
             and any(m != uid for m in needy)
             and tr.capacity_at(self.cap, uid, t) > 0.0
@@ -404,7 +404,7 @@ class _Simulation:
                         peer.asleep = False
                         peer.sleep_deadline = None
                         self.msgs.awake += 1
-                        if peer.parked:
+                        if peer.park is not None and peer.park is not _OWN:
                             self._schedule_decision(m, t)
             elif st.sleep_deadline is None:
                 st.sleep_deadline = t + self.cfg.ack_window
@@ -412,25 +412,17 @@ class _Simulation:
 
     # -- decision handling -------------------------------------------------
 
-    def _park(self, uid, wake, peers, held=None):
-        """End a decision that starts no transfer.
-
-        The user re-decides at `wake` when that falls before T and, when
-        `peers` says that a peer's completion can change its answer, at any
-        delivery or abort of a segment whose owner shares its hotspot.
-        `held` is the Wait or Idle of a cooperative decision on the whole
-        group, which a delivery compares with the group's new hold.
-        """
-        st = self.users[uid]
-        st.parked = True
-        st.peer_wake = peers
-        st.hold = held
+    def _park(self, uid, wake, park):
+        """End a decision that starts no transfer: the user re-decides at
+        `wake` when that falls before T, and at the completions that `park`
+        lets wake it (see `_wake_parked`)."""
+        self.users[uid].park = park
         if wake is not None:
             self._schedule_decision(uid, wake)
 
     def _decide(self, uid, t):
         st = self.users[uid]
-        st.parked = False
+        st.park = None
         # The non-cooperative benchmark severs the download actions and the
         # coordination protocol, but peers stay observable so the drift
         # estimates see the same surroundings as the cooperative twin.
@@ -438,15 +430,14 @@ class _Simulation:
         h = tr.capacity_at(self.cap, uid, t)
         counters = self.counters
         if h <= 0.0:
-            # Dead link: no protocol traffic, come back when the radio has rate
-            # (in a twin, only then: no peer's completion revives the link).
+            # Dead link: no protocol traffic, come back when the radio has
+            # rate; no peer's completion or READY revives the link.
             counters.dead_link_parks += 1
             nxt = tr.next_positive_capacity(self.cap, uid, t)
-            self._park(uid, None if nxt is None else max(nxt, t + TIME_EPS), cooperative)
+            self._park(uid, None if nxt is None else max(nxt, t + TIME_EPS), _OWN)
             return
         group = self._group(uid, t)
-        alone = cooperative and not self._coordination(uid, t, group)
-        if alone:
+        if cooperative and not self._coordination(uid, t, group):
             # Asleep with nobody needy nearby: act on own state only.
             group = [uid]
         answer = hold([self._peer_info(m, t) for m in self._needy(group if cooperative else [uid])])
@@ -466,7 +457,7 @@ class _Simulation:
                 # mobility breakpoint of any user (never at t itself, where the
                 # same request would come back) and at nearby completions.
                 counters.calls_cut += 1
-                self._park(uid, self.mob.next_breakpoint(t), True)
+                self._park(uid, self.mob.next_breakpoint(t), _ANY)
                 return
             if isinstance(answer, Wait):
                 counters.calls_wait += 1
@@ -474,19 +465,18 @@ class _Simulation:
                 counters.calls_idle += 1
             else:
                 raise SimError(f"user {uid}: unknown decision {answer!r}")
-        # A cooperative Wait or Idle on the whole group is kept for the
-        # delivery check in `_repeats`.
-        held = answer if cooperative and not alone else None
+        # A twin's Wait is its own buffer's shortfall, and its Idle means
+        # nothing of its own is left to fetch: only its timer ends either,
+        # and an Idle parks it for good.
+        park = answer if cooperative else _OWN
         if isinstance(answer, Wait):
             if not answer.until > t:
                 raise SimError(f"user {uid}: a wait must end after the decision instant")
-            # A twin's Wait is its own buffer's shortfall: only its timer ends it.
-            self._park(uid, answer.until, cooperative, held)
+            self._park(uid, answer.until, park)
         else:
             # Nothing to do here and now: revisit at the next mobility
-            # breakpoint of any user.  A twin's Idle means nothing of its own
-            # is left to fetch, so it parks for good.
-            self._park(uid, self.mob.next_breakpoint(t) if cooperative else None, cooperative, held)
+            # breakpoint of any user.
+            self._park(uid, self.mob.next_breakpoint(t) if cooperative else None, park)
 
     def _start_download(self, uid, t, group, decision) -> bool:
         """Schedule the delivery or abort; False when the horizon cuts it short."""
@@ -545,7 +535,7 @@ class _Simulation:
             st.abort_count += 1
         if t < self.T - TIME_EPS:  # else nobody decides or wakes
             self._schedule_decision(uid, t)
-            self._wake_parked(t, owner_id, kind == "deliver")
+            self._wake_parked(t, owner_id)
 
     # -- main loop ---------------------------------------------------------
 

@@ -93,8 +93,13 @@ class ScenarioConfig:
             raise ConfigError("repetitions must be at least 1")
         if self.horizon <= 0:
             raise ConfigError("horizon must be positive")
-        if self.ack_window < 0:
-            raise ConfigError("ack_window must be at least 0")
+        for key in ("ack_window", "drift_weight", "low_reserve", "min_gap", "prediction_window"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be at least 0")
+        if not self.schedulers:
+            raise ConfigError("schedulers must name at least one scheduler")
+        if len(set(self.schedulers)) < len(self.schedulers):
+            raise ConfigError(f"schedulers must not repeat a name: {self.schedulers}")
         if self.bound_users < 1 or self.bound_horizon < 1 or self.bound_refine < 0:
             raise ConfigError("bound_users and bound_horizon must be at least 1, bound_refine at least 0")
         try:
@@ -377,12 +382,12 @@ def sweep(cfg: ScenarioConfig, axis: str, values: list, out_dir: str | None = No
     current = getattr(cfg, axis)
     if isinstance(current, tuple):
         raise ConfigError(f"cannot sweep list-valued field {axis!r}")
-    # every value is parsed before the first run
+    # every value is parsed, and every swept config validated, before the first run
     casts = [_parse_scalar(str(value), type(current)) for value in values]
-    reports = [
-        run_experiment(replace(cfg, **{axis: cast, "name": f"{cfg.name}:{axis}={cast}"}))
-        for cast in casts
-    ]
+    configs = [replace(cfg, **{axis: cast, "name": f"{cfg.name}:{axis}={cast}"}) for cast in casts]
+    for c in configs:
+        c.validate()
+    reports = [run_experiment(c) for c in configs]
     if out_dir is not None:
         _write_reports(reports, reports, out_dir)
     return reports

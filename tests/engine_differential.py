@@ -1,11 +1,14 @@
-"""Engine differential: one fixed set of engine runs through two simulation
+"""Engine differential: fixed sets of engine runs through two simulation
 classes, each run classified by how far the two outputs differ.
 
-The set is 540 runs: dense-short, sparse-long and full-coop mobility x
-capacity_hi 0.7/2.5/5 x repetition seeds 1-10 x the three registry
-schedulers x a cooperative run and its non-cooperative twin
-(`RunConfig.noncoop`), on the default scenario otherwise, audit on.  By
-its download records each run is one of
+The engine set is 540 runs: dense-short, sparse-long and full-coop
+mobility x capacity_hi 0.7/2.5/5 x repetition seeds 1-10 x the three
+registry schedulers x a cooperative run and its non-cooperative twin
+(`RunConfig.noncoop`), on the default scenario otherwise, audit on.  The
+micro family is 2,400 runs: `micro_scenario` seeds 0-399 x the three
+schedulers x both modes.  Its small random scenarios have dead-link
+stretches, idle helpers, transit, aborts and users falling asleep, which
+the engine set barely reaches.  By its download records each run is one of
 
 * identical: records, aborts and welfare terms are equal bit for bit;
 * noise: every downloader has the same records in (owner, seq, level)
@@ -18,17 +21,21 @@ Messages (READY/ACK counts and READY instants) and `EngineCounters` are
 compared on their own, since a change to the decision policy moves them on
 purpose; so are the sleep transitions (sleep, awake and virtual ACK
 counts), which a change that only skips decisions repeating their answer
-leaves alone.  Each class runs on the scenario builders,
-schedulers and audit of its own package, so a class from another checkout,
-loaded with `load_package` under another name, can be compared with this
-one.  From the repository root,
+leaves alone, and the live counters: every counter but the dead-link
+parks and the events, wake-ups and stale decisions that re-deciding a
+dead link brings.  Each class runs on the scenario builders, schedulers
+and audit of its own package, so a class from another checkout, loaded
+with `load_package` under another name, can be compared with this one.
+From the repository root,
 
     PYTHONPATH=src python tests/engine_differential.py OTHER/src [SEED ...]
 
-compares OTHER's `engine._Simulation` (first) with this checkout's and
-prints the material runs, the split by engine mode with decision,
-scheduler-call and READY/ACK totals per side, and the mean cooperative
-welfare per mobility and scheduler.
+compares OTHER's `engine._Simulation` (first) with this checkout's on the
+engine set (for the given repetition seeds) and then on the micro family,
+and prints the material runs, each set's split by engine mode with
+decision, scheduler-call, READY/ACK, dead-link-park, wake-up and held-wake
+totals per side, and the engine set's mean cooperative welfare per
+mobility and scheduler.
 """
 
 from __future__ import annotations
@@ -36,13 +43,18 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import os
+import random
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 MOBILITIES = ("dense-short", "sparse-long", "full-coop")
 CAPACITY_HIS = (0.7, 2.5, 5.0)
 SEEDS = range(1, 11)
 SCHEDULERS = ("lyapunov", "buffer", "prediction")
+MICRO_SEEDS = range(400)
+TOTALS = ("decisions", "calls", "dead_link_parks", "wakeups", "wakes_held")
+# counters that re-deciding a dead link, only to park there again, moves
+DEAD_LINK_COUNTERS = ("events", "decisions", "stale", "dead_link_parks", "wakeups")
 TOL = 1e-9
 ENERGY_TOL = 1e-6
 
@@ -61,15 +73,13 @@ class Outcome:
 
 @dataclass(frozen=True)
 class Row:
-    key: tuple        # (mobility, capacity_hi, seed, scheduler, twin)
+    key: tuple        # (mobility, capacity_hi, seed, scheduler, twin) or ("micro", seed, scheduler, twin)
     verdict: str      # identical | noise | material
     same_messages: bool
     same_sleep: bool  # equal sleep, awake and virtual ACK counts
     same_counters: bool
-    decisions: tuple  # decisions of (a, b)
-    calls: tuple      # scheduler calls of (a, b)
-    ready: tuple      # READY counts of (a, b)
-    ack: tuple        # ACK counts of (a, b)
+    same_live: bool   # equal counters but DEAD_LINK_COUNTERS, decisions apart by the dead-link parks
+    totals: tuple     # per side (a, b): {TOTALS name, "ready", "ack": value}
     welfare: tuple    # social welfare of (a, b)
 
 
@@ -85,11 +95,24 @@ def load_package(src_dir: str, alias: str):
     return module
 
 
-def simulate(sim_cls, mobility: str, capacity_hi: float, seed: int, scheduler: str, twin: bool) -> Outcome:
-    """One run of the set through `sim_cls`, audited."""
-    # the package of the engine module the class (or a subclass of it) comes from
+def _package(sim_cls):
+    """The package of the engine module that `sim_cls` (or a base) comes from."""
     engine_module = next(c.__module__ for c in sim_cls.__mro__ if c.__module__.endswith(".engine"))
-    package = engine_module.rpartition(".")[0]
+    return engine_module.rpartition(".")[0]
+
+
+def _audited(sim_cls, profiles, cap, mob, decide, run_cfg) -> Outcome:
+    engine = importlib.import_module(_package(sim_cls) + ".engine")
+    res = sim_cls(profiles, cap, mob, decide, run_cfg).run()
+    violations = engine.audit_run(profiles, cap, mob, res.downloads, run_cfg.horizon, run_cfg.noncoop)
+    if violations:
+        raise engine.SimAuditError(violations)
+    return outcome(res)
+
+
+def simulate(sim_cls, mobility: str, capacity_hi: float, seed: int, scheduler: str, twin: bool) -> Outcome:
+    """One run of the engine set through `sim_cls`, audited."""
+    package = _package(sim_cls)
     harness = importlib.import_module(package + ".harness")
     engine = importlib.import_module(package + ".engine")
     schedulers = importlib.import_module(package + ".schedulers")
@@ -98,11 +121,46 @@ def simulate(sim_cls, mobility: str, capacity_hi: float, seed: int, scheduler: s
     cap, mob, _ = harness.build_traces(cfg, seed)
     decide = schedulers.make_scheduler(scheduler, **cfg.scheduler_params(scheduler))
     run_cfg = engine.RunConfig(horizon=cfg.horizon, noncoop=twin, ack_window=cfg.ack_window)
-    res = sim_cls(profiles, cap, mob, decide, run_cfg).run()
-    violations = engine.audit_run(profiles, cap, mob, res.downloads, cfg.horizon, twin)
-    if violations:
-        raise engine.SimAuditError(violations)
-    return outcome(res)
+    return _audited(sim_cls, profiles, cap, mob, decide, run_cfg)
+
+
+def micro_scenario(seed: int, package: str = "coopstream"):
+    """A small random cooperative scenario from `package`'s classes: 2-6
+    users with their own segment lengths and buffer caps (so anchored
+    instants differ in the last bits), idle helpers, dead-link stretches,
+    two hotspots and transit, and a short no-ACK window, so users fall
+    asleep.  Returns (profiles, capacity, mobility, RunConfig)."""
+    model = importlib.import_module(package + ".model")
+    traces = importlib.import_module(package + ".traces")
+    engine = importlib.import_module(package + ".engine")
+    rng = random.Random(seed)
+    ladder = model.BitrateLadder(tuple(sorted(rng.sample([0.25, 0.5, 0.75, 1.0, 1.5], rng.randint(1, 3)))))
+    T = 20.0
+    profiles, cap_rows, mob_rows = {}, [], []
+    for uid in range(1, rng.randint(2, 6) + 1):
+        beta = rng.choice([0.5, 1.0, 1.5, 2.0, 3.0])
+        profiles[uid] = model.UserProfile(
+            uid, ladder, segment_len=beta,
+            buffer_cap=beta * rng.choice([1, 2, 3]) + rng.choice([0.0, 0.1, 0.3, 0.7]),
+            video_len=rng.choice([0.0, 0.0, 30.0, 60.0]),
+        )
+        for rows, cuts, values in (
+            (cap_rows, [1.0, 2.0, 3.0, 4.5, 6.0, 8.0, 10.0, 13.0, 16.0], [0.0, 0.3, 0.5, 1.0, 1.3, 2.0, 4.0]),
+            (mob_rows, [2.0, 3.5, 5.0, 7.0, 9.0, 11.0, 15.0], [1, 1, 2, 0]),
+        ):
+            bounds = [0.0, *sorted(rng.sample(cuts, rng.randint(0, 4))), T]
+            rows.extend((uid, lo, hi, rng.choice(values)) for lo, hi in zip(bounds, bounds[1:]))
+    run_cfg = engine.RunConfig(horizon=T, ack_window=rng.choice([0.5, 1.0, 2.0, 5.0]))
+    return profiles, traces.CapacityTrace(T, cap_rows), traces.MobilityTrace(T, mob_rows), run_cfg
+
+
+def simulate_micro(sim_cls, seed: int, scheduler: str, twin: bool) -> Outcome:
+    """One run of the micro family through `sim_cls`, audited."""
+    package = _package(sim_cls)
+    schedulers = importlib.import_module(package + ".schedulers")
+    profiles, cap, mob, run_cfg = micro_scenario(seed, package)
+    decide = schedulers.make_scheduler(scheduler)
+    return _audited(sim_cls, profiles, cap, mob, decide, replace(run_cfg, noncoop=twin))
 
 
 def outcome(res) -> Outcome:
@@ -147,8 +205,30 @@ def classify(a: Outcome, b: Outcome) -> str:
     return "noise" if same_shape else "material"
 
 
+def _live(o: Outcome) -> dict:
+    return {k: v for k, v in o.counters.items() if k not in DEAD_LINK_COUNTERS}
+
+
+def _row(key, a: Outcome, b: Outcome) -> Row:
+    ca, cb = a.counters, b.counters
+    return Row(
+        key,
+        classify(a, b),
+        a.messages == b.messages,
+        a.messages[2:5] == b.messages[2:5],
+        ca == cb,
+        _live(a) == _live(b)
+        and ca["decisions"] - cb["decisions"] == ca["dead_link_parks"] - cb["dead_link_parks"],
+        tuple(
+            {**{name: o.counters[name] for name in TOTALS}, "ready": o.messages[0], "ack": o.messages[1]}
+            for o in (a, b)
+        ),
+        (a.social_welfare, b.social_welfare),
+    )
+
+
 def compare(sim_a, sim_b, seeds=SEEDS) -> list[Row]:
-    """Every run of the set for `seeds` through both classes, classified."""
+    """Every run of the engine set for `seeds` through both classes, classified."""
     rows = []
     for mobility in MOBILITIES:
         for capacity_hi in CAPACITY_HIS:
@@ -156,40 +236,36 @@ def compare(sim_a, sim_b, seeds=SEEDS) -> list[Row]:
                 for scheduler in SCHEDULERS:
                     for twin in (False, True):
                         key = (mobility, capacity_hi, seed, scheduler, twin)
-                        a, b = (simulate(cls, *key) for cls in (sim_a, sim_b))
-                        rows.append(
-                            Row(
-                                key,
-                                classify(a, b),
-                                a.messages == b.messages,
-                                a.messages[2:5] == b.messages[2:5],
-                                a.counters == b.counters,
-                                (a.counters["decisions"], b.counters["decisions"]),
-                                (a.counters["calls"], b.counters["calls"]),
-                                (a.messages[0], b.messages[0]),
-                                (a.messages[1], b.messages[1]),
-                                (a.social_welfare, b.social_welfare),
-                            )
-                        )
+                        rows.append(_row(key, *(simulate(cls, *key) for cls in (sim_a, sim_b))))
+    return rows
+
+
+def compare_micro(sim_a, sim_b, seeds=MICRO_SEEDS) -> list[Row]:
+    """Every run of the micro family for `seeds` through both classes, classified."""
+    rows = []
+    for seed in seeds:
+        for scheduler in SCHEDULERS:
+            for twin in (False, True):
+                key = ("micro", seed, scheduler, twin)
+                rows.append(_row(key, *(simulate_micro(cls, *key[1:]) for cls in (sim_a, sim_b))))
     return rows
 
 
 def split(rows: list[Row]) -> dict[str, dict]:
     """Per engine mode: verdict counts, runs with equal messages, sleep
-    transitions and counters, and total decisions, scheduler calls, READYs
-    and ACKs per side."""
+    transitions, counters and live counters, and per side the totals of
+    `TOTALS`, READYs and ACKs."""
     out = {}
     for mode, twin in (("cooperative", False), ("twin", True)):
-        part = [r for r in rows if r.key[4] == twin]
+        part = [r for r in rows if r.key[-1] == twin]
         out[mode] = {
             "runs": len(part),
             **{v: sum(r.verdict == v for r in part) for v in ("identical", "noise", "material")},
-            "same_messages": sum(r.same_messages for r in part),
-            "same_sleep": sum(r.same_sleep for r in part),
-            "same_counters": sum(r.same_counters for r in part),
+            **{name: sum(getattr(r, name) for r in part)
+               for name in ("same_messages", "same_sleep", "same_counters", "same_live")},
             **{
-                f"{name}_{side}": sum(getattr(r, name)[i] for r in part)
-                for name in ("decisions", "calls", "ready", "ack")
+                f"{name}_{side}": sum(r.totals[i][name] for r in part)
+                for name in (*TOTALS, "ready", "ack")
                 for i, side in enumerate("ab")
             },
         }
@@ -216,10 +292,12 @@ if __name__ == "__main__":
     other = load_package(sys.argv[1], "coopstream_other")
     seeds = [int(s) for s in sys.argv[2:]] or SEEDS
     rows = compare(other.engine._Simulation, _Simulation, seeds)
-    for row in rows:
+    micro = compare_micro(other.engine._Simulation, _Simulation)
+    for row in rows + micro:
         if row.verdict == "material":
             print("material", *row.key)
-    for mode, counts in split(rows).items():
-        print(mode, counts)
+    for family, part in (("", rows), ("micro ", micro)):
+        for mode, counts in split(part).items():
+            print(family + mode, counts)
     for (mobility, scheduler), (a, b) in welfare_means(rows).items():
         print(f"welfare {mobility} {scheduler}: {a:.4f} -> {b:.4f}")

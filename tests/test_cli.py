@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import coopstream.harness as harness
 import coopstream.traces as tr
 from coopstream.cli import main
 from coopstream.harness import ScenarioConfig, parse_assignments
@@ -93,13 +94,32 @@ def test_usage_and_config_errors_exit_1(tmp_path, capsys):
         pytest.param("run", "ack_window = -1\n", id="negative-ack-window"),
         pytest.param("run", "capacity_hi = -inf\n", id="infinite-capacity"),
         pytest.param("run", "ladder = 0.2,inf\n", id="infinite-ladder-rate"),
+        # a config that runs nothing, runs a scheduler twice, or inverts a rule
+        pytest.param("run", "schedulers =\n", id="no-schedulers"),
+        pytest.param("sweep", "schedulers =\n", id="no-schedulers-sweep"),
+        pytest.param("run", "schedulers = lyapunov, lyapunov\n", id="repeated-scheduler"),
+        pytest.param("run", "drift_weight = -5\n", id="negative-drift-weight"),
+        pytest.param("run", "low_reserve = -0.5\n", id="negative-low-reserve"),
+        pytest.param("run", "min_gap = -1\n", id="negative-min-gap"),
+        pytest.param("run", "prediction_window = -1\n", id="negative-prediction-window"),
     ],
 )
 def test_values_the_run_would_reject_are_config_errors(tmp_path, capsys, command, lines):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(TINY + lines)
-    assert main([command, "--config", str(cfg)]) == 1
+    args = ["--axis", "horizon", "--values", "20"] if command == "sweep" else []
+    assert main([command, "--config", str(cfg), *args]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_zero_weights_and_window_are_valid(tmp_path):
+    # drift weight 0 scores penalties alone; window 0 reads the current capacity
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(
+        TINY.replace("schedulers = lyapunov", "schedulers = lyapunov, prediction")
+        + "drift_weight = 0\nlow_reserve = 0\nmin_gap = 0\nprediction_window = 0\n"
+    )
+    assert main(["run", "--config", str(cfg)]) == 0
 
 
 def test_noncoop_is_no_scheduler_name(tmp_path, capsys):
@@ -119,6 +139,16 @@ def test_sweep_rejects_bad_values_before_running(tiny_cfg, tmp_path, capsys, val
     assert main(args + ["--out", str(out_dir)]) == 1
     assert "config error" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_sweep_validates_every_config_before_running(tiny_cfg, tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run", lambda *args: calls.append(args))
+    out_dir = tmp_path / "sweep"
+    args = ["sweep", "--config", tiny_cfg, "--axis", "capacity_hi", "--values", "0.7,2.5,-1"]
+    assert main(args + ["--out", str(out_dir)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert calls == [] and not out_dir.exists()
 
 
 def test_subsecond_horizon_runs_without_the_bound(tmp_path):

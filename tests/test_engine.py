@@ -1,5 +1,4 @@
 import math
-import random
 from dataclasses import asdict
 
 import pytest
@@ -10,8 +9,10 @@ from coopstream.engine import (
     RunConfig,
     SimAuditError,
     SimError,
+    _ANY,
     _COMPLETE,
     _DECIDE,
+    _OWN,
     _Simulation,
     audit_run,
     result_to_dict,
@@ -38,7 +39,7 @@ from coopstream.schedulers import (
 )
 from coopstream.traces import CapacityTrace, MobilityTrace, constant_capacity, full_coop_mobility
 from coopstream.welfare import rebuf_loss
-from engine_differential import classify, compare, outcome, split
+from engine_differential import classify, compare, micro_scenario, outcome, split
 
 LADDER = BitrateLadder((0.2, 0.4, 0.7, 1.3, 2.3))
 
@@ -443,24 +444,23 @@ class _CheckedSimulation(_Simulation):
     handed to the scheduler must equal ones built afresh from the state,
     the buffer drained from its delivery anchors to the decision instant.
     After every decision the user is parked or has a delivery or abort
-    pending, so no decision strands it.  After every delivery or abort
-    before the horizon, each parked user co-located with the segment's
-    owner whose park lets a peer's completion change its answer has a
-    decision pending at that instant, unless its wake was held.  Every
-    cooperative park is such a park.  In a non-cooperative twin only a
-    horizon-cut Download is: a twin decider has no segment of its own in
-    flight, and its Idle finds nothing of its own left to fetch and leaves
-    no decision pending.
+    pending, so no decision strands it.  Its park is _OWN after a dead link
+    and after a twin's Wait or Idle, _ANY after a horizon-cut Download, and
+    the Wait or Idle itself after a cooperative one.
 
     At every decision that the engine answers with the hold, without a
     scheduler call, a registry rule runs on the view that the decision
     would have handed it, built afresh, and must answer that same Wait or
     Idle; the user must be parked where that answer puts it.
 
-    A wake is held only after a delivery in a cooperative run.  For each
-    held wake the hold of the group, built afresh, must equal the user's
-    park, and the skipped decision's coordination step must only count a
-    READY and ACKs.
+    No peer's delivery, abort or READY re-decides an _OWN park.  After
+    every abort the owner, built afresh, can take a segment, so the group
+    has no hold and no wake at the abort is held.  After every delivery or
+    abort before the horizon, each user co-located with the segment's
+    owner and parked _ANY or on a Wait or Idle has a decision pending at
+    that instant, unless its wake was held.  For each held wake the hold of
+    the group, built afresh, must equal the user's park, and the skipped
+    decision's coordination step must only count a READY and ACKs.
     """
 
     def __init__(self, *args):
@@ -486,24 +486,37 @@ class _CheckedSimulation(_Simulation):
 
     def _decide(self, uid, t):
         self.now = t
-        parks, cuts = self.counters.hold_parks, self.counters.calls_cut
+        c = self.counters
+        parks, cuts, dead = c.hold_parks, c.calls_cut, c.dead_link_parks
+        owns = self._own_parks(uid)
         super()._decide(uid, t)
-        st = self.users[uid]
-        assert st.parked or any(
+        self._check_own_parks(owns)
+        park = self.users[uid].park
+        assert park is not None or any(
             kind == _COMPLETE and who == uid for _, kind, who, *_ in self.heap
         )
-        if st.parked:
-            assert st.peer_wake == (not self.cfg.noncoop or self.counters.calls_cut > cuts)
-        if self.counters.hold_parks > parks:
+        if c.calls_cut > cuts:
+            assert park is _ANY
+        elif c.dead_link_parks > dead or (self.cfg.noncoop and park is not None):
+            assert park is _OWN
+        elif park is not None:
+            assert isinstance(park, (Wait, Idle))
+        if c.hold_parks > parks:
             self._check_hold_park(uid, t)
+
+    def _own_parks(self, decider=None):
+        """The generation of every user parked _OWN, `decider` aside."""
+        return {m: st.gen for m, st in self.users.items() if st.park is _OWN and m != decider}
+
+    def _check_own_parks(self, owns):
+        assert all(self.users[m].gen == gen for m, gen in owns.items())
 
     def _check_hold_park(self, uid, t):
         st = self.users[uid]
         cooperative = not self.cfg.noncoop
         # A cooperative decider still asleep after its coordination step
         # acted on its own state alone.
-        alone = cooperative and st.asleep
-        group = [uid] if alone else self._scan_group(uid, t)
+        group = [uid] if cooperative and st.asleep else self._scan_group(uid, t)
         view = SchedulerView(
             profile=st.profile,
             capacity=tr.capacity_at(self.cap, uid, t),
@@ -521,20 +534,24 @@ class _CheckedSimulation(_Simulation):
             assert self.decide(view) == answer
         if not cooperative and isinstance(answer, Idle):
             assert st.remaining == 0
-        assert st.parked and st.hold == (answer if cooperative and not alone else None)
+        assert st.park == (answer if cooperative else _OWN)
         assert self._pending_decisions(uid) == self._wakes(t, answer)
 
     def _complete(self, uid, t, payload):
         kind, owner = payload[:2]
         gens = {m: st.gen for m, st in self.users.items()}
         wakes_held = self.counters.wakes_held
+        owns = self._own_parks()
         super()._complete(uid, t, payload)
+        self._check_own_parks(owns)
+        if kind == "abort":
+            # Admission and deliveries keep buffer + inflight * beta <= Q.
+            assert can_afford(self._fresh_peer_info(owner, t))
         held = 0
         for m in self.profiles if t < self.T - TIME_EPS else ():
             st = self.users[m]
-            if st.parked and st.peer_wake and tr.encountered(self.mob, owner, m, t):
+            if st.park not in (None, _OWN) and tr.encountered(self.mob, owner, m, t):
                 if st.gen == gens[m]:
-                    assert kind == "deliver" and not self.cfg.noncoop
                     self._check_held(m, t)
                     held += 1
                 else:
@@ -561,7 +578,7 @@ class _CheckedSimulation(_Simulation):
         # The engine would answer the decision with the group's hold, and
         # park the user where it is parked (or decide at t anyway).
         answer = hold([self._fresh_peer_info(m, t) for m in needy])
-        assert isinstance(answer, (Wait, Idle)) and answer == st.hold
+        assert isinstance(answer, (Wait, Idle)) and answer == st.park
         assert self._pending_decisions(uid) in (self._wakes(t, answer), [t])
 
     def _pending_decisions(self, uid):
@@ -662,20 +679,28 @@ class _WakeAllSimulation(_Simulation):
     or abort, nearby or not, re-decides every parked user in ascending uid
     order."""
 
-    def _wake_parked(self, t, owner, delivered):
+    def _wake_parked(self, t, owner):
         for uid, st in self.users.items():
-            if st.parked:
+            if st.park is not None:
                 self.counters.wakeups += 1
                 self._schedule_decision(uid, t)
 
 
 class _UnheldSimulation(_Simulation):
-    """The wake rule before held wakes: every delivery re-decides each
-    parked user at the owner's hotspot whose park a peer's completion can
-    change."""
+    """The wake rule before held wakes: every delivery or abort re-decides
+    each user at the owner's hotspot parked on a cooperative Wait or Idle."""
 
-    def _park(self, uid, wake, peers, held=None):
-        super()._park(uid, wake, peers)
+    def _park(self, uid, wake, park):
+        super()._park(uid, wake, _ANY if isinstance(park, (Wait, Idle)) else park)
+
+
+class _DeadLinkWakeSimulation(_Simulation):
+    """The cooperative dead-link rule before _OWN parks: every delivery or
+    abort at the owner's hotspot, and every READY to a sleeper, re-decides
+    a user parked on a dead link, only to park it there again."""
+
+    def _park(self, uid, wake, park):
+        super()._park(uid, wake, _ANY if park is _OWN and not self.cfg.noncoop else park)
 
 
 class _TwinWakeAllSimulation(_Simulation):
@@ -687,14 +712,14 @@ class _TwinWakeAllSimulation(_Simulation):
         self.now = t
         super()._decide(uid, t)
 
-    def _park(self, uid, wake, peers, held=None):
+    def _park(self, uid, wake, park):
         if self.cfg.noncoop:
-            peers = True
+            park = _ANY
             # Only an Idle parks on a live link with no timer; a horizon-cut
             # Download's timer is already the next breakpoint.
             if wake is None and tr.capacity_at(self.cap, uid, self.now) > 0.0:
                 wake = self.mob.next_breakpoint(self.now)
-        super()._park(uid, wake, peers, held)
+        super()._park(uid, wake, park)
 
 
 class TestWakeRule:
@@ -778,6 +803,29 @@ class TestWakeRule:
                     )
                 assert any(seq.records for seq in got.downloads.values())
 
+    @pytest.mark.parametrize("name, old_parks", [("lyapunov", 53), ("buffer", 46), ("prediction", 47)])
+    def test_dead_link_park_keeps_its_own_timer(self, name, old_parks):
+        # Criterion 9's hotspot (three video users, rowed in 10 s spans),
+        # with user 1's link dead from the start until 75 s while users 0
+        # and 2 deliver its segments.  Only the link's return re-decides it:
+        # one dead-link park, where re-deciding it at every nearby delivery
+        # and abort parks it on the dead link again and again, with the same
+        # downloads and messages.
+        profiles = {uid: video_profile(uid, buffer_cap=20.0, video_len=60.0) for uid in range(3)}
+        cap = CapacityTrace(
+            120.0, [(0, 0.0, 120.0, 3.5), (1, 0.0, 75.0, 0.0), (1, 75.0, 120.0, 3.5), (2, 0.0, 120.0, 3.5)]
+        )
+        mob = MobilityTrace(120.0, [(uid, 10.0 * k, 10.0 * (k + 1), 1) for uid in range(3) for k in range(12)])
+        got, want = (
+            sim_cls(profiles, cap, mob, make_scheduler(name), RunConfig(horizon=120.0)).run()
+            for sim_cls in (_CheckedSimulation, _DeadLinkWakeSimulation)
+        )
+        a, b = outcome(got), outcome(want)
+        assert classify(a, b) == "identical" and a.messages == b.messages
+        assert len([r for r in got.receives[1].records if r.t_end < 75.0]) == 30
+        assert (got.counters.dead_link_parks, want.counters.dead_link_parks) == (1, old_parks)
+        assert want.counters.decisions - got.counters.decisions == old_parks - 1
+
     def test_twin_re_decides_only_on_its_own_events(self):
         # A non-cooperative twin at one hotspot: user 1 fetches its own
         # 0.5 Mbit segments at 0.5 Mbps, landing at 1, 2 and 3 s (= T).
@@ -821,32 +869,6 @@ class TestWakeRule:
         assert old == [(1.0, 1), (1.0, 2), (1.0, 3), (1.0, 4), (2.0, 1), (2.0, 2), (2.0, 3), (2.0, 4)]
 
 
-def _micro_scenario(seed):
-    """A small random cooperative scenario: 2-6 users with their own
-    segment lengths and buffer caps (so anchored instants differ in the
-    last bits), idle helpers, dead-link stretches, two hotspots and
-    transit, and a short no-ACK window, so users fall asleep."""
-    rng = random.Random(seed)
-    ladder = BitrateLadder(tuple(sorted(rng.sample([0.25, 0.5, 0.75, 1.0, 1.5], rng.randint(1, 3)))))
-    T = 20.0
-    profiles, cap_rows, mob_rows = {}, [], []
-    for uid in range(1, rng.randint(2, 6) + 1):
-        beta = rng.choice([0.5, 1.0, 1.5, 2.0, 3.0])
-        profiles[uid] = UserProfile(
-            uid, ladder, segment_len=beta,
-            buffer_cap=beta * rng.choice([1, 2, 3]) + rng.choice([0.0, 0.1, 0.3, 0.7]),
-            video_len=rng.choice([0.0, 0.0, 30.0, 60.0]),
-        )
-        for rows, cuts, values in (
-            (cap_rows, [1.0, 2.0, 3.0, 4.5, 6.0, 8.0, 10.0, 13.0, 16.0], [0.0, 0.3, 0.5, 1.0, 1.3, 2.0, 4.0]),
-            (mob_rows, [2.0, 3.5, 5.0, 7.0, 9.0, 11.0, 15.0], [1, 1, 2, 0]),
-        ):
-            bounds = [0.0, *sorted(rng.sample(cuts, rng.randint(0, 4))), T]
-            rows.extend((uid, lo, hi, rng.choice(values)) for lo, hi in zip(bounds, bounds[1:]))
-    run_cfg = RunConfig(horizon=T, ack_window=rng.choice([0.5, 1.0, 2.0, 5.0]))
-    return profiles, CapacityTrace(T, cap_rows), MobilityTrace(T, mob_rows), run_cfg
-
-
 class TestHeldWakes:
     def test_random_micro_scenarios(self):
         # Every held wake repeats its park (checked against the scheduler on
@@ -854,7 +876,7 @@ class TestHeldWakes:
         # welfare term or sleep transition: only READY/ACK and the counters.
         held = 0
         for seed in range(150):
-            profiles, cap, mob, run_cfg = _micro_scenario(seed)
+            profiles, cap, mob, run_cfg = micro_scenario(seed)
             for name in ("lyapunov", "buffer", "prediction"):
                 got, want = (
                     sim_cls(profiles, cap, mob, make_scheduler(name), run_cfg).run()
@@ -903,9 +925,9 @@ class TestEngineCounters:
 
     def test_scheduler_outcomes_are_classified(self):
         # User 1 fetches a segment over [0, 0.4], then asks for one that the
-        # horizon cuts.  User 2's link is dead until 1.5 s; the delivery at
-        # 0.4 wakes it onto the dead link again, which supersedes its first
-        # timer.  At 1.5 s it waits 1 s, then idles.
+        # horizon cuts.  User 2's link is dead until 1.5 s, and only that
+        # timer ends its park: the delivery at 0.4 leaves it parked.  At
+        # 1.5 s it waits 1 s, then idles.
         profiles = {1: video_profile(1), 2: video_profile(2)}
         cap = CapacityTrace(3.0, [(1, 0.0, 3.0, 1.0), (2, 0.0, 1.5, 0.0), (2, 1.5, 3.0, 1.0)])
         mob = full_coop_mobility([1, 2], 3.0)
@@ -923,9 +945,9 @@ class TestEngineCounters:
         res = run(profiles, cap, mob, scripted, RunConfig(horizon=3.0))
         assert [r.t_end for r in res.downloads[1].records] == [0.4]
         assert res.counters == EngineCounters(
-            events=8, completions=1, decisions=6, stale=1, hold_parks=0,
+            events=6, completions=1, decisions=5, stale=0, hold_parks=0,
             calls=4, calls_download=1, calls_wait=1, calls_idle=1, calls_cut=1,
-            dead_link_parks=2, wakeups=1, wakes_held=0,
+            dead_link_parks=1, wakeups=0, wakes_held=0,
         )
 
     def test_held_wakes_are_counted(self):
