@@ -23,10 +23,18 @@ a twin's Idle has none.  A READY wakes a sleeping user unless it is parked
 `_OWN`.
 
 A decider's group comes from a hotspot-occupancy index advanced to the
-decision instant.  Time state is anchored to writes: a buffer is stored as
-its level just after the last delivery and that instant, and is drained to
-the decision instant whenever it is read, and a Wait names the absolute
-instant at which an owner's buffer can take one more segment.  So no time
+decision instant.  Each occupied hotspot has one group state, built on
+first use and read by every decision, wake-up and coordination step there:
+its members, its needy members (video users with segments unreserved) and
+their hold, cached for one instant, since buffers drain.  A transfer's
+start, its delivery or abort, and every move in or out of the hotspot drop
+it.  A user in transit, and a sleeper acting alone, get a fresh state of
+their own.
+
+Time state is anchored to writes: a buffer is stored as its level just
+after the last delivery and that instant, and is drained to the decision
+instant whenever it is read, and a Wait names the absolute instant at
+which an owner's buffer can take one more segment.  So no time
 or level depends on how often a user happened to decide, and users waiting
 on one owner wake at one instant, in ascending uid order.  Downloads run
 at the full link rate, so a segment's end time is the exact inverse of the
@@ -168,6 +176,21 @@ class _UserState:
         return self.num_segments - self.received - self.inflight
 
 
+@dataclass(slots=True, eq=False)
+class _Group:
+    """The group state of one hotspot: its members, ascending, and the
+    needy ones (video users with segments nobody has reserved; none in the
+    non-cooperative twin, which reads only the members), and `held`,
+    `schedulers.hold` of the needy, valid at `held_t` only, since buffers
+    drain.  Dropped at every write to a member's reservations, playback
+    anchors or last bitrate, and at every move in or out."""
+
+    members: list[int]
+    needy: list[int]
+    held_t: float | None = None
+    held: Wait | Idle | None = None
+
+
 @dataclass
 class SimResult:
     horizon: float
@@ -221,6 +244,8 @@ class _Simulation:
         self.spot: dict[int, int] = {}
         self.occupants: dict[int, set[int]] = {}
         self.moves: list = []
+        # The group state of each occupied hotspot, built on first use.
+        self.groups: dict[int, _Group] = {}
         for uid in self.profiles:
             track = mob_trace.tracks[uid]
             self.spot[uid] = track.values[0]
@@ -250,41 +275,40 @@ class _Simulation:
         # see it.  Of those, an _OWN park keeps its timer, an _ANY park
         # decides now, and a cooperative Wait or Idle decides now unless the
         # group's hold still equals it (see `_repeats`).
-        self._move_to(t)
-        spot = self.spot[owner]
-        group = sorted(self.occupants[spot]) if spot else [owner]
+        group = self._group(owner, t)
         counters = self.counters
-        held = None  # (hold, needy) of the group, once a parked user needs it
-        for uid in group:
+        held = None  # (the group's hold,), once a parked Wait or Idle needs it
+        for uid in group.members:
             park = self.users[uid].park
             if park is None or park is _OWN:
                 continue
             if park is not _ANY:
                 if held is None:
-                    held = self._group_hold(group, t)
-                if self._repeats(uid, t, *held):
+                    held = (self._group_hold(group, t),)
+                if self._repeats(uid, t, held[0], group):
                     counters.wakes_held += 1
                     continue
             counters.wakeups += 1
             self._schedule_decision(uid, t)
 
     def _group_hold(self, group, t):
-        """(hold, needy members) of `group` at t; the hold is None when a
-        pending owner can take a segment or when a member's decision at t
-        could change more than READY/ACK counts: a member is asleep, or a
-        member's no-ACK window has run out (its decision at t puts it to
-        sleep, and a later decider would wake it).
+        """The hold of `group` at t, or None when a pending owner can take a
+        segment or when a member's decision at t could change more than
+        READY/ACK counts: a member is asleep, or a member's no-ACK window
+        has run out (its decision at t puts it to sleep, and a later decider
+        would wake it).
         """
-        needy = self._needy(group)
-        for m in group:
-            st = self.users[m]
-            if st.asleep or (
-                st.sleep_deadline is not None and t >= st.sleep_deadline - TIME_EPS
-            ):
-                return None, needy
-        return hold([self._peer_info(m, t) for m in needy]), needy
+        group_hold = self._hold(group, t)
+        if group_hold is not None:
+            for m in group.members:
+                st = self.users[m]
+                if st.asleep or (
+                    st.sleep_deadline is not None and t >= st.sleep_deadline - TIME_EPS
+                ):
+                    return None
+        return group_hold
 
-    def _repeats(self, uid, t, group_hold, needy) -> bool:
+    def _repeats(self, uid, t, group_hold, group) -> bool:
         """True when re-deciding parked `uid` at t would repeat its park.
 
         The engine answers the group's hold whenever it is not None, so with
@@ -299,7 +323,7 @@ class _Simulation:
             group_hold is not None
             and st.park == group_hold
             and st.sleep_deadline is None
-            and any(m != uid for m in needy)
+            and self._needy_peers(uid, group) > 0
             and tr.capacity_at(self.cap, uid, t) > 0.0
         )
 
@@ -327,28 +351,50 @@ class _Simulation:
 
         A piece starting exactly at t applies, as in `_Track.value_at`.
         """
-        moves = self.moves
+        moves, groups = self.moves, self.groups
         while moves and moves[0][0] <= t:
             _, uid, i = heapq.heappop(moves)
             track = self.mob.tracks[uid]
-            self.occupants[self.spot[uid]].discard(uid)
+            old = self.spot[uid]
+            self.occupants[old].discard(uid)
             self.spot[uid] = spot = track.values[i]
             self.occupants.setdefault(spot, set()).add(uid)
+            groups.pop(old, None)
+            groups.pop(spot, None)
             if i + 1 < len(track.values):
                 heapq.heappush(moves, (track.bounds[i + 1], uid, i + 1))
 
-    def _needy(self, members) -> list[int]:
-        """The video users among `members` with segments nobody has reserved."""
+    def _new_group(self, members) -> _Group:
+        """A group state of `members`, ascending, with no hold yet."""
+        if self.cfg.noncoop:
+            return _Group(members, [])
         users = self.users
-        return [m for m in members if users[m].is_video_user and users[m].remaining > 0]
+        return _Group(members, [m for m in members if users[m].is_video_user and users[m].remaining > 0])
 
-    def _group(self, uid, t) -> list[int]:
-        """Users that `uid` encounters at t (itself included), ascending."""
+    def _group(self, uid, t) -> _Group:
+        """The group state of the users that `uid` encounters at t (itself
+        included): its hotspot's, built on first use and shared until a write
+        drops it, or a fresh one of `uid` alone in transit."""
         self._move_to(t)
         spot = self.spot[uid]
         if spot == 0:
-            return [uid]
-        return sorted(self.occupants[spot])
+            return self._new_group([uid])
+        group = self.groups.get(spot)
+        if group is None:
+            group = self.groups[spot] = self._new_group(sorted(self.occupants[spot]))
+        return group
+
+    def _hold(self, group, t):
+        """`schedulers.hold` of the group's needy members at t."""
+        if group.held_t != t:
+            group.held = hold([self._peer_info(m, t) for m in group.needy])
+            group.held_t = t
+        return group.held
+
+    def _needy_peers(self, uid, group) -> int:
+        """The needy members of `uid`'s group besides `uid` itself."""
+        st = self.users[uid]
+        return len(group.needy) - (st.is_video_user and st.remaining > 0)
 
     def _peer_info(self, uid, t) -> PeerInfo:
         st = self.users[uid]
@@ -383,22 +429,21 @@ class _Simulation:
             st.asleep = True
             st.sleep_deadline = None
             self.msgs.sleep += 1
-        others = [m for m in group if m != uid]
-        needy = self._needy(others)
+        needy = self._needy_peers(uid, group)
         if st.asleep:
             if needy:
                 # A co-located requester pings the sleeper back awake.
-                self.msgs.virtual_ack += len(needy)
+                self.msgs.virtual_ack += needy
                 self.msgs.awake += 1
                 st.asleep = False
                 return True
             return False
-        if others:
+        if len(group.members) > 1:
             self.msgs.ready_times.append(t)
             if needy:
-                self.msgs.ack += len(needy)
+                self.msgs.ack += needy
                 st.sleep_deadline = None
-                for m in others:
+                for m in group.members:  # the decider itself is awake
                     peer = self.users[m]
                     if peer.asleep:
                         peer.asleep = False
@@ -437,15 +482,18 @@ class _Simulation:
             self._park(uid, None if nxt is None else max(nxt, t + TIME_EPS), _OWN)
             return
         group = self._group(uid, t)
-        if cooperative and not self._coordination(uid, t, group):
-            # Asleep with nobody needy nearby: act on own state only.
-            group = [uid]
-        answer = hold([self._peer_info(m, t) for m in self._needy(group if cooperative else [uid])])
+        if not cooperative:  # a twin's only pending owner is itself
+            answer = hold([self._peer_info(uid, t)] if st.is_video_user and st.remaining > 0 else [])
+        else:
+            if not self._coordination(uid, t, group):
+                # Asleep with nobody needy nearby: act on own state only.
+                group = self._new_group([uid])
+            answer = self._hold(group, t)
         if answer is not None:
             # No pending owner can take a segment: the hold is the answer.
             counters.hold_parks += 1
         else:
-            peers = tuple(self._peer_info(m, t) for m in group if self.users[m].is_video_user)
+            peers = tuple(self._peer_info(m, t) for m in group.members if self.users[m].is_video_user)
             answer = self.scheduler(SchedulerView(st.profile, h, peers, st.history, cooperative))
             counters.calls += 1
             if isinstance(answer, Download):
@@ -483,7 +531,7 @@ class _Simulation:
         owner_id, level = decision.owner, decision.level
         if self.cfg.noncoop and owner_id != uid:
             raise SimError(f"user {uid}: cross-download in non-cooperative mode")
-        if owner_id not in group:
+        if owner_id not in group.members:
             raise SimError(f"user {uid}: owner {owner_id} is not co-located")
         prof = self.profiles.get(owner_id)
         if prof is None or not prof.is_video_user:
@@ -502,6 +550,7 @@ class _Simulation:
             return False
         ost.inflight += 1
         ost.info = None
+        self.groups.pop(self.spot[owner_id], None)
         t_sep = None if owner_id == uid else tr.first_separation(self.mob, uid, owner_id, t, t_end)
         if t_sep is None:
             self._push(t_end, _COMPLETE, uid, payload=("deliver", owner_id, t, level))
@@ -517,6 +566,7 @@ class _Simulation:
         ost = self.users[owner_id]
         ost.inflight -= 1
         ost.info = None
+        self.groups.pop(self.spot[owner_id], None)
         if kind == "deliver":
             q, _ = self._playback(owner_id, t)
             bitrate = ost.profile.ladder.rate(level)

@@ -439,10 +439,13 @@ class TestBadSchedulers:
 class _CheckedSimulation(_Simulation):
     """Checks the engine's shortcuts against the paths they replace.
 
-    At every decision the occupancy-index group must equal a scan of all
-    users with `traces.encountered`, and every PeerInfo and the history
-    handed to the scheduler must equal ones built afresh from the state,
-    the buffer drained from its delivery anchors to the decision instant.
+    At every decision and wake-up the group state's members must equal a
+    scan of all users with `traces.encountered`, and its needy members a
+    scan of their reservations; every PeerInfo and the history handed to
+    the scheduler must equal ones built afresh from the state, the buffer
+    drained from its delivery anchors to the decision instant.  Each
+    coordination step must add the READY, ACKs and virtual ACKs that a
+    fresh scan of the decider's needy co-located peers gives.
     After every decision the user is parked or has a delivery or abort
     pending, so no decision strands it.  Its park is _OWN after a dead link
     and after a twin's Wait or Idle, _ANY after a horizon-cut Download, and
@@ -486,6 +489,7 @@ class _CheckedSimulation(_Simulation):
 
     def _decide(self, uid, t):
         self.now = t
+        self.decision_times.append(t)
         c = self.counters
         parks, cuts, dead = c.hold_parks, c.calls_cut, c.dead_link_parks
         owns = self._own_parks(uid)
@@ -569,7 +573,7 @@ class _CheckedSimulation(_Simulation):
         # no no-ACK window armed and has a needy peer, and nobody in the
         # group is asleep or falls asleep at t.
         assert not st.asleep and st.sleep_deadline is None
-        needy = [m for m in group if self.users[m].is_video_user and self.users[m].remaining > 0]
+        needy = self._fresh_needy(group)
         assert any(m != uid for m in needy)
         for m in group:
             peer = self.users[m]
@@ -598,9 +602,34 @@ class _CheckedSimulation(_Simulation):
 
     def _group(self, uid, t):
         group = super()._group(uid, t)
-        assert group == self._scan_group(uid, t)
-        self.decision_times.append(t)
+        assert group.members == self._scan_group(uid, t)
+        assert group.needy == ([] if self.cfg.noncoop else self._fresh_needy(group.members))
         return group
+
+    def _fresh_needy(self, members):
+        """The video users among `members` with segments nobody has reserved."""
+        needy = []
+        for m in members:
+            st, prof = self.users[m], self.profiles[m]
+            if prof.is_video_user and prof.num_segments - st.received - st.inflight > 0:
+                needy.append(m)
+        return needy
+
+    def _coordination(self, uid, t, group):
+        st = self.users[uid]
+        others = [m for m in self._scan_group(uid, t) if m != uid]
+        needy = len(self._fresh_needy(others))
+        asleep = st.asleep or (st.sleep_deadline is not None and t >= st.sleep_deadline - TIME_EPS)
+        m = self.msgs
+        before = (m.ready, m.ack, m.virtual_ack)
+        awake = super()._coordination(uid, t, group)
+        if asleep:
+            want = (0, 0, needy)  # a virtual ACK per needy peer, which wakes it
+        else:
+            want = (1, needy, 0) if others else (0, 0, 0)
+        assert (m.ready - before[0], m.ack - before[1], m.virtual_ack - before[2]) == want
+        assert awake == (not asleep or needy > 0)
+        return awake
 
     def _fresh_peer_info(self, uid, t):
         st = self.users[uid]
@@ -888,6 +917,51 @@ class TestHeldWakes:
                 assert got.messages.ready <= want.messages.ready
                 held += got.counters.wakes_held
         assert held > 1000
+
+
+class TestGroupState:
+    def test_waits_on_one_room_expire_together(self):
+        # Three video users at one hotspot with 4, 3 and 5 s buffers fetch
+        # 0.5 s segments over 4 Mbps links.  At 2.5, 4.5 and 5.5 s all three
+        # are parked on a Wait for that instant and decide in uid order:
+        # user 1 starts a segment, which leaves no owner with room, so users
+        # 2 and 3 park on the next room or, once every segment is reserved,
+        # on Idle, each with the ACKs of the needy peers left after the
+        # start.  _CheckedSimulation checks the group state, the hold and
+        # the READY/ACK counts of every step against fresh scans.
+        ladder = BitrateLadder((0.5, 1.0))
+        profiles = {
+            uid: video_profile(uid, ladder=ladder, buffer_cap=cap_s, video_len=8.0)
+            for uid, cap_s in ((1, 4.0), (2, 3.0), (3, 5.0))
+        }
+        cap = constant_capacity({1: 4.0, 2: 4.0, 3: 4.0}, 12.0)
+        mob = full_coop_mobility([1, 2, 3], 12.0)
+        sim = _CheckedSimulation(profiles, cap, mob, make_scheduler("lyapunov"), RunConfig(horizon=12.0))
+        steps = {}
+        decide = sim._decide
+
+        def logged(uid, t):
+            st, acks = sim.users[uid], sim.msgs.ack
+            before = st.park
+            decide(uid, t)
+            steps.setdefault(t, []).append((uid, before, st.park, sim.msgs.ack - acks))
+
+        sim._decide = logged
+        res = sim.run()
+        started = {r.t_start: r.owner for r in res.downloads[1].records}
+        assert {t: started[t] for t in (2.5, 4.5, 5.5)} == {2.5: 1, 4.5: 1, 5.5: 2}
+        assert steps[2.5] == [
+            (1, Wait(2.5), None, 2), (2, Wait(2.5), Wait(3.5), 2), (3, Wait(2.5), Wait(3.5), 2)
+        ]
+        # user 1's start reserves its own last segment
+        assert steps[4.5] == [
+            (1, Wait(4.5), None, 1), (2, Wait(4.5), Wait(5.5), 0), (3, Wait(4.5), Wait(5.5), 1)
+        ]
+        # user 1's start reserves user 2's last segment: nobody is needy
+        assert steps[5.5] == [
+            (1, Wait(5.5), None, 1), (2, Wait(5.5), Idle(), 0), (3, Wait(5.5), Idle(), 0)
+        ]
+        assert all(r.remaining == 0 for r in sim.users.values())
 
 
 class TestEngineCounters:
