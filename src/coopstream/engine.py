@@ -3,10 +3,12 @@
 The engine owns all ground truth (traces, buffers, reservations) and
 decides for a user whenever its radio is free: at t = 0, when its own
 download completes or aborts, and when its park ends; never at the
-horizon.  When no pending owner (a video user of its group with segments
-unreserved; in the non-cooperative twin, `RunConfig.noncoop`, the decider
-alone) can take a segment, the engine answers `schedulers.hold` itself;
-only when a transfer can start is the scheduler asked.
+horizon.  The engine alone names a decider's pending owners: the video
+users of its group with segments unreserved, and in the non-cooperative
+twin (`RunConfig.noncoop`) the decider alone.  When none of them can take a
+segment, the engine answers `schedulers.hold` itself; only when a transfer
+can start is the scheduler asked, with a view whose `pending` lists them.
+Every peer snapshot in a view is built afresh for that one decision.
 
 Every decision that starts no transfer parks the user on one value, read
 by one wake rule (`_wake_parked`):
@@ -160,12 +162,6 @@ class _UserState:
     # coordination
     asleep: bool = False
     sleep_deadline: float | None = None
-    # cached PeerInfo of this user, valid at info_t (at any instant when
-    # None: its buffer is empty before playback and after it has finished);
-    # reset to None at every write to a field it reads (q0, t0,
-    # last_bitrate, received, inflight)
-    info: PeerInfo | None = None
-    info_t: float | None = None
 
     def __post_init__(self):
         self.num_segments = self.profile.num_segments
@@ -398,12 +394,9 @@ class _Simulation:
 
     def _peer_info(self, uid, t) -> PeerInfo:
         st = self.users[uid]
-        info = st.info
-        if info is not None and (st.info_t is None or st.info_t == t):
-            return info
         prof = st.profile
         buffer, finished = self._playback(uid, t)
-        st.info = info = PeerInfo(
+        return PeerInfo(
             profile=prof,
             buffer=buffer,
             last_bitrate=st.last_bitrate,
@@ -413,8 +406,6 @@ class _Simulation:
             playback_finished=finished,
             room_at=st.t0 + st.q0 + prof.segment_len - prof.buffer_cap,
         )
-        st.info_t = None if finished or st.received == 0 else t
-        return info
 
     # -- coordination protocol accounting ----------------------------------
 
@@ -482,7 +473,9 @@ class _Simulation:
             self._park(uid, None if nxt is None else max(nxt, t + TIME_EPS), _OWN)
             return
         group = self._group(uid, t)
-        if not cooperative:  # a twin's only pending owner is itself
+        # A twin's only pending owner is itself: the hold here and the view's
+        # `pending` below must name the same owners.
+        if not cooperative:
             answer = hold([self._peer_info(uid, t)] if st.is_video_user and st.remaining > 0 else [])
         else:
             if not self._coordination(uid, t, group):
@@ -494,7 +487,8 @@ class _Simulation:
             counters.hold_parks += 1
         else:
             peers = tuple(self._peer_info(m, t) for m in group.members if self.users[m].is_video_user)
-            answer = self.scheduler(SchedulerView(st.profile, h, peers, st.history, cooperative))
+            pending = tuple(p for p in peers if p.remaining > 0 and (cooperative or p.user_id == uid))
+            answer = self.scheduler(SchedulerView(st.profile, h, peers, st.history, pending))
             counters.calls += 1
             if isinstance(answer, Download):
                 if self._start_download(uid, t, group, answer):
@@ -549,7 +543,6 @@ class _Simulation:
             # Horizon cuts the transfer short: drop it, charge nothing.
             return False
         ost.inflight += 1
-        ost.info = None
         self.groups.pop(self.spot[owner_id], None)
         t_sep = None if owner_id == uid else tr.first_separation(self.mob, uid, owner_id, t, t_end)
         if t_sep is None:
@@ -565,7 +558,6 @@ class _Simulation:
         kind, owner_id, t_start, level = payload
         ost = self.users[owner_id]
         ost.inflight -= 1
-        ost.info = None
         self.groups.pop(self.spot[owner_id], None)
         if kind == "deliver":
             q, _ = self._playback(owner_id, t)

@@ -100,8 +100,10 @@ class ScenarioConfig:
             raise ConfigError("schedulers must name at least one scheduler")
         if len(set(self.schedulers)) < len(self.schedulers):
             raise ConfigError(f"schedulers must not repeat a name: {self.schedulers}")
-        if self.bound_users < 1 or self.bound_horizon < 1 or self.bound_refine < 0:
-            raise ConfigError("bound_users and bound_horizon must be at least 1, bound_refine at least 0")
+        if min(self.bound_users, self.bound_horizon, self.bound_budget) < 1 or self.bound_refine < 0:
+            raise ConfigError(
+                "bound_users, bound_horizon and bound_budget must be at least 1, bound_refine at least 0"
+            )
         try:
             if self.mobility != "csv":
                 _synth_config(self).validate()

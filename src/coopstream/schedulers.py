@@ -8,23 +8,20 @@ local snapshot at a decision instant.  It returns one of three decisions:
   re-decide;
 * Idle: nothing to do until the surroundings change.
 
-One rule decides when a scheduler is asked.  When no pending owner can
-take a segment, the answer is `hold(pending)`: a Wait until the earliest
-instant an owner's buffer has room, or Idle.  The engine answers that
-itself, so it asks a scheduler only when a transfer can start.  The rules
-below still answer `hold(pending)` in that case, so each stays a total
-function of its view for a direct caller.
-
-In the non-cooperative twin (`SchedulerView.cooperative` False) a rule's
-pending owner is the decider alone: peers stay visible, since their
-buffers feed the lyapunov drift, but none of them is served.  Every row
-reports the twin's figures as its `noncoop_*` columns.
+The view names the pending owners, the peers the decider may serve: the
+engine fills `SchedulerView.pending` (see `coopstream.engine`), and no rule
+decides it.  When none of them can take a segment, the answer is
+`hold(pending)`: a Wait until the earliest instant an owner's buffer has
+room, or Idle.  The engine answers that itself, so it asks a scheduler
+only when a transfer can start; the rules still answer it, so each stays a
+total function of its view for a direct caller.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 
@@ -51,9 +48,10 @@ class Idle:
 Decision = Download | Wait | Idle
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PeerInfo:
-    """What a downloader can observe about one co-located video user."""
+    """What a downloader can observe about one co-located video user, at
+    one decision instant; the engine builds it afresh for every view."""
 
     profile: UserProfile
     buffer: float                  # playback buffer, seconds
@@ -73,16 +71,16 @@ class PeerInfo:
 class SchedulerView:
     """Snapshot handed to a scheduler at one decision instant.
 
-    `cooperative` is False in the non-cooperative benchmark regime: peers
-    stay visible (their buffers still feed the drift estimates) but only
-    the decider's own segments may be downloaded.
+    `peers` are every co-located video user, whose buffers feed the drift
+    estimates; `pending` are those of them the decider may serve, as the
+    engine names them.
     """
 
     profile: UserProfile            # the decider's own
     capacity: float                 # the decider's cellular rate now, Mbps
     peers: tuple[PeerInfo, ...]     # co-located video users, self included
     history: tuple[float, ...]      # realized Mbps of the decider's past downloads
-    cooperative: bool = True
+    pending: tuple[PeerInfo, ...]   # the peers the decider may serve
 
     @property
     def user_id(self) -> int:
@@ -101,16 +99,7 @@ def can_afford(peer: PeerInfo) -> bool:
     return peer.buffer + (peer.inflight + 1) * beta <= peer.profile.buffer_cap + TIME_EPS
 
 
-def _pending(view: SchedulerView) -> list[PeerInfo]:
-    """Owners with segments nobody has reserved: the decider alone in the twin."""
-    peers = view.peers
-    if not view.cooperative:
-        me = view.peer(view.user_id)
-        peers = (me,) if me is not None else ()
-    return [p for p in peers if p.remaining > 0]
-
-
-def hold(pending: list[PeerInfo]):
+def hold(pending: Sequence[PeerInfo]):
     """None when a pending owner can take a segment now; otherwise the
     answer to the decision, `_wait_or_idle(pending)`."""
     for p in pending:
@@ -119,7 +108,7 @@ def hold(pending: list[PeerInfo]):
     return _wait_or_idle(pending)
 
 
-def _wait_or_idle(pending: list[PeerInfo]):
+def _wait_or_idle(pending: Sequence[PeerInfo]):
     """Fallback when no pending owner can accept a segment right now.
 
     An owner with a shortfall q + beta - Q has a buffer that can take one
@@ -222,11 +211,10 @@ def lyapunov_decide(view: SchedulerView, drift_weight: float = 100.0):
     `drift_weight` weighs the one-step welfare against the buffer drift.
     Ties break toward the lower owner id, then the lower level.
     """
-    pending = _pending(view)
-    held = hold(pending)
+    held = hold(view.pending)
     if held is not None:
         return held
-    cands = [p for p in pending if can_afford(p)]
+    cands = [p for p in view.pending if can_afford(p)]
     drifting = _drifting(view)
     best = None
     for p in sorted(cands, key=lambda c: c.user_id):
@@ -244,13 +232,13 @@ def lyapunov_decide(view: SchedulerView, drift_weight: float = 100.0):
 # seconds; they differ in how the bitrate level is chosen.
 
 
-def _choose_owner(view: SchedulerView, pending: list[PeerInfo], low_reserve: float, min_gap: float):
+def _choose_owner(view: SchedulerView, low_reserve: float, min_gap: float):
     """Owner choice shared by the baselines; None means wait/idle fallback.
 
     It is None whenever no pending owner can take a segment, so the
-    baselines' fallback is then `hold(pending)`.
+    baselines' fallback is then `hold(view.pending)`.
     """
-    cands = [p for p in pending if can_afford(p)]
+    cands = [p for p in view.pending if can_afford(p)]
     if not cands:
         return None
     poorest = min(cands, key=lambda p: (p.buffer, p.user_id))
@@ -281,10 +269,9 @@ def _buffer_level(owner: PeerInfo) -> int:
 
 def buffer_based_decide(view: SchedulerView, low_reserve: float = 0.5, min_gap: float = 4.0):
     """Baseline: bitrate follows the owner's buffer fill level; owner by the shared rule."""
-    pending = _pending(view)
-    owner = _choose_owner(view, pending, low_reserve, min_gap)
+    owner = _choose_owner(view, low_reserve, min_gap)
     if owner is None:
-        return _wait_or_idle(pending)
+        return _wait_or_idle(view.pending)
     return Download(owner.user_id, _buffer_level(owner))
 
 
@@ -303,10 +290,9 @@ def prediction_based_decide(
 ):
     """Baseline: bitrate follows the mean Mbps of the last `window` completed
     downloads (the current capacity before any); owner by the shared rule."""
-    pending = _pending(view)
-    owner = _choose_owner(view, pending, low_reserve, min_gap)
+    owner = _choose_owner(view, low_reserve, min_gap)
     if owner is None:
-        return _wait_or_idle(pending)
+        return _wait_or_idle(view.pending)
     tail = view.history[-window:] if window > 0 else ()
     estimate = sum(tail) / len(tail) if tail else view.capacity
     return Download(owner.user_id, _prediction_level(owner, estimate))

@@ -396,12 +396,9 @@ def test_arithmetic_goldens(verdict):
             room_at=buffer + 2.0 - 40.0,
         )
 
+    peers = (full_peer(1, 39.5), full_peer(2, 39.0))
     v = SchedulerView(
-        profile=golden_profile(1),
-        capacity=2.3,
-        peers=(full_peer(1, 39.5), full_peer(2, 39.0)),
-        history=(),
-        cooperative=True,
+        profile=golden_profile(1), capacity=2.3, peers=peers, history=(), pending=peers
     )
     got = lyapunov_decide(v)
     assert isinstance(got, Wait)

@@ -102,6 +102,9 @@ def test_usage_and_config_errors_exit_1(tmp_path, capsys):
         pytest.param("run", "low_reserve = -0.5\n", id="negative-low-reserve"),
         pytest.param("run", "min_gap = -1\n", id="negative-min-gap"),
         pytest.param("run", "prediction_window = -1\n", id="negative-prediction-window"),
+        # a search of no nodes reports no plan, exact or not
+        pytest.param("run", "bound_budget = -5\n", id="negative-bound-budget"),
+        pytest.param("bound", "bound_budget = 0\n", id="zero-bound-budget"),
     ],
 )
 def test_values_the_run_would_reject_are_config_errors(tmp_path, capsys, command, lines):
@@ -240,10 +243,28 @@ def test_bound_command_prints_region_and_writes_json(tmp_path, capsys):
     out = tmp_path / "region.json"
     assert main(["bound", "--config", str(cfg), "--refine", "1", "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
-    assert "upper bound estimate" in stdout
+    assert "upper bound estimate" in stdout and "no upper bound" not in stdout  # exact levels
     doc = json.loads(out.read_text())
     assert set(doc) == {"levels", "upper_estimate"}
     assert len(doc["levels"]) == 2
     assert all(set(lv) == {"segment_len", "welfare", "exact", "nodes"} for lv in doc["levels"])
     for lv in doc["levels"]:
         assert f"{lv['nodes']} nodes)" in stdout
+
+
+def test_bound_command_says_when_its_estimate_is_budget_limited(tmp_path, capsys):
+    # Full-coop pair with live links: 100 nodes per level run out at both.
+    cfg = tmp_path / "bound.cfg"
+    cfg.write_text(
+        "n_users = 2\nvideo_fraction = 1.0\nhorizon = 20\nvideo_len = 8\n"
+        "segment_len = 2\nbuffer_cap = 10\nmobility = full-coop\ncapacity_lo = 1.0\n"
+        "capacity_hi = 2.0\nschedulers = lyapunov\nrepetitions = 1\nbound_users = 2\n"
+        "bound_horizon = 3\nbound_budget = 100\n"
+    )
+    out = tmp_path / "region.json"
+    assert main(["bound", "--config", str(cfg), "--refine", "1", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    doc = json.loads(out.read_text())
+    assert [lv["exact"] for lv in doc["levels"]] == [False, False]
+    assert lines[-1] == f"upper bound estimate: {doc['upper_estimate']:.6f}  (budget-limited: no upper bound)"
+    assert set(doc) == {"levels", "upper_estimate"}

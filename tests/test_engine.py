@@ -1,5 +1,5 @@
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -441,11 +441,11 @@ class _CheckedSimulation(_Simulation):
 
     At every decision and wake-up the group state's members must equal a
     scan of all users with `traces.encountered`, and its needy members a
-    scan of their reservations; every PeerInfo and the history handed to
-    the scheduler must equal ones built afresh from the state, the buffer
-    drained from its delivery anchors to the decision instant.  Each
-    coordination step must add the READY, ACKs and virtual ACKs that a
-    fresh scan of the decider's needy co-located peers gives.
+    scan of their reservations; every PeerInfo, the pending owners and the
+    history handed to the scheduler must equal ones built afresh from the
+    state, the buffer drained from its delivery anchors to the decision
+    instant.  Each coordination step must add the READY, ACKs and virtual
+    ACKs that a fresh scan of the decider's needy co-located peers gives.
     After every decision the user is parked or has a delivery or abort
     pending, so no decision strands it.  Its park is _OWN after a dead link
     and after a twin's Wait or Idle, _ANY after a horizon-cut Download, and
@@ -474,10 +474,11 @@ class _CheckedSimulation(_Simulation):
 
         def checked(view):
             st = self.users[view.user_id]
-            if not view.cooperative:
+            if self.cfg.noncoop:
                 assert st.inflight == 0
             for p in view.peers:
                 assert p == self._fresh_peer_info(p.user_id, self.now)
+            assert view.pending == self._fresh_pending(view.user_id, view.peers)
             assert view.history == tuple(
                 r.bitrate * self.profiles[r.owner].segment_len / (r.t_end - r.t_start)
                 for r in st.records
@@ -521,18 +522,15 @@ class _CheckedSimulation(_Simulation):
         # A cooperative decider still asleep after its coordination step
         # acted on its own state alone.
         group = [uid] if cooperative and st.asleep else self._scan_group(uid, t)
+        peers = tuple(self._fresh_peer_info(m, t) for m in group if self.users[m].is_video_user)
         view = SchedulerView(
             profile=st.profile,
             capacity=tr.capacity_at(self.cap, uid, t),
-            peers=tuple(
-                self._fresh_peer_info(m, t) for m in group if self.users[m].is_video_user
-            ),
+            peers=peers,
             history=st.history,
-            cooperative=cooperative,
+            pending=self._fresh_pending(uid, peers),
         )
-        answer = hold(
-            [p for p in view.peers if p.remaining > 0 and (cooperative or p.user_id == uid)]
-        )
+        answer = hold(view.pending)
         assert isinstance(answer, (Wait, Idle))
         if self.registry:
             assert self.decide(view) == answer
@@ -606,6 +604,13 @@ class _CheckedSimulation(_Simulation):
         assert group.needy == ([] if self.cfg.noncoop else self._fresh_needy(group.members))
         return group
 
+    def _fresh_pending(self, uid, peers):
+        """The owners among `peers` that `uid` may serve: those with segments
+        nobody has reserved, and in the twin `uid` alone."""
+        return tuple(
+            p for p in peers if p.remaining > 0 and (not self.cfg.noncoop or p.user_id == uid)
+        )
+
     def _fresh_needy(self, members):
         """The video users among `members` with segments nobody has reserved."""
         needy = []
@@ -649,7 +654,7 @@ class _CheckedSimulation(_Simulation):
 
 
 class TestDecisionPathDifferential:
-    """The occupancy index and the snapshot cache change no decision input."""
+    """The occupancy index and the group state change no decision input."""
 
     @pytest.mark.parametrize("mobility", ["synthetic", "dense-short", "full-coop", "non-coop"])
     def test_synthesized_traces(self, mobility):
@@ -962,6 +967,41 @@ class TestGroupState:
             (1, Wait(5.5), None, 1), (2, Wait(5.5), Idle(), 0), (3, Wait(5.5), Idle(), 0)
         ]
         assert all(r.remaining == 0 for r in sim.users.values())
+
+
+class TestSnapshots:
+    @staticmethod
+    def scribbling(rule):
+        """`rule`, after which every PeerInfo it was handed is overwritten."""
+
+        def decide(view):
+            answer = rule(view)
+            for p in view.peers + view.pending:
+                p.buffer, p.remaining, p.inflight, p.room_at = 1e9, 0, 99, -1.0
+            return answer
+
+        return decide
+
+    @pytest.mark.parametrize("name", SCHEDULER_NAMES)
+    @pytest.mark.parametrize("noncoop", [False, True])
+    def test_a_snapshot_belongs_to_one_call(self, name, noncoop):
+        # A scheduler that writes over its view's snapshots changes no
+        # later decision: every view is built afresh from the engine state.
+        cfg = ScenarioConfig(n_users=10, horizon=80.0, mobility="dense-short", capacity_hi=2.5)
+        scenarios = [(build_profiles(cfg, 2), *build_traces(cfg, 2)[:2], RunConfig(horizon=80.0))]
+        scenarios += [micro_scenario(seed) for seed in range(8)]
+        calls = 0
+        for profiles, cap, mob, run_cfg in scenarios:
+            run_cfg = replace(run_cfg, noncoop=noncoop)
+            clean, scribbled = (
+                run(profiles, cap, mob, decide, run_cfg)
+                for decide in (make_scheduler(name), self.scribbling(make_scheduler(name)))
+            )
+            assert scribbled.downloads == clean.downloads
+            assert scribbled.messages == clean.messages
+            assert scribbled.counters == clean.counters
+            calls += clean.counters.calls
+        assert calls > 100
 
 
 class TestEngineCounters:

@@ -57,12 +57,14 @@ def peer(uid, buffer, last=None, remaining=10, inflight=0, started=True,
 
 
 def view(uid, peers, capacity=2.3, history=(), cooperative=True, profile=None):
+    """A view whose pending owners are derived as the engine derives them:
+    every peer with segments left, and in the twin the decider's own alone."""
     return SchedulerView(
         profile=profile or video_profile(uid),
         capacity=capacity,
         peers=tuple(peers),
         history=tuple(history),
-        cooperative=cooperative,
+        pending=tuple(p for p in peers if p.remaining > 0 and (cooperative or p.user_id == uid)),
     )
 
 
@@ -243,7 +245,8 @@ class TestGreedyNoncoop:
 
     @staticmethod
     def noncoop(v):
-        return make_scheduler("lyapunov")(replace(v, cooperative=False))
+        twin = view(v.user_id, v.peers, v.capacity, v.history, cooperative=False, profile=v.profile)
+        return make_scheduler("lyapunov")(twin)
 
     def test_self_only(self):
         v = view(1, [peer(1, 30.0), peer(2, 0.0)], capacity=10.0)
@@ -277,7 +280,7 @@ class TestGreedyNoncoop:
             ]
             v = view(1, peers, capacity=rng.uniform(0.3, 6.0))
             served = [p if p.user_id == 1 else replace(p, remaining=0) for p in peers]
-            assert self.noncoop(v) == lyapunov_decide(replace(v, peers=tuple(served)))
+            assert self.noncoop(v) == lyapunov_decide(view(1, served, capacity=v.capacity))
 
 
 class TestBufferBaseline:
