@@ -17,7 +17,7 @@ by one wake rule (`_wake_parked`):
 * `_ANY` (a Download the horizon would cut short): any delivery or abort
   of a segment whose owner shares its hotspot ends it;
 * a cooperative Wait or Idle: such a completion ends it unless it leaves
-  the group's hold equal to the park (see `_repeats`).
+  the group's hold equal to the park (see `_wake_parked`).
 
 A Wait's timer is its instant, a dead link's the link's return, a cut
 Download's or cooperative Idle's the next mobility breakpoint of any user;
@@ -96,17 +96,16 @@ class RunConfig:
 @dataclass
 class MessageStats:
     """Abstract coordination traffic: one READY per decision instant with
-    company, one ACK per needy co-located listener."""
+    company, one ACK per needy co-located listener.  Of the READYs only
+    their count and the instant of the last (None before the first) are
+    kept."""
 
+    ready: int = 0
     ack: int = 0
     virtual_ack: int = 0
     sleep: int = 0
     awake: int = 0
-    ready_times: list[float] = field(default_factory=list)
-
-    @property
-    def ready(self) -> int:
-        return len(self.ready_times)
+    last_ready: float | None = None
 
 
 @dataclass
@@ -170,6 +169,10 @@ class _UserState:
     @property
     def remaining(self) -> int:
         return self.num_segments - self.received - self.inflight
+
+    def drowsy(self, t) -> bool:
+        """Asleep, or due to fall asleep at t: its no-ACK window has run out."""
+        return self.asleep or (self.sleep_deadline is not None and t >= self.sleep_deadline - TIME_EPS)
 
 
 @dataclass(slots=True, eq=False)
@@ -268,60 +271,40 @@ class _Simulation:
         # A delivery or abort changes only the owner's snapshot, and a view
         # holds the snapshots of the decider's group alone, so only parked
         # users at the owner's hotspot at t (the owner alone in transit) can
-        # see it.  Of those, an _OWN park keeps its timer, an _ANY park
-        # decides now, and a cooperative Wait or Idle decides now unless the
-        # group's hold still equals it (see `_repeats`).
+        # see it.  Of those, an _OWN park keeps its timer and an _ANY park
+        # decides now.  A cooperative Wait or Idle is held when deciding now
+        # would change nothing but READY/ACK counts.  The engine answers the
+        # group's hold whenever it is not None, so that is when the park
+        # equals the group's quiet hold (the same `until` bit for bit, or
+        # Idle, whose next breakpoint cannot have passed), its link is alive,
+        # and its coordination step would only count a READY and ACKs: it
+        # has no no-ACK window armed and a needy peer.  The quiet hold is the
+        # group's hold, or None when a member is asleep or its no-ACK window
+        # has run out (its decision at t puts it to sleep, and a later
+        # decider would wake it).
         group = self._group(owner, t)
-        counters = self.counters
-        held = None  # (the group's hold,), once a parked Wait or Idle needs it
+        users, counters = self.users, self.counters
+        quiet = None  # (the group's quiet hold,), once a parked Wait or Idle needs it
         for uid in group.members:
-            park = self.users[uid].park
+            st = users[uid]
+            park = st.park
             if park is None or park is _OWN:
                 continue
-            if park is not _ANY:
-                if held is None:
-                    held = (self._group_hold(group, t),)
-                if self._repeats(uid, t, held[0], group):
+            if park is not _ANY and st.sleep_deadline is None:
+                if quiet is None:
+                    held = self._hold(group, t)
+                    if held is not None and any(users[m].drowsy(t) for m in group.members):
+                        held = None
+                    quiet = (held,)
+                if (
+                    park == quiet[0]
+                    and self._needy_peers(uid, group) > 0
+                    and tr.capacity_at(self.cap, uid, t) > 0.0
+                ):
                     counters.wakes_held += 1
                     continue
             counters.wakeups += 1
             self._schedule_decision(uid, t)
-
-    def _group_hold(self, group, t):
-        """The hold of `group` at t, or None when a pending owner can take a
-        segment or when a member's decision at t could change more than
-        READY/ACK counts: a member is asleep, or a member's no-ACK window
-        has run out (its decision at t puts it to sleep, and a later decider
-        would wake it).
-        """
-        group_hold = self._hold(group, t)
-        if group_hold is not None:
-            for m in group.members:
-                st = self.users[m]
-                if st.asleep or (
-                    st.sleep_deadline is not None and t >= st.sleep_deadline - TIME_EPS
-                ):
-                    return None
-        return group_hold
-
-    def _repeats(self, uid, t, group_hold, group) -> bool:
-        """True when re-deciding parked `uid` at t would repeat its park.
-
-        The engine answers the group's hold whenever it is not None, so with
-        the park equal to it (the same `until` bit for bit, or Idle, whose
-        next breakpoint cannot have passed), an alive link, and a
-        coordination step that only counts a READY and ACKs (awake, no
-        no-ACK window armed, a needy peer present), the decision would
-        change nothing but those counts.
-        """
-        st = self.users[uid]
-        return (
-            group_hold is not None
-            and st.park == group_hold
-            and st.sleep_deadline is None
-            and self._needy_peers(uid, group) > 0
-            and tr.capacity_at(self.cap, uid, t) > 0.0
-        )
 
     # -- playback ----------------------------------------------------------
 
@@ -416,7 +399,7 @@ class _Simulation:
         asleep and must act for itself only.
         """
         st = self.users[uid]
-        if not st.asleep and st.sleep_deadline is not None and t >= st.sleep_deadline - TIME_EPS:
+        if not st.asleep and st.drowsy(t):
             st.asleep = True
             st.sleep_deadline = None
             self.msgs.sleep += 1
@@ -430,7 +413,8 @@ class _Simulation:
                 return True
             return False
         if len(group.members) > 1:
-            self.msgs.ready_times.append(t)
+            self.msgs.ready += 1
+            self.msgs.last_ready = t
             if needy:
                 self.msgs.ack += needy
                 st.sleep_deadline = None

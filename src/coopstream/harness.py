@@ -167,7 +167,7 @@ def _parse_scalar(text: str, kind):
 def parse_assignments(lines) -> ScenarioConfig:
     cfg = ScenarioConfig()
     kinds = {f.name: f for f in fields(ScenarioConfig)}
-    updates = {}
+    updates, set_on = {}, {}  # set_on: the line that set each key
     for lineno, rawline in enumerate(lines, start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -177,6 +177,9 @@ def parse_assignments(lines) -> ScenarioConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in kinds:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         current = getattr(cfg, key)
         try:
             if isinstance(current, tuple):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import math
 import random
 from dataclasses import dataclass
 
@@ -89,19 +90,27 @@ class _StepTrace:
 
     Subclasses set `kind` and `value_name` (for messages), the CSV
     `header`, `cast` (raw value to stored value) and `text` (stored value
-    to CSV field).
+    to CSV field).  User ids must be integers, times and values finite, and
+    a value that `cast` would change (a fractional hotspot id) is rejected.
     """
 
     def __init__(self, horizon: float, rows: list[tuple[int, float, float, float]]):
-        if horizon <= 0.0:
-            raise TraceError("horizon must be positive")
+        if not 0.0 < horizon < math.inf:
+            raise TraceError(f"horizon must be positive and finite, not {horizon}")
         self.horizon = float(horizon)
         per_user: dict[int, list[tuple[float, float, float]]] = {}
-        for user_id, t_from, t_to, value in rows:
-            value = self.cast(value)
+        for user_id, t_from, t_to, raw in rows:
+            if not (math.isfinite(user_id) and int(user_id) == user_id):
+                raise TraceError(f"{self.kind} user id {user_id} is not an integer")
+            user_id = int(user_id)
+            if not (math.isfinite(t_from) and math.isfinite(t_to) and math.isfinite(raw)):
+                raise TraceError(f"non-finite time or {self.value_name} for user {user_id}")
+            value = self.cast(raw)
+            if value != raw:
+                raise TraceError(f"{self.value_name} {raw} for user {user_id} is not an integer")
             if value < 0:
                 raise TraceError(f"negative {self.value_name} for user {user_id}")
-            per_user.setdefault(int(user_id), []).append((float(t_from), float(t_to), value))
+            per_user.setdefault(user_id, []).append((float(t_from), float(t_to), value))
         if not per_user:
             raise TraceError(f"{self.kind} trace has no users")
         self.tracks = {
@@ -116,7 +125,7 @@ class _StepTrace:
     def from_csv(cls, path: str):
         rows = _read_csv_rows(path, cls.header)
         horizon = max(r[2] for r in rows) if rows else 0.0
-        return cls(horizon, [(int(u), a, b, v) for u, a, b, v in rows])
+        return cls(horizon, rows)
 
     def rows(self):
         """(user, t_from, t_to, value) per interval, users ascending."""

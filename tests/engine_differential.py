@@ -17,13 +17,13 @@ the engine set barely reaches.  By its download records each run is one of
   leaves no record, so its energy is all that shows it);
 * material: anything else.
 
-Messages (READY/ACK counts and READY instants) and `EngineCounters` are
-compared on their own, since a change to the decision policy moves them on
-purpose; so are the sleep transitions (sleep, awake and virtual ACK
-counts), which a change that only skips decisions repeating their answer
-leaves alone, and the live counters: every counter but the dead-link
-parks and the events, wake-ups and stale decisions that re-deciding a
-dead link brings.  Each class runs on the scenario builders, schedulers
+Messages (READY/ACK counts and the last READY instant) and
+`EngineCounters` are compared on their own, since a change to the
+decision policy moves them on purpose; so are the sleep transitions
+(sleep, awake and virtual ACK counts), which a change that only skips
+decisions repeating their answer leaves alone, and the live counters:
+every counter but the dead-link parks and the events, wake-ups and stale
+decisions that re-deciding a dead link brings.  Each class runs on the scenario builders, schedulers
 and audit of its own package, so a class from another checkout, loaded
 with `load_package` under another name, can be compared with this one.
 From the repository root,
@@ -66,7 +66,7 @@ class Outcome:
     records: tuple    # per downloader: (owner, seq, level, bitrate, t_start, t_end) rows
     aborts: tuple     # (uid, count, energy) rows
     welfare: tuple    # (uid, value, loss_qdeg, loss_rebuf, energy_cell, energy_wifi) rows
-    messages: tuple   # (ready, ack, virtual_ack, sleep, awake, ready_times)
+    messages: tuple   # (ready, ack, virtual_ack, sleep, awake, last READY instant or None)
     counters: dict
     social_welfare: float
 
@@ -166,6 +166,8 @@ def simulate_micro(sim_cls, seed: int, scheduler: str, twin: bool) -> Outcome:
 def outcome(res) -> Outcome:
     """The plain-value outputs of one `SimResult`."""
     m = res.messages
+    # A checkout from before READY became a count keeps every READY instant.
+    last_ready = (m.ready_times or [None])[-1] if hasattr(m, "ready_times") else m.last_ready
     return Outcome(
         records=tuple(
             tuple(
@@ -179,7 +181,7 @@ def outcome(res) -> Outcome:
             (uid, b.value, b.loss_qdeg, b.loss_rebuf, b.energy_cell, b.energy_wifi)
             for uid, b in sorted(res.breakdowns.items())
         ),
-        messages=(m.ready, m.ack, m.virtual_ack, m.sleep, m.awake, tuple(m.ready_times)),
+        messages=(m.ready, m.ack, m.virtual_ack, m.sleep, m.awake, last_ready),
         counters=asdict(res.counters),
         social_welfare=res.social_welfare,
     )

@@ -476,13 +476,14 @@ def test_outage_coordination_accounting(verdict):
     # After the last delivery every user is idle; one ack_window (10 s) plus
     # one 10 s wake cycle later each has slept, and READY must stop growing.
     quiet_after = finish + 10.0 + 10.0 + 1.0
-    late = [t for t in msgs.ready_times if t > quiet_after]
+    late = msgs.last_ready is not None and msgs.last_ready > quiet_after
     ok = bool(outage) and 1 not in helpers and msgs.sleep >= 3 and not late
     verdict(
         9,
         "outage coordination",
         ok,
         f"{len(outage)} outage deliveries by {sorted(helpers)}, "
-        f"sleep {msgs.sleep}, last READY {max(msgs.ready_times):.1f}s "
+        f"sleep {msgs.sleep}, last READY "
+        f"{'none' if msgs.last_ready is None else f'{msgs.last_ready:.1f}s'} "
         f"<= quiet {quiet_after:.1f}s",
     )

@@ -27,6 +27,16 @@ seed = 3
 SUBSECOND = "n_users = 2\nhorizon = 0.5\nvideo_len = 2\nsegment_len = 2\nbuffer_cap = 4\n"
 
 
+def tiny_with(lines: str) -> str:
+    """TINY with each key that `lines` sets taken from `lines` instead, since
+    a config may set a key only once."""
+    def key(line):
+        return line.split("=", 1)[0].strip()
+
+    keys = {key(line) for line in lines.splitlines()}
+    return "".join(line for line in TINY.splitlines(keepends=True) if key(line) not in keys) + lines
+
+
 @pytest.fixture
 def tiny_cfg(tmp_path):
     path = tmp_path / "tiny.cfg"
@@ -109,10 +119,19 @@ def test_usage_and_config_errors_exit_1(tmp_path, capsys):
 )
 def test_values_the_run_would_reject_are_config_errors(tmp_path, capsys, command, lines):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(TINY + lines)
+    cfg.write_text(tiny_with(lines))
     args = ["--axis", "horizon", "--values", "20"] if command == "sweep" else []
     assert main([command, "--config", str(cfg), *args]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_a_key_set_twice_is_a_config_error(tmp_path, capsys):
+    # the run would otherwise silently take the later value
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(TINY + "horizon = 150\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: line 12: key 'horizon' is already set on line 4" in err
 
 
 def test_zero_weights_and_window_are_valid(tmp_path):
@@ -128,7 +147,7 @@ def test_zero_weights_and_window_are_valid(tmp_path):
 def test_noncoop_is_no_scheduler_name(tmp_path, capsys):
     # every scheduler runs with its own non-cooperative twin instead
     cfg = tmp_path / "twin.cfg"
-    cfg.write_text(TINY + "schedulers = lyapunov,noncoop\n")
+    cfg.write_text(tiny_with("schedulers = lyapunov,noncoop\n"))
     assert main(["run", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "'noncoop'" in err
@@ -156,13 +175,13 @@ def test_sweep_validates_every_config_before_running(tiny_cfg, tmp_path, capsys,
 
 def test_subsecond_horizon_runs_without_the_bound(tmp_path):
     cfg = tmp_path / "short.cfg"
-    cfg.write_text(TINY + SUBSECOND)
+    cfg.write_text(tiny_with(SUBSECOND))
     assert main(["run", "--config", str(cfg)]) == 0
 
 
 def test_presets_ignore_the_raw_synthetic_keys(tmp_path):
     cfg = tmp_path / "preset.cfg"
-    cfg.write_text(TINY + "mobility = dense-short\nhotspots = 0\n")
+    cfg.write_text(tiny_with("mobility = dense-short\nhotspots = 0\n"))
     assert main(["run", "--config", str(cfg)]) == 0
 
 
@@ -196,6 +215,47 @@ def test_validate_traces_accepts_matching_pairs(tmp_path, capsys):
         ["validate-traces", str(tmp_path / "cap.csv"), str(tmp_path / "mob.csv")]
     ) == 0
     assert "ok: 2 users" in capsys.readouterr().out
+
+
+CAPACITY_HEADER = "user_id,t_from,t_to,capacity_mbps\n"
+MOBILITY_HEADER = "user_id,t_from,t_to,hotspot_id\n"
+
+
+@pytest.mark.parametrize(
+    "capacity_rows, mobility_rows",
+    [
+        pytest.param("0,0,10,nan\n", "0,0,10,1\n", id="nan-capacity"),
+        pytest.param("0,0,10,inf\n", "0,0,10,1\n", id="infinite-capacity"),
+        pytest.param("0,0,nan,1\n", "0,0,10,1\n", id="nan-horizon"),
+        pytest.param("0,0,10,1\n", "0,0,10,nan\n", id="nan-hotspot"),
+        pytest.param("0,0,10,1\n", "0,0,10,2.7\n", id="fractional-hotspot"),
+        pytest.param("1.5,0,10,1\n", "1.5,0,10,1\n", id="fractional-user"),
+    ],
+)
+def test_validate_traces_rejects_values_no_trace_can_hold(
+    tmp_path, capsys, capacity_rows, mobility_rows
+):
+    (tmp_path / "cap.csv").write_text(CAPACITY_HEADER + capacity_rows)
+    (tmp_path / "mob.csv").write_text(MOBILITY_HEADER + mobility_rows)
+    assert main(
+        ["validate-traces", str(tmp_path / "cap.csv"), str(tmp_path / "mob.csv")]
+    ) == 2
+    captured = capsys.readouterr()
+    assert "runtime error" in captured.err and "ok" not in captured.out
+
+
+def test_a_nan_capacity_fails_a_csv_run(tmp_path, capsys):
+    (tmp_path / "cap.csv").write_text(CAPACITY_HEADER + "0,0,30,1\n1,0,30,nan\n")
+    tr.full_coop_mobility([0, 1], 30.0).to_csv(str(tmp_path / "mob.csv"))
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(
+        "n_users = 2\nhorizon = 30\nvideo_len = 8\nsegment_len = 2\n"
+        "buffer_cap = 10\nschedulers = lyapunov\nrepetitions = 1\n"
+        f"mobility = csv\ncapacity_csv = {tmp_path / 'cap.csv'}\n"
+        f"mobility_csv = {tmp_path / 'mob.csv'}\n"
+    )
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "runtime error: non-finite time or capacity for user 1" in capsys.readouterr().err
 
 
 def test_validate_traces_rejects_mismatched_users(tmp_path, capsys):

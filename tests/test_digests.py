@@ -124,7 +124,8 @@ def compute_digests() -> dict[str, str]:
         for res in results
     ]
     messages = [
-        [m.ready, m.ack, m.virtual_ack, m.sleep, m.awake, [t.hex() for t in m.ready_times]]
+        [m.ready, m.ack, m.virtual_ack, m.sleep, m.awake,
+         None if m.last_ready is None else m.last_ready.hex()]
         for m in (res.messages for res in results)
     ]
     solver = []

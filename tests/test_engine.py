@@ -280,8 +280,8 @@ class TestCoordinationAccounting:
         )
         assert all(len(res.receives[u].records) == 4 for u in (0, 1))
         last_delivery = max(r.t_end for u in (0, 1) for r in res.receives[u].records)
-        if res.messages.ready_times:
-            assert max(res.messages.ready_times) <= last_delivery + 10.0 + 1e-6
+        last_ready = res.messages.last_ready
+        assert last_ready is None or last_ready <= last_delivery + 10.0 + 1e-6
 
 
 class TestAudit:
@@ -445,7 +445,8 @@ class _CheckedSimulation(_Simulation):
     history handed to the scheduler must equal ones built afresh from the
     state, the buffer drained from its delivery anchors to the decision
     instant.  Each coordination step must add the READY, ACKs and virtual
-    ACKs that a fresh scan of the decider's needy co-located peers gives.
+    ACKs that a fresh scan of the decider's needy co-located peers gives,
+    and the last READY instant moves to t exactly when it adds a READY.
     After every decision the user is parked or has a delivery or abort
     pending, so no decision strands it.  Its park is _OWN after a dead link
     and after a twin's Wait or Idle, _ANY after a horizon-cut Download, and
@@ -627,12 +628,14 @@ class _CheckedSimulation(_Simulation):
         asleep = st.asleep or (st.sleep_deadline is not None and t >= st.sleep_deadline - TIME_EPS)
         m = self.msgs
         before = (m.ready, m.ack, m.virtual_ack)
+        last_ready = m.last_ready
         awake = super()._coordination(uid, t, group)
         if asleep:
             want = (0, 0, needy)  # a virtual ACK per needy peer, which wakes it
         else:
             want = (1, needy, 0) if others else (0, 0, 0)
         assert (m.ready - before[0], m.ack - before[1], m.virtual_ack - before[2]) == want
+        assert m.last_ready == (t if want[0] else last_ready)
         assert awake == (not asleep or needy > 0)
         return awake
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -53,6 +54,21 @@ class TestCapacityTrace:
     def test_rejects_overlap(self):
         with pytest.raises(TraceError):
             CapacityTrace(2.0, [(1, 0.0, 1.5, 2.0), (1, 1.0, 2.0, 4.0)])
+
+    @pytest.mark.parametrize(
+        "horizon, rows, needle",
+        [
+            (1.0, [(1, 0.0, 1.0, math.nan)], "non-finite time or capacity for user 1"),
+            (1.0, [(1, 0.0, 1.0, math.inf)], "non-finite time or capacity for user 1"),
+            (1.0, [(1, 0.0, math.nan, 2.0)], "non-finite time or capacity for user 1"),
+            (math.nan, [(1, 0.0, 1.0, 2.0)], "horizon must be positive and finite"),
+            (math.inf, [(1, 0.0, 1.0, 2.0)], "horizon must be positive and finite"),
+            (1.0, [(math.nan, 0.0, 1.0, 2.0)], "capacity user id nan is not an integer"),
+        ],
+    )
+    def test_rejects_non_finite_values(self, horizon, rows, needle):
+        with pytest.raises(TraceError, match=needle):
+            CapacityTrace(horizon, rows)
 
     def test_rejects_negative_capacity(self):
         with pytest.raises(TraceError):
@@ -141,6 +157,18 @@ class TestMobility:
         assert mob.next_breakpoint(0.0) == pytest.approx(3.0)
         assert mob.next_breakpoint(3.0) == pytest.approx(5.0)
         assert mob.next_breakpoint(5.0) is None
+
+    @pytest.mark.parametrize(
+        "rows, needle",
+        [
+            ([(1.5, 0.0, 2.0, 1)], "mobility user id 1.5 is not an integer"),
+            ([(1, 0.0, 2.0, 2.7)], "hotspot id 2.7 for user 1 is not an integer"),
+            ([(1, 0.0, 2.0, math.nan)], "non-finite time or hotspot id for user 1"),
+        ],
+    )
+    def test_rejects_non_integral_and_non_finite_values(self, rows, needle):
+        with pytest.raises(TraceError, match=needle):
+            MobilityTrace(2.0, rows)
 
     def test_rejects_negative_hotspot_id(self):
         with pytest.raises(TraceError, match="negative hotspot id for user 1"):
