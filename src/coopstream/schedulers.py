@@ -205,17 +205,90 @@ def lyapunov_scores(
     return scores
 
 
+def _contenders(view: SchedulerView, cands: list[PeerInfo], drift_weight: float,
+                drifting: list[tuple]) -> list[PeerInfo]:
+    """The candidates whose best `lyapunov_scores` entry can be the least.
+
+    Per ladder (rates, segment length and theta, which a scenario gives
+    every user alike), each level's value, costs and bystander drift and
+    stall terms summed over every drifting peer are built once; an owner's
+    approximate scores swap its own terms in, O(levels) per owner.  Each
+    term is computed as `lyapunov_scores` computes it, so only the
+    summation order differs, by far less than 1e-9 of the sum of the terms'
+    absolute values: an owner whose approximate best exceeds the least by
+    more than twice that margin scores strictly worse and cannot win even a
+    tie.  Pending owners are peers, so an owner's own flags say whether it
+    drifts.
+    """
+    decider = view.profile
+    weight = abs(drift_weight)
+    ladders, bests, size = {}, [], 0.0
+    for owner in cands:
+        prof = owner.profile
+        beta, cap, q, phi = prof.segment_len, prof.buffer_cap, owner.buffer, prof.phi_rebuf
+        rows = ladders.get(key := (prof.ladder.rates, beta, prof.theta))
+        if rows is None:
+            rows = ladders[key] = []
+            for rate in prof.ladder.rates:
+                volume = rate * beta
+                dl_time = volume / view.capacity
+                charge, data, relay = decider.c_time * dl_time, decider.c_data * volume, decider.w_data * volume
+                value = quality_value(prof.theta, rate) * beta
+                drift = stalls = 0.0
+                total = weight * (abs(value) + abs(charge) + abs(data) + abs(relay))
+                for _, p_cap, p_q, p_base, p_phi in drifting:
+                    left = p_q - dl_time
+                    term = 0.5 * ((p_cap - (0.0 if left < 0.0 else left)) ** 2 - p_base)
+                    stall = dl_time - p_q
+                    stall = p_phi * (0.0 if stall < 0.0 else stall)
+                    drift += term
+                    stalls += stall
+                    total += abs(term) + weight * abs(stall)
+                cost = charge + data
+                rows.append((rate, dl_time, value, (cost, cost + relay), drift, stalls, total))
+        base = (cap - q) ** 2
+        drifts = owner.playback_started and not owner.playback_finished
+        helping = owner.user_id != decider.user_id
+        last = -math.inf if owner.last_bitrate is None else owner.last_bitrate
+        phi_qdeg, best = prof.phi_qdeg, math.inf
+        for rate, dl_time, value, costs, drift, stalls, total in rows:
+            left = q - dl_time
+            left = 0.0 if left < 0.0 else left
+            q_next = left + beta
+            own = 0.5 * ((cap - (q_next if q_next < cap else cap)) ** 2 - base)
+            drop = 0.0 if last < rate else phi_qdeg * (last - rate)
+            stall = dl_time - q
+            stall = phi * (0.0 if stall < 0.0 else stall)
+            if drifts:   # its bystander stall term is its own stall term
+                drift -= 0.5 * ((cap - left) ** 2 - base)
+            else:
+                stalls += stall
+            score = own + drift - drift_weight * (value - drop - stalls - costs[helping])
+            best = score if score < best else best
+            total += abs(own) + weight * (abs(drop) + abs(stall))
+            size = total if total > size else size
+        bests.append(best)
+    margin = 1e-9 * size
+    limit = min(bests) + margin
+    return [p for p, best in zip(cands, bests) if not best - margin > limit]
+
+
 def lyapunov_decide(view: SchedulerView, drift_weight: float = 100.0):
-    """Pick the (owner, level) minimising drift-plus-penalty; wait if full.
+    """Pick the (owner, level) with the least `lyapunov_scores` entry.
 
     `drift_weight` weighs the one-step welfare against the buffer drift.
-    Ties break toward the lower owner id, then the lower level.
+    Ties break toward the lower owner id, then the lower level.  Without a
+    candidate (a pending owner that can take a segment) the answer is the
+    hold, `_wait_or_idle(pending)`.  With three or more, only those that
+    `_contenders` keeps are scored, and the decision is still full
+    scoring's, bit for bit; with two, screening costs more than it saves.
     """
-    held = hold(view.pending)
-    if held is not None:
-        return held
     cands = [p for p in view.pending if can_afford(p)]
+    if not cands:
+        return _wait_or_idle(view.pending)
     drifting = _drifting(view)
+    if len(cands) >= 3:
+        cands = _contenders(view, cands, drift_weight, drifting)
     best = None
     for p in sorted(cands, key=lambda c: c.user_id):
         for level, score in enumerate(lyapunov_scores(view, p, drift_weight, drifting), 1):

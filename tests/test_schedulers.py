@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from coopstream import schedulers
 from coopstream.model import BitrateLadder, UserProfile, segment_volume
 from coopstream.schedulers import (
     SCHEDULER_NAMES,
@@ -128,6 +129,108 @@ class TestLyapunovDecide:
     def test_idle_when_nothing_pending(self):
         v = view(1, [peer(1, 10.0, remaining=0)])
         assert isinstance(lyapunov_decide(v), Idle)
+
+
+def full_scoring(v, drift_weight):
+    """The lyapunov rule without its screen: every candidate's whole ladder
+    scored exactly, ties to the lower owner id, then the lower level.
+    Returns the decision and the sorted best score of each candidate."""
+    held = hold(v.pending)
+    if held is not None:
+        return held, []
+    best, bests = None, []
+    for p in sorted((p for p in v.pending if can_afford(p)), key=lambda c: c.user_id):
+        scores = lyapunov_scores(v, p, drift_weight)
+        bests.append(min(scores))
+        for level, score in enumerate(scores, 1):
+            key = (score, p.user_id, level)
+            if best is None or key < best:
+                best = key
+    return Download(best[1], best[2]), sorted(bests)
+
+
+def fuzz_view(rng):
+    """A random view for the screen: 2-26 peers on one or two ladders of
+    1-6 levels, every second to fourth of them a clone of one profile,
+    buffer and last bitrate (exact ties, and few-ulp near-ties where the
+    peers between clones make their sums run in another order), peers not
+    started or finished, and sometimes a decider that owns no video."""
+    def ladder():
+        return BitrateLadder(tuple(sorted(rng.uniform(0.1, 3.0) for _ in range(rng.randint(1, 6)))))
+
+    def coefficients():
+        return dict(
+            segment_len=rng.choice([1.0, 2.0, 2.5]), buffer_cap=rng.choice([8.0, 20.0, 40.0]),
+            theta=rng.uniform(0.0, 2.0), phi_qdeg=rng.uniform(0.0, 2.0),
+            phi_rebuf=rng.uniform(0.0, 3.0), c_time=rng.uniform(0.0, 1.0),
+            c_data=rng.uniform(0.0, 0.3), w_data=rng.uniform(0.0, 0.2),
+        )
+
+    ladders = [ladder(), ladder()]
+    clone = dict(coefficients(), ladder=ladders[0])
+    n = rng.randint(2, 26)
+    clones = set(range(rng.randint(1, 3), n + 1, rng.randint(2, 4)))   # others sit between
+    state = (rng.uniform(0.2, 3.0), rng.choice([None, 0.3, 1.7]), rng.random() < 0.8)
+    peers = []
+    for uid in range(1, n + 1):
+        if uid in clones:
+            prof, (buffer, last, started) = video_profile(uid, **clone), state
+        else:
+            prof = video_profile(uid, ladder=rng.choice(ladders), **coefficients())
+            buffer = rng.choice([0.0, *(rng.uniform(0.0, prof.buffer_cap) for _ in range(3))])
+            last, started = rng.choice([None, 0.3, 1.7, 2.9]), rng.random() < 0.8
+        remaining = rng.choice([0, 1, 5, 5, 5])
+        peers.append(peer(
+            uid, buffer, last=last, remaining=remaining, inflight=rng.choice([0, 0, 0, 1, 2]),
+            started=started, finished=started and remaining == 0 and rng.random() < 0.5,
+            profile=prof,
+        ))
+    decider = rng.randint(1, n + 1)
+    me = video_profile(decider, ladder=ladders[0], **coefficients())
+    if decider > n:
+        me = replace(me, video_len=0.0)
+    return view(decider, peers, capacity=rng.uniform(0.05, 6.0), profile=me)
+
+
+class TestScreen:
+    """`lyapunov_decide` scores exactly only the owners its screen keeps."""
+
+    def test_decisions_equal_full_scoring_on_fuzzed_views(self):
+        rng = random.Random(18)
+        seen = dict.fromkeys(("screened", "exact_tie", "near_tie", "no_video", "waiting",
+                              "finished", "two_ladders", "hold"), 0)
+        weights = dict.fromkeys((0.0, 1.0, 100.0, 1e4), 0)
+        for _ in range(20_000):
+            v = fuzz_view(rng)
+            weight = rng.choice(list(weights))
+            want, bests = full_scoring(v, weight)
+            assert lyapunov_decide(v, drift_weight=weight) == want
+            if len(bests) >= 3:
+                seen["screened"] += 1
+                weights[weight] += 1
+                seen["exact_tie"] += bests[0] == bests[1]
+                seen["near_tie"] += 0 < bests[1] - bests[0] <= 1e-12 * max(1.0, abs(bests[0]))
+                seen["two_ladders"] += len({p.profile.ladder for p in v.pending if can_afford(p)}) > 1
+            seen["hold"] += not bests
+            seen["no_video"] += v.peer(v.user_id) is None
+            seen["waiting"] += any(not p.playback_started for p in v.peers)
+            seen["finished"] += any(p.playback_finished for p in v.peers)
+        assert min(seen.values()) > 50, seen
+        assert min(weights.values()) > 1000, weights
+
+    def test_twelve_owners_score_fewer_than_twelve(self, monkeypatch):
+        peers = [peer(uid, 3.0 * uid, last=0.7) for uid in range(1, 13)]
+        v = view(1, peers, capacity=2.3)
+        want, _ = full_scoring(v, 100.0)
+        scored = []
+
+        def counting(view, owner, *args):
+            scored.append(owner.user_id)
+            return lyapunov_scores(view, owner, *args)
+
+        monkeypatch.setattr(schedulers, "lyapunov_scores", counting)
+        assert lyapunov_decide(v) == want
+        assert 1 <= len(scored) < 12
 
 
 class TestScoreScaling:
