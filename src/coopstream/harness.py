@@ -247,6 +247,11 @@ def build_traces(cfg: ScenarioConfig, rep_seed: int) -> tuple[tr.CapacityTrace, 
     if cfg.mobility == "csv":
         cap = tr.CapacityTrace.from_csv(cfg.capacity_csv)
         mob = tr.MobilityTrace.from_csv(cfg.mobility_csv)
+        users = list(range(cfg.n_users))
+        if cap.users() != users or mob.users() != users:
+            raise tr.TraceError(
+                f"trace users must be 0..{cfg.n_users - 1}: capacity {cap.users()}, mobility {mob.users()}"
+            )
         return cap, mob, False
     cap, mob = tr.synth_traces(_synth_config(cfg), rep_seed)
     if cfg.mobility == "full-coop":

@@ -145,132 +145,67 @@ def drift_term(cap: float, q_now: float, q_next: float) -> float:
     return 0.5 * ((cap - q_next) ** 2 - (cap - q_now) ** 2)
 
 
-def _drifting(view: SchedulerView) -> list[tuple]:
-    """(uid, Q, q, (Q - q)**2, phi_rebuf) of each peer whose buffer drains
-    during a download: playing and unfinished."""
-    return [
-        (p.user_id, p.profile.buffer_cap, p.buffer,
-         (p.profile.buffer_cap - p.buffer) ** 2, p.profile.phi_rebuf)
+def lyapunov_scores(
+    view: SchedulerView, owners: Sequence[PeerInfo], drift_weight: float
+) -> list[list[float]]:
+    """Drift minus weighted one-step welfare of fetching each owner's next
+    segment: per owner, one score per ladder level (index level - 1); lower
+    is better.
+
+    The drift is the sum of `drift_term` over `projected_peer_buffer` for
+    every drifting peer (playing and unfinished), in view order, plus the
+    owner's own `drift_term` to `projected_owner_buffer`: from its drained
+    buffer when it drifts, since its bystander term is in the sum, else from
+    its buffer.  The welfare is the owner's value, less its degradation, the
+    stall terms summed the same way (plus its own when it does not drift) and
+    the decider's costs: `decision_welfare` up to rounding.  The sums depend
+    only on the ladder's rates and segment length, so they are built once
+    per ladder, and owners in equal states score bit-equal wherever they sit
+    among the peers.
+    """
+    decider = view.profile
+    drifting = [
+        (p.profile.buffer_cap, p.buffer, (p.profile.buffer_cap - p.buffer) ** 2, p.profile.phi_rebuf)
         for p in view.peers
         if p.playback_started and not p.playback_finished
     ]
-
-
-def lyapunov_scores(
-    view: SchedulerView, owner: PeerInfo, drift_weight: float, drifting: list[tuple] | None = None
-) -> list[float]:
-    """Drift minus weighted one-step welfare of fetching `owner`'s next
-    segment, one score per ladder level (index level - 1); lower is better.
-
-    The drift is `drift_term` over `projected_owner_buffer` plus, for every
-    drifting bystander, `drift_term` over `projected_peer_buffer`; the
-    welfare is `decision_welfare` with those bystanders.  Each quantity keeps
-    one accumulator, added in that order, so every score is bit for bit the
-    composition of those functions.  `drifting` is `_drifting(view)` when the
-    caller has it already.
-    """
-    if drifting is None:
-        drifting = _drifting(view)
-    decider = view.profile
-    prof = owner.profile
-    uid = owner.user_id
-    others = [d for d in drifting if d[0] != uid]
-    beta, cap, q = prof.segment_len, prof.buffer_cap, owner.buffer
-    base = (cap - q) ** 2
-    helping = uid != decider.user_id
-    last = owner.last_bitrate
-    scores = []
-    for rate in prof.ladder.rates:
-        volume = rate * beta
-        dl_time = volume / view.capacity
-        # owner: drain through the download, then gain one segment
-        q_next = q - dl_time
-        q_next = (0.0 if q_next < 0.0 else q_next) + beta
-        drift = 0.5 * ((cap - (q_next if q_next < cap else cap)) ** 2 - base)
-        cost = decider.c_time * dl_time + decider.c_data * volume
-        if helping:
-            cost += decider.w_data * volume
-        gain = quality_value(prof.theta, rate) * beta
-        if last is not None:
-            drop = last - rate
-            gain -= prof.phi_qdeg * (0.0 if drop < 0.0 else drop)
-        stall = dl_time - q
-        gain -= prof.phi_rebuf * (0.0 if stall < 0.0 else stall)
-        for _, p_cap, p_q, p_base, phi in others:
-            left = p_q - dl_time
-            drift += 0.5 * ((p_cap - (0.0 if left < 0.0 else left)) ** 2 - p_base)
-            stall = dl_time - p_q
-            gain -= phi * (0.0 if stall < 0.0 else stall)
-        scores.append(drift - drift_weight * (gain - cost))
-    return scores
-
-
-def _contenders(view: SchedulerView, cands: list[PeerInfo], drift_weight: float,
-                drifting: list[tuple]) -> list[PeerInfo]:
-    """The candidates whose best `lyapunov_scores` entry can be the least.
-
-    Per ladder (rates, segment length and theta, which a scenario gives
-    every user alike), each level's value, costs and bystander drift and
-    stall terms summed over every drifting peer are built once; an owner's
-    approximate scores swap its own terms in, O(levels) per owner.  Each
-    term is computed as `lyapunov_scores` computes it, so only the
-    summation order differs, by far less than 1e-9 of the sum of the terms'
-    absolute values: an owner whose approximate best exceeds the least by
-    more than twice that margin scores strictly worse and cannot win even a
-    tie.  Pending owners are peers, so an owner's own flags say whether it
-    drifts.
-    """
-    decider = view.profile
-    weight = abs(drift_weight)
-    ladders, bests, size = {}, [], 0.0
-    for owner in cands:
+    totals, ladders = {}, []
+    for owner in owners:
         prof = owner.profile
         beta, cap, q, phi = prof.segment_len, prof.buffer_cap, owner.buffer, prof.phi_rebuf
-        rows = ladders.get(key := (prof.ladder.rates, beta, prof.theta))
+        rows = totals.get(key := (prof.ladder.rates, beta))
         if rows is None:
-            rows = ladders[key] = []
+            rows = totals[key] = []
             for rate in prof.ladder.rates:
                 volume = rate * beta
                 dl_time = volume / view.capacity
-                charge, data, relay = decider.c_time * dl_time, decider.c_data * volume, decider.w_data * volume
-                value = quality_value(prof.theta, rate) * beta
                 drift = stalls = 0.0
-                total = weight * (abs(value) + abs(charge) + abs(data) + abs(relay))
-                for _, p_cap, p_q, p_base, p_phi in drifting:
+                for p_cap, p_q, p_base, p_phi in drifting:
                     left = p_q - dl_time
-                    term = 0.5 * ((p_cap - (0.0 if left < 0.0 else left)) ** 2 - p_base)
+                    drift += 0.5 * ((p_cap - (0.0 if left < 0.0 else left)) ** 2 - p_base)
                     stall = dl_time - p_q
-                    stall = p_phi * (0.0 if stall < 0.0 else stall)
-                    drift += term
-                    stalls += stall
-                    total += abs(term) + weight * abs(stall)
-                cost = charge + data
-                rows.append((rate, dl_time, value, (cost, cost + relay), drift, stalls, total))
-        base = (cap - q) ** 2
+                    stalls += p_phi * (0.0 if stall < 0.0 else stall)
+                cost = decider.c_time * dl_time + decider.c_data * volume
+                rows.append((rate, dl_time, (cost, cost + decider.w_data * volume), drift, stalls))
         drifts = owner.playback_started and not owner.playback_finished
         helping = owner.user_id != decider.user_id
         last = -math.inf if owner.last_bitrate is None else owner.last_bitrate
-        phi_qdeg, best = prof.phi_qdeg, math.inf
-        for rate, dl_time, value, costs, drift, stalls, total in rows:
+        theta, phi_qdeg, scores = prof.theta, prof.phi_qdeg, []
+        for rate, dl_time, costs, drift, stalls in rows:
             left = q - dl_time
             left = 0.0 if left < 0.0 else left
             q_next = left + beta
-            own = 0.5 * ((cap - (q_next if q_next < cap else cap)) ** 2 - base)
+            q_next = q_next if q_next < cap else cap
+            # a drifting owner's bystander terms are in the totals already
+            drift += 0.5 * ((cap - q_next) ** 2 - (cap - (left if drifts else q)) ** 2)
+            if not drifts:
+                stall = dl_time - q
+                stalls += phi * (0.0 if stall < 0.0 else stall)
             drop = 0.0 if last < rate else phi_qdeg * (last - rate)
-            stall = dl_time - q
-            stall = phi * (0.0 if stall < 0.0 else stall)
-            if drifts:   # its bystander stall term is its own stall term
-                drift -= 0.5 * ((cap - left) ** 2 - base)
-            else:
-                stalls += stall
-            score = own + drift - drift_weight * (value - drop - stalls - costs[helping])
-            best = score if score < best else best
-            total += abs(own) + weight * (abs(drop) + abs(stall))
-            size = total if total > size else size
-        bests.append(best)
-    margin = 1e-9 * size
-    limit = min(bests) + margin
-    return [p for p, best in zip(cands, bests) if not best - margin > limit]
+            welfare = quality_value(theta, rate) * beta - drop - stalls - costs[helping]
+            scores.append(drift - drift_weight * welfare)
+        ladders.append(scores)
+    return ladders
 
 
 def lyapunov_decide(view: SchedulerView, drift_weight: float = 100.0):
@@ -279,22 +214,17 @@ def lyapunov_decide(view: SchedulerView, drift_weight: float = 100.0):
     `drift_weight` weighs the one-step welfare against the buffer drift.
     Ties break toward the lower owner id, then the lower level.  Without a
     candidate (a pending owner that can take a segment) the answer is the
-    hold, `_wait_or_idle(pending)`.  With three or more, only those that
-    `_contenders` keeps are scored, and the decision is still full
-    scoring's, bit for bit; with two, screening costs more than it saves.
+    hold, `_wait_or_idle(pending)`.
     """
     cands = [p for p in view.pending if can_afford(p)]
     if not cands:
         return _wait_or_idle(view.pending)
-    drifting = _drifting(view)
-    if len(cands) >= 3:
-        cands = _contenders(view, cands, drift_weight, drifting)
     best = None
-    for p in sorted(cands, key=lambda c: c.user_id):
-        for level, score in enumerate(lyapunov_scores(view, p, drift_weight, drifting), 1):
-            key = (score, p.user_id, level)
-            if best is None or key < best:
-                best = key
+    for p, scores in zip(cands, lyapunov_scores(view, cands, drift_weight)):
+        score = min(scores)
+        key = (score, p.user_id, scores.index(score) + 1)
+        if best is None or key < best:
+            best = key
     return Download(best[1], best[2])
 
 

@@ -124,8 +124,9 @@ class _StepTrace:
     @classmethod
     def from_csv(cls, path: str):
         rows = _read_csv_rows(path, cls.header)
-        horizon = max(r[2] for r in rows) if rows else 0.0
-        return cls(horizon, rows)
+        if not rows:
+            raise TraceError(f"{path}: no rows")
+        return cls(max(r[2] for r in rows), rows)
 
     def rows(self):
         """(user, t_from, t_to, value) per interval, users ascending."""

@@ -269,6 +269,29 @@ def test_validate_traces_rejects_mismatched_users(tmp_path, capsys):
     assert "user sets differ" in capsys.readouterr().err
 
 
+def test_a_csv_run_needs_exactly_its_users_in_both_traces(tmp_path, capsys):
+    # Twelve trace users under the default n_users = 10: users 10 and 11
+    # would be dropped without a word.
+    tr.constant_capacity({u: 1.0 for u in range(12)}, 20.0).to_csv(str(tmp_path / "cap.csv"))
+    tr.full_coop_mobility(range(12), 20.0).to_csv(str(tmp_path / "mob.csv"))
+    cfg = tmp_path / "twelve.cfg"
+    cfg.write_text(
+        "horizon = 20\nvideo_len = 8\nschedulers = lyapunov\nrepetitions = 1\n"
+        f"mobility = csv\ncapacity_csv = {tmp_path / 'cap.csv'}\n"
+        f"mobility_csv = {tmp_path / 'mob.csv'}\n"
+    )
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "trace users must be 0..9: capacity [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]" in err
+
+
+def test_a_header_only_trace_names_its_file(tmp_path, capsys):
+    (tmp_path / "cap.csv").write_text(CAPACITY_HEADER)
+    tr.full_coop_mobility([0], 10.0).to_csv(str(tmp_path / "mob.csv"))
+    assert main(["validate-traces", str(tmp_path / "cap.csv"), str(tmp_path / "mob.csv")]) == 2
+    assert f"runtime error: {tmp_path / 'cap.csv'}: no rows" in capsys.readouterr().err
+
+
 def test_sweep_command_runs_each_value(tiny_cfg, tmp_path, capsys):
     out_dir = tmp_path / "sweep"
     code = main(
