@@ -1,108 +1,3 @@
 """Cooperative adaptive-bitrate streaming: simulator, schedulers, bounds."""
 
-from .bound import (
-    BoundError,
-    BoundRegion,
-    SlottedInstance,
-    SlottedPlan,
-    SolveResult,
-    bound_region,
-    refine_instance,
-    slotted_instance,
-    slotted_welfare,
-    solve_slotted,
-)
-from .engine import (
-    RunConfig,
-    SimAuditError,
-    SimError,
-    SimResult,
-    audit_run,
-    run,
-)
-from .harness import ScenarioConfig, load_config, run_experiment, sweep
-from .model import (
-    BitrateLadder,
-    DownloadRecord,
-    DownloadSequence,
-    ModelError,
-    ReceiveSequence,
-    UserProfile,
-    WelfareBreakdown,
-    derive_receive_sequences,
-)
-from .schedulers import (
-    Decision,
-    Download,
-    Idle,
-    SCHEDULER_NAMES,
-    Wait,
-    make_scheduler,
-)
-from .traces import (
-    CapacityTrace,
-    MobilityTrace,
-    SynthConfig,
-    TraceError,
-    constant_capacity,
-    full_coop_mobility,
-    synth_traces,
-)
-from .welfare import (
-    decision_welfare,
-    quality_value,
-    social_welfare,
-    user_welfare,
-    welfare_breakdowns,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BitrateLadder",
-    "BoundError",
-    "BoundRegion",
-    "CapacityTrace",
-    "Decision",
-    "Download",
-    "DownloadRecord",
-    "DownloadSequence",
-    "Idle",
-    "MobilityTrace",
-    "ModelError",
-    "ReceiveSequence",
-    "RunConfig",
-    "SCHEDULER_NAMES",
-    "ScenarioConfig",
-    "SimAuditError",
-    "SimError",
-    "SimResult",
-    "SlottedInstance",
-    "SlottedPlan",
-    "SolveResult",
-    "SynthConfig",
-    "TraceError",
-    "UserProfile",
-    "Wait",
-    "WelfareBreakdown",
-    "audit_run",
-    "bound_region",
-    "constant_capacity",
-    "decision_welfare",
-    "derive_receive_sequences",
-    "full_coop_mobility",
-    "load_config",
-    "make_scheduler",
-    "quality_value",
-    "refine_instance",
-    "run",
-    "run_experiment",
-    "slotted_instance",
-    "slotted_welfare",
-    "social_welfare",
-    "solve_slotted",
-    "sweep",
-    "synth_traces",
-    "user_welfare",
-    "welfare_breakdowns",
-]
+from . import bound, engine, harness, model, schedulers, traces, welfare

@@ -126,15 +126,7 @@ def _cmd_bound(args) -> int:
 def _cmd_validate(args) -> int:
     cap = tr.CapacityTrace.from_csv(args.capacity_csv)
     mob = tr.MobilityTrace.from_csv(args.mobility_csv)
-    if cap.users() != mob.users():
-        raise tr.TraceError(
-            f"user sets differ: capacity {sorted(cap.users())}, "
-            f"mobility {sorted(mob.users())}"
-        )
-    if abs(cap.horizon - mob.horizon) > 1e-9:
-        raise tr.TraceError(
-            f"horizons differ: capacity {cap.horizon}, mobility {mob.horizon}"
-        )
+    tr.check_pair(cap, mob)
     print(
         f"ok: {len(cap.users())} users, horizon {cap.horizon:g} s, "
         f"{sum(len(t.values) for t in cap.tracks.values())} capacity pieces, "

@@ -3,12 +3,14 @@
 The engine owns all ground truth (traces, buffers, reservations) and
 decides for a user whenever its radio is free: at t = 0, when its own
 download completes or aborts, and when its park ends; never at the
-horizon.  The engine alone names a decider's pending owners: the video
-users of its group with segments unreserved, and in the non-cooperative
-twin (`RunConfig.noncoop`) the decider alone.  When none of them can take a
-segment, the engine answers `schedulers.hold` itself; only when a transfer
-can start is the scheduler asked, with a view whose `pending` lists them.
-Every peer snapshot in a view is built afresh for that one decision.
+horizon.  The engine alone names a decider's pending owners: the needy
+members of its acting group, which is its hotspot's group, or a group of
+the decider alone in the non-cooperative twin (`RunConfig.noncoop`) and
+while it stays asleep.  When none of them can take a segment, the engine
+answers `schedulers.hold` itself; only when a transfer can start is the
+scheduler asked, with a view whose `pending` lists them, and a Download
+must name one of them.  Every peer snapshot in a view is built afresh for
+that one decision.
 
 Every decision that starts no transfer parks the user on one value, read
 by one wake rule (`_wake_parked`):
@@ -30,8 +32,8 @@ first use and read by every decision, wake-up and coordination step there:
 its members, its needy members (video users with segments unreserved) and
 their hold, cached for one instant, since buffers drain.  A transfer's
 start, its delivery or abort, and every move in or out of the hotspot drop
-it.  A user in transit, and a sleeper acting alone, get a fresh state of
-their own.
+it.  A user in transit, and a twin or sleeper acting alone, get a fresh
+state of their own.
 
 Time state is anchored to writes: a buffer is stored as its level just
 after the last delivery and that instant, and is drained to the decision
@@ -178,8 +180,7 @@ class _UserState:
 @dataclass(slots=True, eq=False)
 class _Group:
     """The group state of one hotspot: its members, ascending, and the
-    needy ones (video users with segments nobody has reserved; none in the
-    non-cooperative twin, which reads only the members), and `held`,
+    needy ones (video users with segments nobody has reserved), and `held`,
     `schedulers.hold` of the needy, valid at `held_t` only, since buffers
     drain.  Dropped at every write to a member's reservations, playback
     anchors or last bitrate, and at every move in or out."""
@@ -345,8 +346,6 @@ class _Simulation:
 
     def _new_group(self, members) -> _Group:
         """A group state of `members`, ascending, with no hold yet."""
-        if self.cfg.noncoop:
-            return _Group(members, [])
         users = self.users
         return _Group(members, [m for m in members if users[m].is_video_user and users[m].remaining > 0])
 
@@ -456,26 +455,25 @@ class _Simulation:
             nxt = tr.next_positive_capacity(self.cap, uid, t)
             self._park(uid, None if nxt is None else max(nxt, t + TIME_EPS), _OWN)
             return
-        group = self._group(uid, t)
-        # A twin's only pending owner is itself: the hold here and the view's
-        # `pending` below must name the same owners.
-        if not cooperative:
-            answer = hold([self._peer_info(uid, t)] if st.is_video_user and st.remaining > 0 else [])
-        else:
-            if not self._coordination(uid, t, group):
-                # Asleep with nobody needy nearby: act on own state only.
-                group = self._new_group([uid])
-            answer = self._hold(group, t)
+        # The acting group's needy members are the owners the decider may
+        # serve: its hotspot's, or itself alone in the twin and when it
+        # stays asleep with nobody needy nearby.
+        group = acting = self._group(uid, t)
+        if not cooperative or not self._coordination(uid, t, group):
+            acting = self._new_group([uid])
+        answer = self._hold(acting, t)
         if answer is not None:
             # No pending owner can take a segment: the hold is the answer.
             counters.hold_parks += 1
         else:
-            peers = tuple(self._peer_info(m, t) for m in group.members if self.users[m].is_video_user)
-            pending = tuple(p for p in peers if p.remaining > 0 and (cooperative or p.user_id == uid))
-            answer = self.scheduler(SchedulerView(st.profile, h, peers, st.history, pending))
+            users = self.users
+            seen = acting if cooperative else group
+            snaps = {m: self._peer_info(m, t) for m in seen.members if users[m].is_video_user}
+            pending = tuple(snaps[m] for m in acting.needy)
+            answer = self.scheduler(SchedulerView(st.profile, h, tuple(snaps.values()), st.history, pending))
             counters.calls += 1
             if isinstance(answer, Download):
-                if self._start_download(uid, t, group, answer):
+                if self._start_download(uid, t, acting, answer):
                     counters.calls_download += 1
                     return
                 # The horizon cuts the transfer short.  The level asked for may
@@ -504,19 +502,13 @@ class _Simulation:
             # breakpoint of any user.
             self._park(uid, self.mob.next_breakpoint(t) if cooperative else None, park)
 
-    def _start_download(self, uid, t, group, decision) -> bool:
+    def _start_download(self, uid, t, acting, decision) -> bool:
         """Schedule the delivery or abort; False when the horizon cuts it short."""
         owner_id, level = decision.owner, decision.level
-        if self.cfg.noncoop and owner_id != uid:
-            raise SimError(f"user {uid}: cross-download in non-cooperative mode")
-        if owner_id not in group.members:
-            raise SimError(f"user {uid}: owner {owner_id} is not co-located")
-        prof = self.profiles.get(owner_id)
-        if prof is None or not prof.is_video_user:
-            raise SimError(f"user {uid}: owner {owner_id} owns no video")
+        if owner_id not in acting.needy:
+            raise SimError(f"user {uid}: owner {owner_id} is not a pending owner")
         ost = self.users[owner_id]
-        if ost.remaining <= 0:
-            raise SimError(f"user {uid}: owner {owner_id} has nothing left to fetch")
+        prof = ost.profile
         if not 1 <= level <= prof.ladder.top:
             raise SimError(f"user {uid}: level {level} not on owner's ladder")
         if not can_afford(self._peer_info(owner_id, t)):

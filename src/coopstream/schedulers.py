@@ -158,10 +158,12 @@ def lyapunov_scores(
     buffer when it drifts, since its bystander term is in the sum, else from
     its buffer.  The welfare is the owner's value, less its degradation, the
     stall terms summed the same way (plus its own when it does not drift) and
-    the decider's costs: `decision_welfare` up to rounding.  The sums depend
-    only on the ladder's rates and segment length, so they are built once
-    per ladder, and owners in equal states score bit-equal wherever they sit
-    among the peers.
+    the decider's costs: `decision_welfare` up to rounding.  The sums, each
+    level's value and the costs depend only on the ladder's rates, the
+    segment length and the owner's theta, so they are built once per such
+    row key (one per view when every user shares a theta and a ladder), and
+    owners in equal states score bit-equal wherever they sit among the
+    peers.
     """
     decider = view.profile
     drifting = [
@@ -172,8 +174,8 @@ def lyapunov_scores(
     totals, ladders = {}, []
     for owner in owners:
         prof = owner.profile
-        beta, cap, q, phi = prof.segment_len, prof.buffer_cap, owner.buffer, prof.phi_rebuf
-        rows = totals.get(key := (prof.ladder.rates, beta))
+        beta, cap, q, phi, theta = prof.segment_len, prof.buffer_cap, owner.buffer, prof.phi_rebuf, prof.theta
+        rows = totals.get(key := (prof.ladder.rates, beta, theta))
         if rows is None:
             rows = totals[key] = []
             for rate in prof.ladder.rates:
@@ -186,12 +188,13 @@ def lyapunov_scores(
                     stall = dl_time - p_q
                     stalls += p_phi * (0.0 if stall < 0.0 else stall)
                 cost = decider.c_time * dl_time + decider.c_data * volume
-                rows.append((rate, dl_time, (cost, cost + decider.w_data * volume), drift, stalls))
+                value = quality_value(theta, rate) * beta
+                rows.append((rate, dl_time, value, (cost, cost + decider.w_data * volume), drift, stalls))
         drifts = owner.playback_started and not owner.playback_finished
         helping = owner.user_id != decider.user_id
         last = -math.inf if owner.last_bitrate is None else owner.last_bitrate
-        theta, phi_qdeg, scores = prof.theta, prof.phi_qdeg, []
-        for rate, dl_time, costs, drift, stalls in rows:
+        phi_qdeg, scores = prof.phi_qdeg, []
+        for rate, dl_time, value, costs, drift, stalls in rows:
             left = q - dl_time
             left = 0.0 if left < 0.0 else left
             q_next = left + beta
@@ -202,7 +205,7 @@ def lyapunov_scores(
                 stall = dl_time - q
                 stalls += phi * (0.0 if stall < 0.0 else stall)
             drop = 0.0 if last < rate else phi_qdeg * (last - rate)
-            welfare = quality_value(theta, rate) * beta - drop - stalls - costs[helping]
+            welfare = value - drop - stalls - costs[helping]
             scores.append(drift - drift_weight * welfare)
         ladders.append(scores)
     return ladders

@@ -199,6 +199,15 @@ def _read_csv_rows(path: str, header: tuple[str, ...]) -> list[tuple[float, floa
     return rows
 
 
+def check_pair(cap: CapacityTrace, mob: MobilityTrace) -> None:
+    """Raise TraceError unless the two traces cover the same users over the
+    same horizon."""
+    if cap.users() != mob.users():
+        raise TraceError(f"user sets differ: capacity {cap.users()}, mobility {mob.users()}")
+    if abs(cap.horizon - mob.horizon) > TIME_EPS:
+        raise TraceError(f"horizons differ: capacity {cap.horizon}, mobility {mob.horizon}")
+
+
 # ---------------------------------------------------------------------------
 # Queries used by the schedulers and the engine.
 

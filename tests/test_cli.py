@@ -285,6 +285,24 @@ def test_a_csv_run_needs_exactly_its_users_in_both_traces(tmp_path, capsys):
     assert "trace users must be 0..9: capacity [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]" in err
 
 
+@pytest.mark.parametrize("command", ["run", "bound"])
+def test_csv_commands_check_the_pair_as_validate_traces_does(tmp_path, capsys, command):
+    # A 200 s capacity trace with a 150 s mobility trace: validate-traces
+    # rejects the pair, so a run or bound on it must too.
+    tr.constant_capacity({u: 1.0 for u in range(4)}, 200.0).to_csv(str(tmp_path / "cap.csv"))
+    tr.full_coop_mobility(range(4), 150.0).to_csv(str(tmp_path / "mob.csv"))
+    cfg = tmp_path / "pair.cfg"
+    cfg.write_text(
+        "horizon = 150\nn_users = 4\nvideo_len = 8\nschedulers = lyapunov\nrepetitions = 1\n"
+        f"mobility = csv\ncapacity_csv = {tmp_path / 'cap.csv'}\n"
+        f"mobility_csv = {tmp_path / 'mob.csv'}\n"
+    )
+    assert main(["validate-traces", str(tmp_path / "cap.csv"), str(tmp_path / "mob.csv")]) == 2
+    assert "horizons differ: capacity 200.0, mobility 150.0" in capsys.readouterr().err
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "horizons differ: capacity 200.0, mobility 150.0" in capsys.readouterr().err
+
+
 def test_a_header_only_trace_names_its_file(tmp_path, capsys):
     (tmp_path / "cap.csv").write_text(CAPACITY_HEADER)
     tr.full_coop_mobility([0], 10.0).to_csv(str(tmp_path / "mob.csv"))

@@ -397,6 +397,42 @@ class TestBadSchedulers:
         with pytest.raises(SimError):
             run(profiles, cap, mob, rogue, RunConfig(horizon=10.0))
 
+    def test_idle_helper_owner_rejected(self):
+        # Helper 2 shares the hotspot but owns no video.
+        profiles = {1: video_profile(1), 2: idle_profile(2)}
+        cap = constant_capacity({1: 2.0, 2: 2.0}, 10.0)
+        mob = full_coop_mobility([1, 2], 10.0)
+
+        def rogue(view):
+            return Download(2, 1)
+
+        with pytest.raises(SimError, match="owner 2 is not a pending owner"):
+            run(profiles, cap, mob, rogue, RunConfig(horizon=10.0))
+
+    def test_fully_reserved_owner_rejected(self):
+        # Owner 1's one segment is reserved by its own decision at t = 0, so
+        # user 2, deciding next at t = 0, may serve only itself.
+        profiles = {1: video_profile(1, video_len=2.0), 2: video_profile(2)}
+        cap = constant_capacity({1: 2.0, 2: 2.0}, 10.0)
+        mob = full_coop_mobility([1, 2], 10.0)
+
+        def rogue(view):
+            return Download(1, 1)
+
+        with pytest.raises(SimError, match="user 2: owner 1 is not a pending owner"):
+            run(profiles, cap, mob, rogue, RunConfig(horizon=10.0))
+
+    def test_unknown_owner_rejected(self):
+        profiles = {1: video_profile(1)}
+        cap = constant_capacity({1: 2.0}, 10.0)
+        mob = full_coop_mobility([1], 10.0)
+
+        def rogue(view):
+            return Download(99, 1)
+
+        with pytest.raises(SimError, match="owner 99 is not a pending owner"):
+            run(profiles, cap, mob, rogue, RunConfig(horizon=10.0))
+
     def test_overfull_owner_rejected(self):
         # Owner 2 always has room, so the engine asks the scheduler even
         # once owner 1's 4 s buffer is full, and the rogue keeps asking for
@@ -602,7 +638,7 @@ class _CheckedSimulation(_Simulation):
     def _group(self, uid, t):
         group = super()._group(uid, t)
         assert group.members == self._scan_group(uid, t)
-        assert group.needy == ([] if self.cfg.noncoop else self._fresh_needy(group.members))
+        assert group.needy == self._fresh_needy(group.members)
         return group
 
     def _fresh_pending(self, uid, peers):
