@@ -6,8 +6,8 @@ its slot capacity, pairs must be co-located for the entire slot, and owner
 buffers follow a per-slot drain-then-fill recursion.  Solving it exactly at
 the scenario's segment length gives the coarse slotted optimum (level 0);
 halving the segment length and re-solving gives the refined levels, and the
-finest of them is the upper estimate.  No level is claimed to bound the
-continuous optimum from below.
+finest of them, when solved exactly, is the upper estimate.  No level is
+claimed to bound the continuous optimum from below.
 
 The exact solver is a depth-first branch-and-bound that carries the prefix
 welfare slot by slot down the search; slotted_welfare stays the only
@@ -437,8 +437,10 @@ class BoundRegion:
     nodes: tuple[int, ...]            # search nodes each level's solve used
 
     @property
-    def upper(self) -> float:
-        return self.values[-1]
+    def upper(self) -> float | None:
+        """The finest level's welfare; None when its solve was budget-limited,
+        since the best plan a cut-short search found bounds nothing."""
+        return self.values[-1] if self.exact[-1] else None
 
 
 def bound_region(

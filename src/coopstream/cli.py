@@ -115,9 +115,8 @@ def _cmd_bound(args) -> int:
     ):
         tag = "exact" if exact else "budget-limited"
         print(f"segment_len={beta:g}  welfare={value:.6f}  ({tag}, {nodes} nodes)")
-    # A budget-limited finest level is only the best plan the search found.
-    note = "" if region.exact[-1] else "  (budget-limited: no upper bound)"
-    print(f"upper bound estimate: {region.upper:.6f}{note}")
+    upper = region.upper
+    print("upper bound estimate: " + ("none (budget-limited)" if upper is None else f"{upper:.6f}"))
     if args.out is not None:
         bd.write_region_json(region, args.out)
     return 0

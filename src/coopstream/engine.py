@@ -5,12 +5,14 @@ decides for a user whenever its radio is free: at t = 0, when its own
 download completes or aborts, and when its park ends; never at the
 horizon.  The engine alone names a decider's pending owners: the needy
 members of its acting group, which is its hotspot's group, or a group of
-the decider alone in the non-cooperative twin (`RunConfig.noncoop`) and
-while it stays asleep.  When none of them can take a segment, the engine
-answers `schedulers.hold` itself; only when a transfer can start is the
-scheduler asked, with a view whose `pending` lists them, and a Download
-must name one of them.  Every peer snapshot in a view is built afresh for
-that one decision.
+the decider alone in the non-cooperative twin (`RunConfig.noncoop`).
+When none of them can take a segment, the engine answers
+`schedulers.hold` itself; only when a transfer can start is the scheduler
+asked, with a view whose `pending` lists them and whose `peers` are its
+hotspot's video users, and a Download must name one of them.  Every peer
+snapshot in a view is built afresh for that one decision.  The
+coordination protocol (READY, ACK, sleep) is only counted in
+`MessageStats`: it steers no decision.
 
 Every decision that starts no transfer parks the user on one value, read
 by one wake rule (`_wake_parked`):
@@ -23,8 +25,7 @@ by one wake rule (`_wake_parked`):
 
 A Wait's timer is its instant, a dead link's the link's return, a cut
 Download's or cooperative Idle's the next mobility breakpoint of any user;
-a twin's Idle has none.  A READY wakes a sleeping user unless it is parked
-`_OWN`.
+a twin's Idle has none.
 
 A decider's group comes from a hotspot-occupancy index advanced to the
 decision instant.  Each occupied hotspot has one group state, built on
@@ -32,8 +33,8 @@ first use and read by every decision, wake-up and coordination step there:
 its members, its needy members (video users with segments unreserved) and
 their hold, cached for one instant, since buffers drain.  A transfer's
 start, its delivery or abort, and every move in or out of the hotspot drop
-it.  A user in transit, and a twin or sleeper acting alone, get a fresh
-state of their own.
+it.  A user in transit, and a twin acting alone, get a fresh state of
+their own.
 
 Time state is anchored to writes: a buffer is stored as its level just
 after the last delivery and that instant, and is drained to the decision
@@ -160,7 +161,7 @@ class _UserState:
     # _OWN, _ANY or a cooperative Wait or Idle (see `_wake_parked`)
     park: str | Wait | Idle | None = None
     gen: int = 0
-    # coordination
+    # coordination, read by `_coordination` alone
     asleep: bool = False
     sleep_deadline: float | None = None
 
@@ -171,10 +172,6 @@ class _UserState:
     @property
     def remaining(self) -> int:
         return self.num_segments - self.received - self.inflight
-
-    def drowsy(self, t) -> bool:
-        """Asleep, or due to fall asleep at t: its no-ACK window has run out."""
-        return self.asleep or (self.sleep_deadline is not None and t >= self.sleep_deadline - TIME_EPS)
 
 
 @dataclass(slots=True, eq=False)
@@ -274,36 +271,19 @@ class _Simulation:
         # users at the owner's hotspot at t (the owner alone in transit) can
         # see it.  Of those, an _OWN park keeps its timer and an _ANY park
         # decides now.  A cooperative Wait or Idle is held when deciding now
-        # would change nothing but READY/ACK counts.  The engine answers the
-        # group's hold whenever it is not None, so that is when the park
-        # equals the group's quiet hold (the same `until` bit for bit, or
-        # Idle, whose next breakpoint cannot have passed), its link is alive,
-        # and its coordination step would only count a READY and ACKs: it
-        # has no no-ACK window armed and a needy peer.  The quiet hold is the
-        # group's hold, or None when a member is asleep or its no-ACK window
-        # has run out (its decision at t puts it to sleep, and a later
-        # decider would wake it).
+        # would park it where it is: the engine answers the group's hold
+        # whenever it is not None, so that is when the park equals the hold
+        # (the same `until` bit for bit, or Idle, whose next breakpoint cannot
+        # have passed) and its link is alive.
         group = self._group(owner, t)
         users, counters = self.users, self.counters
-        quiet = None  # (the group's quiet hold,), once a parked Wait or Idle needs it
         for uid in group.members:
-            st = users[uid]
-            park = st.park
+            park = users[uid].park
             if park is None or park is _OWN:
                 continue
-            if park is not _ANY and st.sleep_deadline is None:
-                if quiet is None:
-                    held = self._hold(group, t)
-                    if held is not None and any(users[m].drowsy(t) for m in group.members):
-                        held = None
-                    quiet = (held,)
-                if (
-                    park == quiet[0]
-                    and self._needy_peers(uid, group) > 0
-                    and tr.capacity_at(self.cap, uid, t) > 0.0
-                ):
-                    counters.wakes_held += 1
-                    continue
+            if park is not _ANY and park == self._hold(group, t) and tr.capacity_at(self.cap, uid, t) > 0.0:
+                counters.wakes_held += 1
+                continue
             counters.wakeups += 1
             self._schedule_decision(uid, t)
 
@@ -369,11 +349,6 @@ class _Simulation:
             group.held_t = t
         return group.held
 
-    def _needy_peers(self, uid, group) -> int:
-        """The needy members of `uid`'s group besides `uid` itself."""
-        st = self.users[uid]
-        return len(group.needy) - (st.is_video_user and st.remaining > 0)
-
     def _peer_info(self, uid, t) -> PeerInfo:
         st = self.users[uid]
         prof = st.profile
@@ -391,26 +366,23 @@ class _Simulation:
 
     # -- coordination protocol accounting ----------------------------------
 
-    def _coordination(self, uid, t, group) -> bool:
-        """Count READY/ACK traffic and run sleep/awake transitions.
-
-        Returns True when `uid` may cooperate (awake), False when it stays
-        asleep and must act for itself only.
-        """
+    def _coordination(self, uid, t, group):
+        """Count READY/ACK traffic and run sleep/awake transitions; they
+        steer no decision."""
         st = self.users[uid]
-        if not st.asleep and st.drowsy(t):
+        if not st.asleep and st.sleep_deadline is not None and t >= st.sleep_deadline - TIME_EPS:
+            # Its no-ACK window has run out.
             st.asleep = True
             st.sleep_deadline = None
             self.msgs.sleep += 1
-        needy = self._needy_peers(uid, group)
+        needy = len(group.needy) - (st.is_video_user and st.remaining > 0)  # besides uid
         if st.asleep:
             if needy:
                 # A co-located requester pings the sleeper back awake.
                 self.msgs.virtual_ack += needy
                 self.msgs.awake += 1
                 st.asleep = False
-                return True
-            return False
+            return
         if len(group.members) > 1:
             self.msgs.ready += 1
             self.msgs.last_ready = t
@@ -423,11 +395,8 @@ class _Simulation:
                         peer.asleep = False
                         peer.sleep_deadline = None
                         self.msgs.awake += 1
-                        if peer.park is not None and peer.park is not _OWN:
-                            self._schedule_decision(m, t)
             elif st.sleep_deadline is None:
                 st.sleep_deadline = t + self.cfg.ack_window
-        return True
 
     # -- decision handling -------------------------------------------------
 
@@ -450,16 +419,17 @@ class _Simulation:
         counters = self.counters
         if h <= 0.0:
             # Dead link: no protocol traffic, come back when the radio has
-            # rate; no peer's completion or READY revives the link.
+            # rate; no peer's completion revives the link.
             counters.dead_link_parks += 1
             nxt = tr.next_positive_capacity(self.cap, uid, t)
             self._park(uid, None if nxt is None else max(nxt, t + TIME_EPS), _OWN)
             return
         # The acting group's needy members are the owners the decider may
-        # serve: its hotspot's, or itself alone in the twin and when it
-        # stays asleep with nobody needy nearby.
+        # serve: its hotspot's, or itself alone in the twin.
         group = acting = self._group(uid, t)
-        if not cooperative or not self._coordination(uid, t, group):
+        if cooperative:
+            self._coordination(uid, t, group)
+        else:
             acting = self._new_group([uid])
         answer = self._hold(acting, t)
         if answer is not None:
@@ -467,8 +437,7 @@ class _Simulation:
             counters.hold_parks += 1
         else:
             users = self.users
-            seen = acting if cooperative else group
-            snaps = {m: self._peer_info(m, t) for m in seen.members if users[m].is_video_user}
+            snaps = {m: self._peer_info(m, t) for m in group.members if users[m].is_video_user}
             pending = tuple(snaps[m] for m in acting.needy)
             answer = self.scheduler(SchedulerView(st.profile, h, tuple(snaps.values()), st.history, pending))
             counters.calls += 1

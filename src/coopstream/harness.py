@@ -320,7 +320,7 @@ def _prefix_bound(cfg, profiles, cap, mob, noncoop):
 def _gap_ratio(cfg, prefix, scheduler, noncoop) -> float | None:
     """1 - realized/bound on the prefix instance; None unless its finest level is exact."""
     (sub_profiles, sub_cap, sub_mob), region = prefix
-    if not region.exact[-1] or region.upper <= 1e-9:
+    if region.upper is None or region.upper <= 1e-9:
         return None
     run_cfg = RunConfig(horizon=sub_cap.horizon, noncoop=noncoop, ack_window=cfg.ack_window)
     result = run(sub_profiles, sub_cap, sub_mob, scheduler, run_cfg)

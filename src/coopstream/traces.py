@@ -292,6 +292,8 @@ def first_separation(trace: MobilityTrace, n: int, u: int, a: float, b: float) -
 # ---------------------------------------------------------------------------
 # Synthetic trace generation.
 
+CAPACITY_JITTER = 0.5  # relative half-width of a user's capacity draws around its average
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -302,7 +304,7 @@ class SynthConfig:
     collapses transit to nothing.  [capacity_lo, capacity_hi] is the range
     of per-user *average* link capacity: each user draws one average from
     it, and the realized capacity is redrawn every capacity_period seconds
-    uniformly within +-capacity_jitter of that average.  Heterogeneous
+    uniformly within +-CAPACITY_JITTER of that average.  Heterogeneous
     averages are what give fast users spare capacity to share.
     """
 
@@ -314,7 +316,6 @@ class SynthConfig:
     capacity_lo: float = 0.0
     capacity_hi: float = 2.5
     capacity_period: float = 2.0
-    capacity_jitter: float = 0.5
 
     def validate(self) -> None:
         if self.n_users < 1:
@@ -331,8 +332,6 @@ class SynthConfig:
             raise TraceError("capacity range must satisfy 0 <= lo <= hi")
         if self.capacity_period <= 0.0:
             raise TraceError("capacity_period must be positive")
-        if not 0.0 <= self.capacity_jitter <= 1.0:
-            raise TraceError("capacity_jitter must lie in [0, 1]")
 
 
 def synth_traces(cfg: SynthConfig, seed: int) -> tuple[CapacityTrace, MobilityTrace]:
@@ -346,8 +345,8 @@ def synth_traces(cfg: SynthConfig, seed: int) -> tuple[CapacityTrace, MobilityTr
         t = 0.0
         while t < cfg.horizon - TIME_EPS:
             t2 = min(cfg.horizon, t + cfg.capacity_period)
-            lo = mean * (1.0 - cfg.capacity_jitter)
-            hi = mean * (1.0 + cfg.capacity_jitter)
+            lo = mean * (1.0 - CAPACITY_JITTER)
+            hi = mean * (1.0 + CAPACITY_JITTER)
             cap_rows.append((user, t, t2, rng.uniform(lo, hi)))
             t = t2
         segs: list[tuple[float, float, int]] = []

@@ -20,12 +20,14 @@ the engine set barely reaches.  By its download records each run is one of
 Messages (READY/ACK counts and the last READY instant) and
 `EngineCounters` are compared on their own, since a change to the
 decision policy moves them on purpose; so are the sleep transitions
-(sleep, awake and virtual ACK counts), which a change that only skips
-decisions repeating their answer leaves alone, and the live counters:
+(sleep, awake and virtual ACK counts), which are counted at each decision
+that is run and steer none, so skipping a decision that repeats its
+answer can move them with no download moving, and the live counters:
 every counter but the dead-link parks and the events, wake-ups and stale
-decisions that re-deciding a dead link brings.  Each class runs on the scenario builders, schedulers
-and audit of its own package, so a class from another checkout, loaded
-with `load_package` under another name, can be compared with this one.
+decisions that re-deciding a dead link brings.  Each class runs on the
+scenario builders, schedulers and audit of its own package, so a class
+from another checkout, loaded with `load_package` under another name,
+can be compared with this one.
 From the repository root,
 
     PYTHONPATH=src python tests/engine_differential.py OTHER/src [SEED ...]

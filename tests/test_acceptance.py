@@ -13,6 +13,7 @@ import math
 import random
 import time
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -89,9 +90,11 @@ def audit_scenario(seed):
         capacity_lo=0.0,
         capacity_hi=rng.uniform(0.5, 6.0),
         capacity_period=rng.uniform(1.0, 4.0),
-        capacity_jitter=rng.uniform(0.0, 1.0),
     )
-    cap, mob = tr.synth_traces(synth, seed)
+    # The sweep also draws each scenario's capacity jitter, which the
+    # generator fixes for every other caller.
+    with mock.patch.object(tr, "CAPACITY_JITTER", rng.uniform(0.0, 1.0)):
+        cap, mob = tr.synth_traces(synth, seed)
     return profiles, cap, mob
 
 

@@ -487,3 +487,7 @@ def test_region_export(tmp_path):
     out = tmp_path / "region.json"
     write_region_json(region, str(out))
     assert json.loads(out.read_text()) == d
+    # A budget-limited finest level gives no estimate.
+    cut = bound_region(inst, halvings=1, node_budget=10)
+    assert not cut.exact[-1] and cut.upper is None
+    assert region_to_dict(cut)["upper_estimate"] is None

@@ -344,8 +344,10 @@ def test_bound_command_prints_region_and_writes_json(tmp_path, capsys):
     out = tmp_path / "region.json"
     assert main(["bound", "--config", str(cfg), "--refine", "1", "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
-    assert "upper bound estimate" in stdout and "no upper bound" not in stdout  # exact levels
     doc = json.loads(out.read_text())
+    assert all(lv["exact"] for lv in doc["levels"])
+    assert stdout.splitlines()[-1] == f"upper bound estimate: {doc['levels'][-1]['welfare']:.6f}"
+    assert doc["upper_estimate"] == doc["levels"][-1]["welfare"]
     assert set(doc) == {"levels", "upper_estimate"}
     assert len(doc["levels"]) == 2
     assert all(set(lv) == {"segment_len", "welfare", "exact", "nodes"} for lv in doc["levels"])
@@ -367,5 +369,7 @@ def test_bound_command_says_when_its_estimate_is_budget_limited(tmp_path, capsys
     lines = capsys.readouterr().out.splitlines()
     doc = json.loads(out.read_text())
     assert [lv["exact"] for lv in doc["levels"]] == [False, False]
-    assert lines[-1] == f"upper bound estimate: {doc['upper_estimate']:.6f}  (budget-limited: no upper bound)"
+    # The best plan a cut-short search found bounds nothing: no estimate.
+    assert lines[-1] == "upper bound estimate: none (budget-limited)"
+    assert doc["upper_estimate"] is None
     assert set(doc) == {"levels", "upper_estimate"}

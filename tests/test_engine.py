@@ -482,7 +482,9 @@ class _CheckedSimulation(_Simulation):
     state, the buffer drained from its delivery anchors to the decision
     instant.  Each coordination step must add the READY, ACKs and virtual
     ACKs that a fresh scan of the decider's needy co-located peers gives,
-    and the last READY instant moves to t exactly when it adds a READY.
+    the last READY instant moves to t exactly when it adds a READY, and it
+    returns nothing and schedules no decision: a READY that wakes a parked
+    sleeper leaves it parked.
     After every decision the user is parked or has a delivery or abort
     pending, so no decision strands it.  Its park is _OWN after a dead link
     and after a twin's Wait or Idle, _ANY after a horizon-cut Download, and
@@ -499,8 +501,8 @@ class _CheckedSimulation(_Simulation):
     abort before the horizon, each user co-located with the segment's
     owner and parked _ANY or on a Wait or Idle has a decision pending at
     that instant, unless its wake was held.  For each held wake the hold of
-    the group, built afresh, must equal the user's park, and the skipped
-    decision's coordination step must only count a READY and ACKs.
+    the group, built afresh, must equal the user's park, and its link must
+    be alive.
     """
 
     def __init__(self, *args):
@@ -556,9 +558,7 @@ class _CheckedSimulation(_Simulation):
     def _check_hold_park(self, uid, t):
         st = self.users[uid]
         cooperative = not self.cfg.noncoop
-        # A cooperative decider still asleep after its coordination step
-        # acted on its own state alone.
-        group = [uid] if cooperative and st.asleep else self._scan_group(uid, t)
+        group = self._scan_group(uid, t)
         peers = tuple(self._fresh_peer_info(m, t) for m in group if self.users[m].is_video_user)
         view = SchedulerView(
             profile=st.profile,
@@ -603,20 +603,9 @@ class _CheckedSimulation(_Simulation):
     def _check_held(self, uid, t):
         st = self.users[uid]
         assert tr.capacity_at(self.cap, uid, t) > 0.0  # else the decision would park on the dead link
-        group = self._scan_group(uid, t)
-        # The coordination step would only count: the decider is awake with
-        # no no-ACK window armed and has a needy peer, and nobody in the
-        # group is asleep or falls asleep at t.
-        assert not st.asleep and st.sleep_deadline is None
-        needy = self._fresh_needy(group)
-        assert any(m != uid for m in needy)
-        for m in group:
-            peer = self.users[m]
-            assert not peer.asleep
-            assert peer.sleep_deadline is None or t < peer.sleep_deadline - TIME_EPS
         # The engine would answer the decision with the group's hold, and
         # park the user where it is parked (or decide at t anyway).
-        answer = hold([self._fresh_peer_info(m, t) for m in needy])
+        answer = hold([self._fresh_peer_info(m, t) for m in self._fresh_needy(self._scan_group(uid, t))])
         assert isinstance(answer, (Wait, Idle)) and answer == st.park
         assert self._pending_decisions(uid) in (self._wakes(t, answer), [t])
 
@@ -665,15 +654,16 @@ class _CheckedSimulation(_Simulation):
         m = self.msgs
         before = (m.ready, m.ack, m.virtual_ack)
         last_ready = m.last_ready
-        awake = super()._coordination(uid, t, group)
+        gens = {u: s.gen for u, s in self.users.items()}
+        assert super()._coordination(uid, t, group) is None
+        assert {u: s.gen for u, s in self.users.items()} == gens
         if asleep:
             want = (0, 0, needy)  # a virtual ACK per needy peer, which wakes it
         else:
             want = (1, needy, 0) if others else (0, 0, 0)
         assert (m.ready - before[0], m.ack - before[1], m.virtual_ack - before[2]) == want
         assert m.last_ready == (t if want[0] else last_ready)
-        assert awake == (not asleep or needy > 0)
-        return awake
+        assert st.asleep == (asleep and needy == 0)
 
     def _fresh_peer_info(self, uid, t):
         st = self.users[uid]
@@ -769,8 +759,8 @@ class _UnheldSimulation(_Simulation):
 
 class _DeadLinkWakeSimulation(_Simulation):
     """The cooperative dead-link rule before _OWN parks: every delivery or
-    abort at the owner's hotspot, and every READY to a sleeper, re-decides
-    a user parked on a dead link, only to park it there again."""
+    abort at the owner's hotspot re-decides a user parked on a dead link,
+    only to park it there again."""
 
     def _park(self, uid, wake, park):
         super()._park(uid, wake, _ANY if park is _OWN and not self.cfg.noncoop else park)
@@ -847,7 +837,9 @@ class TestWakeRule:
         # With every user always at one hotspot, the pruned rule wakes the
         # same users in the same order as waking every parked user, bar the
         # held wakes, whose decisions would repeat their parks: the same
-        # outcome and sleep transitions from no more decisions and READYs.
+        # outcome from no more decisions and READYs.  A skipped decision's
+        # coordination step is skipped with it, so sleep transitions may
+        # differ; they steer no decision.
         # A twin wakes only its horizon-cut parks: the same downloads bit for
         # bit (every time is anchored to a write), from fewer decisions.
         # Either way a decision that no pending owner can serve is answered
@@ -871,9 +863,6 @@ class TestWakeRule:
                     assert got.counters.decisions <= want.counters.decisions
                     assert got.messages.ready <= want.messages.ready
                     assert got.messages.ack <= want.messages.ack
-                    assert (got.messages.sleep, got.messages.awake, got.messages.virtual_ack) == (
-                        want.messages.sleep, want.messages.awake, want.messages.virtual_ack
-                    )
                 assert any(seq.records for seq in got.downloads.values())
 
     @pytest.mark.parametrize("name, old_parks", [("lyapunov", 53), ("buffer", 46), ("prediction", 47)])
@@ -945,8 +934,8 @@ class TestWakeRule:
 class TestHeldWakes:
     def test_random_micro_scenarios(self):
         # Every held wake repeats its park (checked against the scheduler on
-        # a fresh view), and holding them changes no download, abort,
-        # welfare term or sleep transition: only READY/ACK and the counters.
+        # a fresh view), and holding them changes no download, abort or
+        # welfare term: only the coordination counts and the counters.
         held = 0
         for seed in range(150):
             profiles, cap, mob, run_cfg = micro_scenario(seed)
@@ -957,10 +946,92 @@ class TestHeldWakes:
                 )
                 a, b = outcome(got), outcome(want)
                 assert classify(a, b) == "identical"
-                assert a.messages[2:5] == b.messages[2:5]  # virtual ACK, sleep, awake
+                assert got.counters.calls == want.counters.calls
                 assert got.messages.ready <= want.messages.ready
                 held += got.counters.wakes_held
         assert held > 1000
+
+
+class TestCoordinationOnlyCounts:
+    """READY, ACK and sleep are counted; they steer no decision."""
+
+    @staticmethod
+    def logged(sim):
+        decided = []
+        decide = sim._decide
+
+        def logged(uid, t):
+            decided.append((t, uid))
+            decide(uid, t)
+
+        sim._decide = logged
+        return decided
+
+    def test_ready_that_wakes_a_parked_sleeper_schedules_no_decision(self):
+        # User 1 fills its 4 s buffer at hotspot 1 beside helper 3, whose
+        # link is dead, so its READYs draw no ACK and it falls asleep at
+        # 2.5 s, parked on Waits for room.  User 2's link comes back at
+        # 5.75 s as it arrives: its READY draws user 1's ACK and wakes it,
+        # but user 1 decides next at user 2's delivery (6.25 s), not at 5.75 s.
+        ladder = BitrateLadder((0.5, 1.0))
+        profiles = {uid: video_profile(uid, ladder=ladder, buffer_cap=4.0) for uid in (1, 2)}
+        profiles[3] = idle_profile(3)
+        cap = CapacityTrace(
+            10.0, [(1, 0.0, 10.0, 4.0), (2, 0.0, 5.75, 0.0), (2, 5.75, 10.0, 4.0), (3, 0.0, 10.0, 0.0)]
+        )
+        mob = MobilityTrace(
+            10.0, [(1, 0.0, 10.0, 1), (2, 0.0, 5.75, 2), (2, 5.75, 10.0, 1), (3, 0.0, 10.0, 1)]
+        )
+        run_cfg = RunConfig(horizon=10.0, ack_window=2.0)
+        sim = _CheckedSimulation(profiles, cap, mob, top_rate_scheduler, run_cfg)
+        decided = self.logged(sim)
+        res = sim.run()
+        assert (res.messages.sleep, res.messages.awake, res.messages.virtual_ack) == (1, 1, 2)
+        assert (5.75, 2) in decided
+        assert [t for t, uid in decided if uid == 1 and 5.0 < t < 6.5] == [6.25]
+
+    def test_sleepers_view_lists_its_hotspots_video_users(self):
+        # User 4 reserves its only segment at t = 0, so from 0.5 s user 1's
+        # READYs draw no ACK, and it falls asleep at 2.5 s and again at 6.5 s.
+        # A sleeper's view still holds every video user at its hotspot.
+        ladder = BitrateLadder((0.5, 1.0))
+        profiles = {
+            1: video_profile(1, ladder=ladder, buffer_cap=4.0),
+            4: video_profile(4, ladder=ladder, video_len=2.0),
+        }
+        cap = constant_capacity({1: 4.0, 4: 0.5}, 8.0)
+        mob = full_coop_mobility([1, 4], 8.0)
+        asleep = []
+
+        def scheduler(view):
+            if view.user_id == 1 and sim.users[1].asleep:
+                asleep.append(tuple(p.user_id for p in view.peers))
+            return top_rate_scheduler(view)
+
+        sim = _CheckedSimulation(profiles, cap, mob, scheduler, RunConfig(horizon=8.0, ack_window=1.0))
+        res = sim.run()
+        assert asleep == [(1, 4), (1, 4)]
+        assert res.messages.sleep == 2
+
+    def test_wake_is_held_while_the_no_ack_window_is_armed(self):
+        # As above, with a 10 s window: user 1 arms it at 0.5 s and is
+        # parked on Wait(4.5) when user 4's segment lands at 4 s.  That
+        # leaves the group's hold equal to the park, so the wake is held.
+        ladder = BitrateLadder((0.5, 1.0))
+        profiles = {
+            1: video_profile(1, ladder=ladder, buffer_cap=4.0),
+            4: video_profile(4, ladder=ladder, video_len=2.0),
+        }
+        cap = constant_capacity({1: 4.0, 4: 0.5}, 6.0)
+        mob = full_coop_mobility([1, 4], 6.0)
+        run_cfg = RunConfig(horizon=6.0, ack_window=10.0)
+        sim = _CheckedSimulation(profiles, cap, mob, top_rate_scheduler, run_cfg)
+        decided = self.logged(sim)
+        res = sim.run()
+        assert [r.t_end for r in res.downloads[4].records] == [4.0]
+        assert sim.users[1].sleep_deadline == 10.5 and res.messages.sleep == 0
+        assert res.counters.wakes_held == 1
+        assert [t for t, uid in decided if uid == 1 and 3.0 < t < 5.0] == [4.5]
 
 
 class TestGroupState:
