@@ -14,22 +14,20 @@ snapshot in a view is built afresh for that one decision.  The
 coordination protocol (READY, ACK, sleep) is only counted in
 `MessageStats`: it steers no decision.
 
-Every decision that starts no transfer parks the user on one value, read
-by one wake rule (`_wake_parked`):
+A Download that the horizon would cut short starts nothing and is
+answered as an Idle.  Every decision that starts no transfer sets a timer
+and parks the user on the hold it waits on, read by one wake rule
+(`_wake_parked`): a cooperative Wait or Idle, which a delivery or abort of
+a segment whose owner shares its hotspot ends unless it leaves the
+group's hold equal to the park; or None, on a dead link and in the twin,
+which only its own timer ends.  A Wait's timer is its instant, a dead
+link's the link's return, a cooperative Idle's the next mobility
+breakpoint of any user; a twin's Idle has none.
 
-* `_OWN` (a dead link; a twin's Wait or Idle): only its own timer ends it;
-* `_ANY` (a Download the horizon would cut short): any delivery or abort
-  of a segment whose owner shares its hotspot ends it;
-* a cooperative Wait or Idle: such a completion ends it unless it leaves
-  the group's hold equal to the park (see `_wake_parked`).
-
-A Wait's timer is its instant, a dead link's the link's return, a cut
-Download's or cooperative Idle's the next mobility breakpoint of any user;
-a twin's Idle has none.
-
-A decider's group comes from a hotspot-occupancy index advanced to the
-decision instant.  Each occupied hotspot has one group state, built on
-first use and read by every decision, wake-up and coordination step there:
+A decider's group comes from a hotspot-occupancy index that every
+mobility bound updates as an event of its own, before anything else at
+that instant.  Each occupied hotspot has one group state, built on first
+use and read by every decision, wake-up and coordination step there:
 its members, its needy members (video users with segments unreserved) and
 their hold, cached for one instant, since buffers drain.  A transfer's
 start, its delivery or abort, and every move in or out of the hotspot drop
@@ -69,11 +67,9 @@ from .model import (
 from .schedulers import Download, Idle, PeerInfo, SchedulerView, Wait, can_afford, hold
 from .welfare import buffer_trajectory, rebuf_loss, user_welfare
 
-_COMPLETE = 0  # deliveries and aborts apply before same-instant decisions
-_DECIDE = 1
-
-_OWN = "own"  # park kinds besides a cooperative Wait or Idle (see `_wake_parked`)
-_ANY = "any"
+_MOVE = 0  # mobility bounds apply before anything at their instant reads the index
+_COMPLETE = 1  # deliveries and aborts apply before same-instant decisions
+_DECIDE = 2
 
 
 class SimError(RuntimeError):
@@ -91,17 +87,18 @@ class SimAuditError(RuntimeError):
 @dataclass(frozen=True)
 class RunConfig:
     horizon: float
-    noncoop: bool = False        # sever all cross-user encounters
+    noncoop: bool = False        # the twin: observes its peers, acts alone
     ack_window: float = 10.0     # unanswered-READY window before sleeping
     audit: bool = True
 
 
 @dataclass
 class MessageStats:
-    """Abstract coordination traffic: one READY per decision instant with
-    company, one ACK per needy co-located listener.  Of the READYs only
-    their count and the instant of the last (None before the first) are
-    kept."""
+    """Abstract coordination traffic of a cooperative run (a twin counts
+    none): one READY per decision instant with company, one ACK per needy
+    co-located listener, one virtual ACK per needy user at t = 0.  Of the
+    READYs only their count and the instant of the last (None before the
+    first) are kept."""
 
     ready: int = 0
     ack: int = 0
@@ -120,10 +117,10 @@ class EngineCounters:
     link that no pending owner can serve parks on the group's hold without
     asking the scheduler.  Each scheduler call ends in exactly one of
     calls_download (a transfer started), calls_wait, calls_idle or calls_cut
-    (a Download the horizon cuts short).
+    (a Download the horizon cuts short, answered as an Idle).
     """
 
-    events: int = 0          # events popped at or before the horizon
+    events: int = 0          # completion and decision events popped by the horizon
     completions: int = 0     # deliveries and aborts applied
     decisions: int = 0       # decision events run
     stale: int = 0           # decision events superseded by a later one
@@ -157,9 +154,9 @@ class _UserState:
     history: tuple[float, ...] = ()
     abort_count: int = 0
     abort_cost: float = 0.0
-    # None while deciding or with a transfer in flight, else the park:
-    # _OWN, _ANY or a cooperative Wait or Idle (see `_wake_parked`)
-    park: str | Wait | Idle | None = None
+    # the cooperative Wait or Idle it is parked on, else None: while
+    # deciding, with a transfer in flight, or on its own timer alone
+    park: Wait | Idle | None = None
     gen: int = 0
     # coordination, read by `_coordination` alone
     asleep: bool = False
@@ -235,12 +232,10 @@ class _Simulation:
         self.counters = EngineCounters()
         self.heap: list = []
         self.seq = 0
-        # Hotspot-occupancy index: each user's hotspot, the users at each
-        # hotspot, and a heap of (bound, user, piece) for the next mobility
-        # piece of every user whose track has one.
+        # Hotspot-occupancy index: each user's hotspot and the users at
+        # each hotspot, moved by a _MOVE event at every bound of a track.
         self.spot: dict[int, int] = {}
         self.occupants: dict[int, set[int]] = {}
-        self.moves: list = []
         # The group state of each occupied hotspot, built on first use.
         self.groups: dict[int, _Group] = {}
         for uid in self.profiles:
@@ -248,8 +243,7 @@ class _Simulation:
             self.spot[uid] = track.values[0]
             self.occupants.setdefault(track.values[0], set()).add(uid)
             if len(track.values) > 1:
-                self.moves.append((track.bounds[1], uid, 1))
-        heapq.heapify(self.moves)
+                self._push(track.bounds[1], _MOVE, uid, payload=1)
 
     # -- event plumbing ----------------------------------------------------
 
@@ -269,19 +263,19 @@ class _Simulation:
         # A delivery or abort changes only the owner's snapshot, and a view
         # holds the snapshots of the decider's group alone, so only parked
         # users at the owner's hotspot at t (the owner alone in transit) can
-        # see it.  Of those, an _OWN park keeps its timer and an _ANY park
-        # decides now.  A cooperative Wait or Idle is held when deciding now
-        # would park it where it is: the engine answers the group's hold
-        # whenever it is not None, so that is when the park equals the hold
-        # (the same `until` bit for bit, or Idle, whose next breakpoint cannot
-        # have passed) and its link is alive.
+        # see it.  Of those, a park on None keeps its timer.  A cooperative
+        # Wait or Idle is held when deciding now would park it where it is:
+        # the engine answers the group's hold whenever it is not None, so
+        # that is when the park equals the hold (the same `until` bit for
+        # bit, or Idle, whose next breakpoint cannot have passed) and its
+        # link is alive.
         group = self._group(owner, t)
         users, counters = self.users, self.counters
         for uid in group.members:
             park = users[uid].park
-            if park is None or park is _OWN:
+            if park is None:
                 continue
-            if park is not _ANY and park == self._hold(group, t) and tr.capacity_at(self.cap, uid, t) > 0.0:
+            if park == self._hold(group, t) and tr.capacity_at(self.cap, uid, t) > 0.0:
                 counters.wakes_held += 1
                 continue
             counters.wakeups += 1
@@ -306,23 +300,17 @@ class _Simulation:
 
     # -- group / view construction -----------------------------------------
 
-    def _move_to(self, t):
-        """Advance the occupancy index to t; decision times never decrease.
-
-        A piece starting exactly at t applies, as in `_Track.value_at`.
-        """
-        moves, groups = self.moves, self.groups
-        while moves and moves[0][0] <= t:
-            _, uid, i = heapq.heappop(moves)
-            track = self.mob.tracks[uid]
-            old = self.spot[uid]
-            self.occupants[old].discard(uid)
-            self.spot[uid] = spot = track.values[i]
-            self.occupants.setdefault(spot, set()).add(uid)
-            groups.pop(old, None)
-            groups.pop(spot, None)
-            if i + 1 < len(track.values):
-                heapq.heappush(moves, (track.bounds[i + 1], uid, i + 1))
+    def _move(self, uid, i):
+        """Move `uid` onto piece i of its track, at the piece's start."""
+        track = self.mob.tracks[uid]
+        old = self.spot[uid]
+        self.occupants[old].discard(uid)
+        self.spot[uid] = spot = track.values[i]
+        self.occupants.setdefault(spot, set()).add(uid)
+        self.groups.pop(old, None)
+        self.groups.pop(spot, None)
+        if i + 1 < len(track.values):
+            self._push(track.bounds[i + 1], _MOVE, uid, payload=i + 1)
 
     def _new_group(self, members) -> _Group:
         """A group state of `members`, ascending, with no hold yet."""
@@ -333,7 +321,6 @@ class _Simulation:
         """The group state of the users that `uid` encounters at t (itself
         included): its hotspot's, built on first use and shared until a write
         drops it, or a fresh one of `uid` alone in transit."""
-        self._move_to(t)
         spot = self.spot[uid]
         if spot == 0:
             return self._new_group([uid])
@@ -393,7 +380,6 @@ class _Simulation:
                     peer = self.users[m]
                     if peer.asleep:
                         peer.asleep = False
-                        peer.sleep_deadline = None
                         self.msgs.awake += 1
             elif st.sleep_deadline is None:
                 st.sleep_deadline = t + self.cfg.ack_window
@@ -422,7 +408,7 @@ class _Simulation:
             # rate; no peer's completion revives the link.
             counters.dead_link_parks += 1
             nxt = tr.next_positive_capacity(self.cap, uid, t)
-            self._park(uid, None if nxt is None else max(nxt, t + TIME_EPS), _OWN)
+            self._park(uid, None if nxt is None else max(nxt, t + TIME_EPS), None)
             return
         # The acting group's needy members are the owners the decider may
         # serve: its hotspot's, or itself alone in the twin.
@@ -445,23 +431,20 @@ class _Simulation:
                 if self._start_download(uid, t, acting, answer):
                     counters.calls_download += 1
                     return
-                # The horizon cuts the transfer short.  The level asked for may
-                # change with the peers and the time, so revisit at the next
-                # mobility breakpoint of any user (never at t itself, where the
-                # same request would come back) and at nearby completions.
+                # The horizon cuts the transfer short: an Idle, counted apart.
                 counters.calls_cut += 1
-                self._park(uid, self.mob.next_breakpoint(t), _ANY)
-                return
-            if isinstance(answer, Wait):
+                answer = Idle()
+            elif isinstance(answer, Wait):
                 counters.calls_wait += 1
             elif isinstance(answer, Idle):
                 counters.calls_idle += 1
             else:
                 raise SimError(f"user {uid}: unknown decision {answer!r}")
         # A twin's Wait is its own buffer's shortfall, and its Idle means
-        # nothing of its own is left to fetch: only its timer ends either,
-        # and an Idle parks it for good.
-        park = answer if cooperative else _OWN
+        # nothing of its own is left to fetch, or nothing it could fetch
+        # by the horizon: only its timer ends either, and an Idle parks it
+        # for good.
+        park = answer if cooperative else None
         if isinstance(answer, Wait):
             if not answer.until > t:
                 raise SimError(f"user {uid}: a wait must end after the decision instant")
@@ -527,9 +510,8 @@ class _Simulation:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> SimResult:
-        for st in self.users.values():
-            if st.is_video_user and st.remaining > 0:
-                self.msgs.virtual_ack += 1
+        if not self.cfg.noncoop:
+            self.msgs.virtual_ack += sum(st.is_video_user and st.remaining > 0 for st in self.users.values())
         for uid in self.profiles:
             self._schedule_decision(uid, 0.0)
         counters = self.counters
@@ -537,6 +519,9 @@ class _Simulation:
             t, kind, uid, _, gen, payload = heapq.heappop(self.heap)
             if t > self.T + TIME_EPS:
                 break
+            if kind == _MOVE:
+                self._move(uid, payload)
+                continue
             counters.events += 1
             if kind == _COMPLETE:
                 counters.completions += 1

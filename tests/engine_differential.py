@@ -34,10 +34,11 @@ From the repository root,
 
 compares OTHER's `engine._Simulation` (first) with this checkout's on the
 engine set (for the given repetition seeds) and then on the micro family,
-and prints the material runs, each set's split by engine mode with
-decision, scheduler-call, READY/ACK, dead-link-park, wake-up and held-wake
-totals per side, and the engine set's mean cooperative welfare per
-mobility and scheduler.
+and prints the material runs, each with both sides' social welfare and
+record count, each set's split by engine mode with decision,
+scheduler-call, horizon-cut, READY/ACK, dead-link-park, wake-up and
+held-wake totals per side, and the engine set's mean cooperative welfare
+per mobility and scheduler.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ CAPACITY_HIS = (0.7, 2.5, 5.0)
 SEEDS = range(1, 11)
 SCHEDULERS = ("lyapunov", "buffer", "prediction")
 MICRO_SEEDS = range(400)
-TOTALS = ("decisions", "calls", "dead_link_parks", "wakeups", "wakes_held")
+TOTALS = ("decisions", "calls", "calls_cut", "dead_link_parks", "wakeups", "wakes_held")
 # counters that re-deciding a dead link, only to park there again, moves
 DEAD_LINK_COUNTERS = ("events", "decisions", "stale", "dead_link_parks", "wakeups")
 TOL = 1e-9
@@ -83,6 +84,7 @@ class Row:
     same_live: bool   # equal counters but DEAD_LINK_COUNTERS, decisions apart by the dead-link parks
     totals: tuple     # per side (a, b): {TOTALS name, "ready", "ack": value}
     welfare: tuple    # social welfare of (a, b)
+    records: tuple    # download records of (a, b)
 
 
 def load_package(src_dir: str, alias: str):
@@ -228,6 +230,7 @@ def _row(key, a: Outcome, b: Outcome) -> Row:
             for o in (a, b)
         ),
         (a.social_welfare, b.social_welfare),
+        tuple(sum(map(len, o.records)) for o in (a, b)),
     )
 
 
@@ -299,7 +302,8 @@ if __name__ == "__main__":
     micro = compare_micro(other.engine._Simulation, _Simulation)
     for row in rows + micro:
         if row.verdict == "material":
-            print("material", *row.key)
+            (wa, wb), (na, nb) = row.welfare, row.records
+            print("material", *row.key, f"welfare {wa:.4f} -> {wb:.4f}, records {na} -> {nb}")
     for family, part in (("", rows), ("micro ", micro)):
         for mode, counts in split(part).items():
             print(family + mode, counts)

@@ -9,10 +9,8 @@ from coopstream.engine import (
     RunConfig,
     SimAuditError,
     SimError,
-    _ANY,
     _COMPLETE,
     _DECIDE,
-    _OWN,
     _Simulation,
     audit_run,
     result_to_dict,
@@ -484,22 +482,24 @@ class _CheckedSimulation(_Simulation):
     ACKs that a fresh scan of the decider's needy co-located peers gives,
     the last READY instant moves to t exactly when it adds a READY, and it
     returns nothing and schedules no decision: a READY that wakes a parked
-    sleeper leaves it parked.
-    After every decision the user is parked or has a delivery or abort
-    pending, so no decision strands it.  Its park is _OWN after a dead link
-    and after a twin's Wait or Idle, _ANY after a horizon-cut Download, and
-    the Wait or Idle itself after a cooperative one.
+    sleeper leaves it parked.  After it no asleep user has a deadline.
+    After every decision the user has a delivery or abort pending or is
+    parked through `_park`: on None after a dead link and in the twin, on
+    Idle after a cooperative horizon-cut Download, and on the Wait or Idle
+    itself after a cooperative one.  No decision strands it: a park on None
+    without a timer is a link dead to the end of its trace or a twin's Idle,
+    which parks it for good.
 
     At every decision that the engine answers with the hold, without a
     scheduler call, a registry rule runs on the view that the decision
     would have handed it, built afresh, and must answer that same Wait or
     Idle; the user must be parked where that answer puts it.
 
-    No peer's delivery, abort or READY re-decides an _OWN park.  After
-    every abort the owner, built afresh, can take a segment, so the group
-    has no hold and no wake at the abort is held.  After every delivery or
-    abort before the horizon, each user co-located with the segment's
-    owner and parked _ANY or on a Wait or Idle has a decision pending at
+    No peer's delivery, abort or READY re-decides a user whose park is
+    None.  After every abort the owner, built afresh, can take a segment, so
+    the group has no hold and no wake at the abort is held.  After every
+    delivery or abort before the horizon, each user co-located with the
+    segment's owner and parked on a Wait or Idle has a decision pending at
     that instant, unless its wake was held.  For each held wake the hold of
     the group, built afresh, must equal the user's park, and its link must
     be alive.
@@ -532,28 +532,37 @@ class _CheckedSimulation(_Simulation):
         self.decision_times.append(t)
         c = self.counters
         parks, cuts, dead = c.hold_parks, c.calls_cut, c.dead_link_parks
-        owns = self._own_parks(uid)
+        unparked = self._parked_on_none(uid)
+        self.parked = None
         super()._decide(uid, t)
-        self._check_own_parks(owns)
+        self._check_not_re_decided(unparked)
         park = self.users[uid].park
-        assert park is not None or any(
-            kind == _COMPLETE and who == uid for _, kind, who, *_ in self.heap
-        )
-        if c.calls_cut > cuts:
-            assert park is _ANY
-        elif c.dead_link_parks > dead or (self.cfg.noncoop and park is not None):
-            assert park is _OWN
-        elif park is not None:
+        if self.parked is None:  # a transfer started
+            assert park is None and any(kind == _COMPLETE and who == uid for _, kind, who, *_ in self.heap)
+            return
+        wake, parked_on = self.parked
+        assert parked_on is park
+        if wake is None and park is None:
+            assert self.cfg.noncoop or tr.next_positive_capacity(self.cap, uid, t) is None
+        if c.dead_link_parks > dead or self.cfg.noncoop:
+            assert park is None
+        elif c.calls_cut > cuts:
+            assert park == Idle()
+        else:
             assert isinstance(park, (Wait, Idle))
         if c.hold_parks > parks:
             self._check_hold_park(uid, t)
 
-    def _own_parks(self, decider=None):
-        """The generation of every user parked _OWN, `decider` aside."""
-        return {m: st.gen for m, st in self.users.items() if st.park is _OWN and m != decider}
+    def _park(self, uid, wake, park):
+        self.parked = (wake, park)
+        super()._park(uid, wake, park)
 
-    def _check_own_parks(self, owns):
-        assert all(self.users[m].gen == gen for m, gen in owns.items())
+    def _parked_on_none(self, skip):
+        """The generation of every user whose park is None, `skip` aside."""
+        return {m: st.gen for m, st in self.users.items() if st.park is None and m != skip}
+
+    def _check_not_re_decided(self, unparked):
+        assert all(self.users[m].gen == gen for m, gen in unparked.items())
 
     def _check_hold_park(self, uid, t):
         st = self.users[uid]
@@ -573,23 +582,23 @@ class _CheckedSimulation(_Simulation):
             assert self.decide(view) == answer
         if not cooperative and isinstance(answer, Idle):
             assert st.remaining == 0
-        assert st.park == (answer if cooperative else _OWN)
+        assert st.park == (answer if cooperative else None)
         assert self._pending_decisions(uid) == self._wakes(t, answer)
 
     def _complete(self, uid, t, payload):
         kind, owner = payload[:2]
         gens = {m: st.gen for m, st in self.users.items()}
         wakes_held = self.counters.wakes_held
-        owns = self._own_parks()
+        unparked = self._parked_on_none(uid)
         super()._complete(uid, t, payload)
-        self._check_own_parks(owns)
+        self._check_not_re_decided(unparked)
         if kind == "abort":
             # Admission and deliveries keep buffer + inflight * beta <= Q.
             assert can_afford(self._fresh_peer_info(owner, t))
         held = 0
         for m in self.profiles if t < self.T - TIME_EPS else ():
             st = self.users[m]
-            if st.park not in (None, _OWN) and tr.encountered(self.mob, owner, m, t):
+            if st.park is not None and tr.encountered(self.mob, owner, m, t):
                 if st.gen == gens[m]:
                     self._check_held(m, t)
                     held += 1
@@ -664,6 +673,7 @@ class _CheckedSimulation(_Simulation):
         assert (m.ready - before[0], m.ack - before[1], m.virtual_ack - before[2]) == want
         assert m.last_ready == (t if want[0] else last_ready)
         assert st.asleep == (asleep and needy == 0)
+        assert not any(s.asleep and s.sleep_deadline is not None for s in self.users.values())
 
     def _fresh_peer_info(self, uid, t):
         st = self.users[uid]
@@ -737,10 +747,16 @@ class TestDecisionPathDifferential:
         assert min(r.t_end for r in res.receives[4].records) > 0.75
 
 
+_WAKES = "wakes"  # a park that no hold equals: every wake-up that reaches it re-decides
+
+
 class _WakeAllSimulation(_Simulation):
     """The wake rule before hotspot pruning and held wakes: every delivery
     or abort, nearby or not, re-decides every parked user in ascending uid
-    order."""
+    order.  A park on None is recorded as _WAKES."""
+
+    def _park(self, uid, wake, park):
+        super()._park(uid, wake, _WAKES if park is None else park)
 
     def _wake_parked(self, t, owner):
         for uid, st in self.users.items():
@@ -754,22 +770,23 @@ class _UnheldSimulation(_Simulation):
     each user at the owner's hotspot parked on a cooperative Wait or Idle."""
 
     def _park(self, uid, wake, park):
-        super()._park(uid, wake, _ANY if isinstance(park, (Wait, Idle)) else park)
+        super()._park(uid, wake, park if park is None else _WAKES)
 
 
 class _DeadLinkWakeSimulation(_Simulation):
-    """The cooperative dead-link rule before _OWN parks: every delivery or
-    abort at the owner's hotspot re-decides a user parked on a dead link,
-    only to park it there again."""
+    """The cooperative dead-link rule before dead links parked on their own
+    timer: every delivery or abort at the owner's hotspot re-decides a user
+    parked on a dead link, only to park it there again."""
 
     def _park(self, uid, wake, park):
-        super()._park(uid, wake, _ANY if park is _OWN and not self.cfg.noncoop else park)
+        super()._park(uid, wake, _WAKES if park is None and not self.cfg.noncoop else park)
 
 
 class _TwinWakeAllSimulation(_Simulation):
     """The twin rule before twins re-decided only on their own events: every
-    park wakes at its owner's-hotspot completions, and an Idle revisits at
-    the next mobility breakpoint.  Cooperative runs are unchanged."""
+    park wakes at its owner's-hotspot completions, and an Idle, a
+    horizon-cut Download's included, revisits at the next mobility
+    breakpoint.  Cooperative runs are unchanged."""
 
     def _decide(self, uid, t):
         self.now = t
@@ -777,9 +794,8 @@ class _TwinWakeAllSimulation(_Simulation):
 
     def _park(self, uid, wake, park):
         if self.cfg.noncoop:
-            park = _ANY
-            # Only an Idle parks on a live link with no timer; a horizon-cut
-            # Download's timer is already the next breakpoint.
+            park = _WAKES
+            # Only an Idle parks on a live link with no timer.
             if wake is None and tr.capacity_at(self.cap, uid, self.now) > 0.0:
                 wake = self.mob.next_breakpoint(self.now)
         super()._park(uid, wake, park)
@@ -840,10 +856,14 @@ class TestWakeRule:
         # outcome from no more decisions and READYs.  A skipped decision's
         # coordination step is skipped with it, so sleep transitions may
         # differ; they steer no decision.
-        # A twin wakes only its horizon-cut parks: the same downloads bit for
-        # bit (every time is anchored to a write), from fewer decisions.
+        # A twin wakes at nothing: the same downloads bit for bit (every
+        # time is anchored to a write), from fewer decisions.  Its horizon-cut
+        # request parks it for good, where waking every parked user retries
+        # it; in buffer seed 3 a retry at a lower level lands user 0's
+        # segment 48 over [79.07, 79.99] s, elsewhere every retry is cut too.
         # Either way a decision that no pending owner can serve is answered
-        # with the hold, so both sides ask the scheduler the same questions.
+        # with the hold, so both sides ask the scheduler the same questions,
+        # bar those retries.
         cfg = ScenarioConfig(n_users=8, horizon=80.0, mobility="full-coop")
         for seed in range(1, 11):
             profiles = build_profiles(cfg, seed)
@@ -854,8 +874,13 @@ class TestWakeRule:
                     sim_cls(profiles, cap, mob, make_scheduler(name), run_cfg).run()
                     for sim_cls in (_Simulation, _WakeAllSimulation)
                 )
+                if noncoop and (name, seed) == ("buffer", 3):
+                    assert classify(outcome(got), outcome(want)) == "material"
+                    assert len(want.downloads[0].records) - len(got.downloads[0].records) == 1
+                    continue
                 assert classify(outcome(got), outcome(want)) == "identical"
-                assert got.counters.calls == want.counters.calls
+                retries = want.counters.calls_cut - got.counters.calls_cut if noncoop else 0
+                assert got.counters.calls == want.counters.calls - retries
                 if noncoop:
                     assert got.counters.decisions < want.counters.decisions
                     assert got.messages == want.messages
@@ -892,9 +917,10 @@ class TestWakeRule:
         # A non-cooperative twin at one hotspot: user 1 fetches its own
         # 0.5 Mbit segments at 0.5 Mbps, landing at 1, 2 and 3 s (= T).
         # User 2 waits 1.5 s, then 100 s; helper 3 idles; user 4's link is
-        # so slow that the horizon cuts every request.  Only user 4 wakes at
-        # user 1's deliveries; user 2 re-decides at its own timer alone and
-        # user 3 never again.  The old twin rule re-decides all three.
+        # so slow that the horizon cuts its request, an Idle.  Nobody wakes
+        # at user 1's deliveries: user 2 re-decides at its own timer alone
+        # and users 3 and 4 never again.  The old twin rule re-decides all
+        # three.
         ladder = BitrateLadder((0.25, 0.5))
         profiles = {uid: video_profile(uid, ladder=ladder) for uid in (1, 2, 4)}
         profiles[3] = idle_profile(3)
@@ -924,11 +950,51 @@ class TestWakeRule:
 
         got, res = decisions(_CheckedSimulation)
         assert [r.t_end for r in res.downloads[1].records] == [1.0, 2.0, 3.0]
-        assert got == [(1.0, 1), (1.0, 4), (1.5, 2), (2.0, 1), (2.0, 4)]
-        assert res.counters.hold_parks == 1 and res.counters.calls_cut == 3  # user 3's Idle
-        assert res.counters.wakeups == 2  # user 4 at 1 and 2 s; nobody decides at T
+        assert got == [(1.0, 1), (1.5, 2), (2.0, 1)]
+        assert res.counters.hold_parks == 1 and res.counters.calls_cut == 1  # user 3's Idle
+        assert res.counters.wakeups == 0
         old, _ = decisions(_TwinWakeAllSimulation)
         assert old == [(1.0, 1), (1.0, 2), (1.0, 3), (1.0, 4), (2.0, 1), (2.0, 2), (2.0, 3), (2.0, 4)]
+
+
+class TestHorizonCut:
+    """A Download that the horizon cuts short is answered as an Idle."""
+
+    @staticmethod
+    def cut_run(profiles, noncoop):
+        # User 1's 0.125 Mbps link would take 4 s over a 0.5 Mbit segment,
+        # past T = 3 s; user 2 fetches its own over 1 Mbps in 0.5 s.
+        cap = constant_capacity({1: 0.125, 2: 1.0}, 3.0)
+        mob = full_coop_mobility([1, 2], 3.0)
+        sim = _CheckedSimulation(
+            profiles, cap, mob, lambda view: Download(view.pending[0].user_id, 1),
+            RunConfig(horizon=3.0, noncoop=noncoop),
+        )
+        decided = TestCoordinationOnlyCounts.logged(sim)
+        return sim, sim.run(), decided
+
+    def test_co_located_delivery_does_not_re_decide_a_cut_twin(self):
+        # In the twin, user 1's cut parks it for good: user 2's deliveries
+        # beside it at 0.5, 1, ... s re-decide user 2 alone.
+        ladder = BitrateLadder((0.25, 0.5))
+        profiles = {uid: video_profile(uid, ladder=ladder) for uid in (1, 2)}
+        sim, res, decided = self.cut_run(profiles, noncoop=True)
+        assert len(res.downloads[2].records) == 6
+        assert [t for t, uid in decided if uid == 1] == [0.0]
+        assert (res.counters.calls_cut, res.counters.wakeups, res.counters.wakes_held) == (1, 0, 0)
+        assert sim.users[1].park is None
+
+    def test_cooperative_cut_parks_on_idle_and_its_wake_is_held(self):
+        # Helper 1 asks for user 2's only segment, which the horizon cuts,
+        # and parks on Idle.  User 2 fetches it itself by 0.5 s, which leaves
+        # nobody needy: the group's hold is Idle, so the wake is held.
+        ladder = BitrateLadder((0.25, 0.5))
+        profiles = {1: idle_profile(1), 2: video_profile(2, ladder=ladder, video_len=2.0)}
+        sim, res, decided = self.cut_run(profiles, noncoop=False)
+        assert [r.t_end for r in res.downloads[2].records] == [0.5]
+        assert [t for t, uid in decided if uid == 1] == [0.0]
+        assert (res.counters.calls_cut, res.counters.wakeups, res.counters.wakes_held) == (1, 0, 1)
+        assert sim.users[1].park == Idle()
 
 
 class TestHeldWakes:
@@ -966,6 +1032,19 @@ class TestCoordinationOnlyCounts:
 
         sim._decide = logged
         return decided
+
+    def test_twin_counts_no_coordination_traffic(self):
+        # A twin acts alone: it counts no READY, ACK, sleep or wake, and no
+        # virtual ACK either, not even for the needy users at t = 0.
+        cfg = ScenarioConfig()
+        profiles = build_profiles(cfg, 1)
+        cap, mob, _ = build_traces(cfg, 1)
+        for name in SCHEDULER_NAMES:
+            run_cfg = RunConfig(horizon=cfg.horizon, noncoop=True, ack_window=cfg.ack_window)
+            res = run(profiles, cap, mob, make_scheduler(name), run_cfg)
+            assert any(seq.records for seq in res.downloads.values())
+            assert all(value in (0, None) for value in asdict(res.messages).values())
+            assert result_to_dict(res)["messages"]["virtual_ack"] == 0
 
     def test_ready_that_wakes_a_parked_sleeper_schedules_no_decision(self):
         # User 1 fills its 4 s buffer at hotspot 1 beside helper 3, whose
@@ -1224,11 +1303,13 @@ class TestEngineDifferential:
     def test_one_seed_of_the_engine_set_against_the_old_twin_rule(self):
         # Seed 1 of the 540-run set: cooperative runs are bit for bit the
         # old rule's, and so are twins, from far fewer decisions.  The old
-        # rule's extra twin decisions are all answered with the hold, so
-        # both sides ask the scheduler the same questions.
+        # rule's extra twin decisions are answered with the hold, or retry
+        # a horizon-cut request only to be cut again, so both sides ask the
+        # scheduler the same questions besides those retries.
         parts = split(compare(_Simulation, _TwinWakeAllSimulation, seeds=(1,)))
         coop, twin = parts["cooperative"], parts["twin"]
         assert coop["identical"] == coop["same_messages"] == coop["same_counters"] == coop["runs"] == 27
         assert twin["identical"] == twin["same_messages"] == twin["runs"] == 27
-        assert twin["calls_a"] == twin["calls_b"]
+        assert twin["calls_a"] - twin["calls_cut_a"] == twin["calls_b"] - twin["calls_cut_b"]
+        assert twin["calls_cut_a"] < twin["calls_cut_b"]
         assert twin["decisions_a"] <= 0.4 * twin["decisions_b"]
