@@ -48,6 +48,7 @@ work in `EngineCounters`.
 
 from __future__ import annotations
 
+import csv
 import heapq
 import json
 from dataclasses import asdict, dataclass, field
@@ -202,7 +203,11 @@ class SimResult:
         return sum(b.welfare for b in self.breakdowns.values())
 
     def avg_bitrate(self) -> float:
-        rates = [r for rx in self.receives.values() for r in rx.bitrates]
+        rates = [
+            self.profiles[owner].ladder.rate(rec.level)
+            for owner, rx in self.receives.items()
+            for rec in rx.records
+        ]
         return sum(rates) / len(rates) if rates else 0.0
 
     def helper_downloads(self) -> int:
@@ -490,7 +495,7 @@ class _Simulation:
         if kind == "deliver":
             q, _ = self._playback(owner_id, t)
             bitrate = ost.profile.ladder.rate(level)
-            rec = DownloadRecord(uid, owner_id, ost.received + 1, level, bitrate, t_start, t)
+            rec = DownloadRecord(uid, owner_id, ost.received + 1, level, t_start, t)
             ost.received += 1
             ost.last_bitrate = bitrate
             ost.q0 = min(q + ost.profile.segment_len, ost.profile.buffer_cap)
@@ -498,7 +503,7 @@ class _Simulation:
             st.records.append(rec)
             dur = t - t_start
             if dur > TIME_EPS:
-                st.history += (rec.bitrate * ost.profile.segment_len / dur,)
+                st.history += (bitrate * ost.profile.segment_len / dur,)
         else:  # abort: the pair separated mid-download
             partial = tr.integrate_capacity(self.cap, uid, t_start, t)
             st.abort_cost += st.profile.c_time * (t - t_start) + st.profile.c_data * partial
@@ -536,7 +541,7 @@ class _Simulation:
     def _collect(self) -> SimResult:
         downloads = {}
         for uid, st in self.users.items():
-            seq = DownloadSequence(uid, sorted(st.records, key=lambda r: (r.t_start, r.t_end)))
+            seq = DownloadSequence(uid, st.records)
             seq.validate()
             downloads[uid] = seq
         receives = derive_receive_sequences(downloads, self.profiles)
@@ -620,7 +625,7 @@ def audit_run(
                 bad.append(f"user {uid}: record for unknown owner {rec.owner}")
                 continue
             try:
-                vol = rec.volume(owner_prof)
+                vol = segment_volume(owner_prof, rec.level)
             except ModelError as exc:
                 bad.append(f"user {uid}: {exc}")
                 continue
@@ -697,10 +702,8 @@ def write_result_json(result: SimResult, path: str) -> None:
 
 def write_records_csv(result: SimResult, path: str) -> None:
     """Flat download log: downloader,owner,seq_no,level,bitrate,t_start,t_end."""
-    import csv as _csv
-
     with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
+        w = csv.writer(fh)
         w.writerow(["downloader", "owner", "seq_no", "level", "bitrate", "t_start", "t_end"])
         for uid, seq in sorted(result.downloads.items()):
             for rec in seq.records:
@@ -710,7 +713,7 @@ def write_records_csv(result: SimResult, path: str) -> None:
                         rec.owner,
                         rec.owner_seq_no,
                         rec.level,
-                        format(rec.bitrate, ".10g"),
+                        format(result.profiles[rec.owner].ladder.rate(rec.level), ".10g"),
                         format(rec.t_start, ".10g"),
                         format(rec.t_end, ".10g"),
                     ]

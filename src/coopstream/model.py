@@ -103,14 +103,15 @@ class DownloadRecord:
     """One completed segment download.
 
     owner_seq_no is the segment's position in the owner's playback order;
-    the record's t_end is the instant the owner receives the segment.
+    the record's t_end is the instant the owner receives the segment.  Its
+    bitrate is the owner's `ladder.rate(level)` and its volume
+    `segment_volume(owner, level)`.
     """
 
     downloader: int
     owner: int
     owner_seq_no: int
     level: int
-    bitrate: float
     t_start: float
     t_end: float
 
@@ -119,22 +120,12 @@ class DownloadRecord:
             raise ModelError("owner_seq_no must be 1-based")
         if self.level < 1:
             raise ModelError("level must be 1-based")
-        if self.bitrate <= 0.0:
-            raise ModelError("bitrate must be positive")
         if self.t_end < self.t_start - TIME_EPS:
             raise ModelError("download must not end before it starts")
 
     @property
     def duration(self) -> float:
         return self.t_end - self.t_start
-
-    def volume(self, owner_profile: UserProfile) -> float:
-        """Mbit transferred; also checks bitrate/level consistency."""
-        if owner_profile.ladder.rate(self.level) != self.bitrate:
-            raise ModelError(
-                f"record bitrate {self.bitrate} does not match owner ladder level {self.level}"
-            )
-        return self.bitrate * owner_profile.segment_len
 
 
 @dataclass
@@ -180,12 +171,6 @@ class ReceiveSequence:
                 raise ModelError("receive times must be nondecreasing in playback order")
         if len(self.records) > profile.num_segments:
             raise ModelError("more segments received than the video contains")
-        for rec in self.records:
-            rec.volume(profile)  # bitrate/level consistency
-
-    @property
-    def bitrates(self) -> list[float]:
-        return [rec.bitrate for rec in self.records]
 
     @property
     def receive_times(self) -> list[float]:

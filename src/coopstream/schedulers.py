@@ -45,9 +45,6 @@ class Idle:
     pass
 
 
-Decision = Download | Wait | Idle
-
-
 @dataclass(slots=True)
 class PeerInfo:
     """What a downloader can observe about one co-located video user, at

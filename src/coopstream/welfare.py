@@ -31,13 +31,14 @@ def quality_value(theta: float, bitrate: float) -> float:
 
 def total_value(rx: ReceiveSequence, profile: UserProfile) -> float:
     """Playback value accrued over every received segment."""
-    return sum(quality_value(profile.theta, r) * profile.segment_len for r in rx.bitrates)
+    rates = (profile.ladder.rate(rec.level) for rec in rx.records)
+    return sum(quality_value(profile.theta, r) * profile.segment_len for r in rates)
 
 
 def qdeg_loss(rx: ReceiveSequence, profile: UserProfile) -> float:
     """Penalty for downward bitrate switches between consecutive segments."""
     loss = 0.0
-    rates = rx.bitrates
+    rates = [profile.ladder.rate(rec.level) for rec in rx.records]
     for prev, cur in zip(rates, rates[1:]):
         loss += profile.phi_qdeg * max(prev - cur, 0.0)
     return loss
@@ -84,7 +85,7 @@ def energy_cell(dl: DownloadSequence, profile: UserProfile, profiles: dict[int, 
     total = 0.0
     for rec in dl.records:
         total += profile.c_time * rec.duration
-        total += profile.c_data * rec.volume(profiles[rec.owner])
+        total += profile.c_data * segment_volume(profiles[rec.owner], rec.level)
     return total
 
 
@@ -93,7 +94,7 @@ def energy_wifi(dl: DownloadSequence, profile: UserProfile, profiles: dict[int, 
     total = 0.0
     for rec in dl.records:
         if rec.owner != rec.downloader:
-            total += profile.w_data * rec.volume(profiles[rec.owner])
+            total += profile.w_data * segment_volume(profiles[rec.owner], rec.level)
     return total
 
 

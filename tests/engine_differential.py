@@ -175,7 +175,8 @@ def outcome(res) -> Outcome:
     return Outcome(
         records=tuple(
             tuple(
-                (r.owner, r.owner_seq_no, r.level, r.bitrate, r.t_start, r.t_end)
+                (r.owner, r.owner_seq_no, r.level,
+                 res.profiles[r.owner].ladder.rate(r.level), r.t_start, r.t_end)
                 for r in seq.records
             )
             for _, seq in sorted(res.downloads.items())

@@ -393,8 +393,8 @@ def test_slotted_welfare_equals_segmented_welfare_term_by_term():
     # The owner's own slot-1 batch ends on the slot boundary; the helper's
     # slot-2 segment lands as late as slot 2 allows.
     seqs = {
-        0: DownloadSequence(0, [DownloadRecord(0, 0, 1, 2, 2.0, 0.0, 1.0)]),
-        1: DownloadSequence(1, [DownloadRecord(1, 0, 2, 1, 1.0, 1.5, 2.0)]),
+        0: DownloadSequence(0, [DownloadRecord(0, 0, 1, 2, 0.0, 1.0)]),
+        1: DownloadSequence(1, [DownloadRecord(1, 0, 2, 1, 1.5, 2.0)]),
     }
     segmented = welfare_breakdowns(seqs, profs)
     for uid in profs:
@@ -424,8 +424,8 @@ def test_rebuffering_charge_survives_the_mapping():
     assert s.loss_rebuf == pytest.approx(1.3, abs=1e-12)
     seqs = {
         0: DownloadSequence(0, [
-            DownloadRecord(0, 0, 1, 1, 1.0, 0.0, 1.0),
-            DownloadRecord(0, 0, 2, 1, 1.0, 2.0, 3.0),
+            DownloadRecord(0, 0, 1, 1, 0.0, 1.0),
+            DownloadRecord(0, 0, 2, 1, 2.0, 3.0),
         ])
     }
     g = welfare_breakdowns(seqs, {0: p})[0]
@@ -454,7 +454,7 @@ def test_free_segmented_schedule_beats_the_slotted_optimum():
                 vol = p.ladder.rate(z) * p.segment_len
                 te = t + vol / h
                 records.append(
-                    DownloadRecord(0, 0, i + 1, z, p.ladder.rate(z), t, te)
+                    DownloadRecord(0, 0, i + 1, z, t, te)
                 )
                 t = te
             if t > 3.0 + 1e-9:

@@ -107,7 +107,7 @@ def compute_digests() -> dict[str, str]:
         [
             [
                 [r.downloader, r.owner, r.owner_seq_no, r.level,
-                 r.bitrate.hex(), r.t_start.hex(), r.t_end.hex()]
+                 res.profiles[r.owner].ladder.rate(r.level).hex(), r.t_start.hex(), r.t_end.hex()]
                 for r in seq.records
             ]
             for _, seq in sorted(res.downloads.items())

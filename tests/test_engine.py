@@ -77,7 +77,7 @@ class TestSingleUser:
         res = run(profiles, cap, mob, top_rate_scheduler, RunConfig(horizon=60.0))
         rx = res.receives[1]
         assert len(rx.records) == 10
-        assert all(r.bitrate == 2.3 for r in rx.records)
+        assert all(profiles[1].ladder.rate(r.level) == 2.3 for r in rx.records)
         total, _ = rebuf_loss(rx, profiles[1])
         assert total == 0.0
         assert res.rebuffer == {1: 0.0}
@@ -299,10 +299,7 @@ class TestAudit:
         tampered = dict(res.downloads)
         recs = list(tampered[1].records)
         r = recs[0]
-        recs[0] = DownloadRecord(
-            r.downloader, r.owner, r.owner_seq_no, r.level, r.bitrate,
-            r.t_start, r.t_end + 0.5,
-        )
+        recs[0] = replace(r, t_end=r.t_end + 0.5)
         tampered[1] = DownloadSequence(1, recs)
         bad = audit_run(profiles, cap, mob, tampered, 40.0)
         assert any("C.2" in v for v in bad)
@@ -312,10 +309,7 @@ class TestAudit:
         recs = list(res.downloads[1].records)
         assert len(recs) >= 2
         r = recs[1]
-        recs[1] = DownloadRecord(
-            r.downloader, r.owner, r.owner_seq_no, r.level, r.bitrate,
-            recs[0].t_start + 1e-3, r.t_end,
-        )
+        recs[1] = replace(r, t_start=recs[0].t_start + 1e-3)
         bad = audit_run(profiles, cap, mob, {1: DownloadSequence(1, recs), 2: res.downloads[2]}, 40.0)
         assert any("C.1" in v or "C.2" in v for v in bad)
 
@@ -324,7 +318,7 @@ class TestAudit:
         cap = CapacityTrace(10.0, [(1, 0.0, 10.0, 1.0), (2, 0.0, 10.0, 1.0)])
         mob = full_coop_mobility([1, 2], 10.0)
         downloads = {
-            1: DownloadSequence(1, [DownloadRecord(1, 2, 1, 1, 0.2, 0.0, 0.4)]),
+            1: DownloadSequence(1, [DownloadRecord(1, 2, 1, 1, 0.0, 0.4)]),
             2: DownloadSequence(2, []),
         }
         bad = audit_run(profiles, cap, mob, downloads, 10.0, noncoop=True)
@@ -335,7 +329,7 @@ class TestAudit:
         cap = CapacityTrace(10.0, [(1, 0.0, 10.0, 10.0)])
         mob = full_coop_mobility([1], 10.0)
         recs = [
-            DownloadRecord(1, 1, k, 1, 0.2, 0.04 * (k - 1), 0.04 * k)
+            DownloadRecord(1, 1, k, 1, 0.04 * (k - 1), 0.04 * k)
             for k in range(1, 5)
         ]
         bad = audit_run(profiles, cap, mob, {1: DownloadSequence(1, recs)}, 10.0)
@@ -345,9 +339,17 @@ class TestAudit:
         profiles = {1: video_profile(1)}
         cap = CapacityTrace(10.0, [(1, 0.0, 10.0, 0.1)])
         mob = full_coop_mobility([1], 10.0)
-        downloads = {1: DownloadSequence(1, [DownloadRecord(1, 1, 1, 5, 2.3, 0.0, 2.0)])}
+        downloads = {1: DownloadSequence(1, [DownloadRecord(1, 1, 1, 5, 0.0, 2.0)])}
         bad = audit_run(profiles, cap, mob, downloads, 10.0)
         assert any("conservation" in v for v in bad)
+
+    def test_reports_level_off_the_owner_ladder(self):
+        profiles = {1: video_profile(1)}  # a 5-level ladder
+        cap = CapacityTrace(10.0, [(1, 0.0, 10.0, 1.0)])
+        mob = full_coop_mobility([1], 10.0)
+        downloads = {1: DownloadSequence(1, [DownloadRecord(1, 1, 1, 6, 0.0, 2.0)])}
+        bad = audit_run(profiles, cap, mob, downloads, 10.0)
+        assert bad == ["user 1: ladder level 6 out of range 1..5"]
 
     @pytest.mark.parametrize(
         "seq_nos, why",
@@ -363,7 +365,7 @@ class TestAudit:
         cap = CapacityTrace(30.0, [(1, 0.0, 30.0, 1.0)])
         mob = full_coop_mobility([1], 30.0)
         recs = [
-            DownloadRecord(1, 1, k, 1, 0.2, 0.4 * i, 0.4 * (i + 1))
+            DownloadRecord(1, 1, k, 1, 0.4 * i, 0.4 * (i + 1))
             for i, k in enumerate(seq_nos)
         ]
         bad = audit_run(profiles, cap, mob, {1: DownloadSequence(1, recs)}, 30.0)
@@ -519,7 +521,8 @@ class _CheckedSimulation(_Simulation):
                 assert p == self._fresh_peer_info(p.user_id, self.now)
             assert view.pending == self._fresh_pending(view.user_id, view.peers)
             assert view.history == tuple(
-                r.bitrate * self.profiles[r.owner].segment_len / (r.t_end - r.t_start)
+                self.profiles[r.owner].ladder.rate(r.level) * self.profiles[r.owner].segment_len
+                / (r.t_end - r.t_start)
                 for r in st.records
                 if r.t_end - r.t_start > TIME_EPS
             )

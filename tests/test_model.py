@@ -83,18 +83,13 @@ class TestUserProfile:
 
 class TestDownloadRecord:
     def test_duration_and_volume(self):
-        rec = DownloadRecord(1, 1, 1, 5, 2.3, 0.0, 2.0)
+        rec = DownloadRecord(1, 1, 1, 5, 0.0, 2.0)
         assert rec.duration == pytest.approx(2.0)
-        assert rec.volume(video_profile()) == pytest.approx(4.6)
+        assert segment_volume(video_profile(), rec.level) == pytest.approx(4.6)
 
     def test_rejects_reversed_interval(self):
         with pytest.raises(ModelError):
-            DownloadRecord(1, 1, 1, 5, 2.3, 2.0, 1.0)
-
-    def test_volume_cross_checks_bitrate(self):
-        rec = DownloadRecord(1, 1, 1, 5, 1.3, 0.0, 2.0)
-        with pytest.raises(ModelError):
-            rec.volume(video_profile())
+            DownloadRecord(1, 1, 1, 5, 2.0, 1.0)
 
 
 class TestDownloadSequence:
@@ -102,8 +97,8 @@ class TestDownloadSequence:
         seq = DownloadSequence(
             1,
             [
-                DownloadRecord(1, 1, 1, 1, 0.2, 0.0, 1.0),
-                DownloadRecord(1, 1, 2, 1, 0.2, 1.0, 2.0),
+                DownloadRecord(1, 1, 1, 1, 0.0, 1.0),
+                DownloadRecord(1, 1, 2, 1, 1.0, 2.0),
             ],
         )
         seq.validate()
@@ -112,8 +107,8 @@ class TestDownloadSequence:
         seq = DownloadSequence(
             1,
             [
-                DownloadRecord(1, 1, 1, 1, 0.2, 0.0, 1.5),
-                DownloadRecord(1, 1, 2, 1, 0.2, 1.0, 2.0),
+                DownloadRecord(1, 1, 1, 1, 0.0, 1.5),
+                DownloadRecord(1, 1, 2, 1, 1.0, 2.0),
             ],
         )
         with pytest.raises(ModelError):
@@ -127,11 +122,11 @@ class TestReceiveSequences:
             1: DownloadSequence(
                 1,
                 [
-                    DownloadRecord(1, 2, 2, 1, 0.2, 1.0, 2.0),
-                    DownloadRecord(1, 1, 1, 1, 0.2, 2.0, 3.0),
+                    DownloadRecord(1, 2, 2, 1, 1.0, 2.0),
+                    DownloadRecord(1, 1, 1, 1, 2.0, 3.0),
                 ],
             ),
-            2: DownloadSequence(2, [DownloadRecord(2, 2, 1, 1, 0.2, 0.0, 1.0)]),
+            2: DownloadSequence(2, [DownloadRecord(2, 2, 1, 1, 0.0, 1.0)]),
         }
         rx = derive_receive_sequences(downloads, profiles)
         assert [r.owner_seq_no for r in rx[2].records] == [1, 2]
@@ -141,8 +136,8 @@ class TestReceiveSequences:
     def test_duplicate_seq_no_rejected(self):
         profiles = {1: video_profile(1), 2: video_profile(2)}
         downloads = {
-            1: DownloadSequence(1, [DownloadRecord(1, 2, 1, 1, 0.2, 0.0, 1.0)]),
-            2: DownloadSequence(2, [DownloadRecord(2, 2, 1, 1, 0.2, 0.0, 1.0)]),
+            1: DownloadSequence(1, [DownloadRecord(1, 2, 1, 1, 0.0, 1.0)]),
+            2: DownloadSequence(2, [DownloadRecord(2, 2, 1, 1, 0.0, 1.0)]),
         }
         with pytest.raises(ModelError):
             derive_receive_sequences(downloads, profiles)
@@ -150,14 +145,14 @@ class TestReceiveSequences:
     def test_idle_owner_rejected(self):
         profiles = {1: video_profile(1), 9: idle_profile()}
         downloads = {
-            1: DownloadSequence(1, [DownloadRecord(1, 9, 1, 1, 0.2, 0.0, 1.0)]),
+            1: DownloadSequence(1, [DownloadRecord(1, 9, 1, 1, 0.0, 1.0)]),
         }
         with pytest.raises(ModelError):
             derive_receive_sequences(downloads, profiles)
 
     def test_gap_in_seq_numbers_rejected(self):
         prof = video_profile()
-        seq = ReceiveSequence(1, [DownloadRecord(1, 1, 2, 1, 0.2, 0.0, 1.0)])
+        seq = ReceiveSequence(1, [DownloadRecord(1, 1, 2, 1, 0.0, 1.0)])
         with pytest.raises(ModelError):
             seq.validate(prof)
 
@@ -166,8 +161,8 @@ class TestReceiveSequences:
         seq = ReceiveSequence(
             1,
             [
-                DownloadRecord(1, 1, 1, 1, 0.2, 0.0, 5.0),
-                DownloadRecord(1, 1, 2, 1, 0.2, 0.0, 4.0),
+                DownloadRecord(1, 1, 1, 1, 0.0, 5.0),
+                DownloadRecord(1, 1, 2, 1, 0.0, 4.0),
             ],
         )
         with pytest.raises(ModelError):

@@ -45,10 +45,10 @@ def idle_profile(uid=9):
 
 
 def rx_seq(owner, entries):
-    """entries: list of (level, t_end); bitrate and seq_no filled in."""
+    """entries: list of (level, t_end); seq_no filled in."""
     recs = []
     for i, (level, t_end) in enumerate(entries, start=1):
-        recs.append(DownloadRecord(owner, owner, i, level, LADDER.rate(level), t_end - 0.5, t_end))
+        recs.append(DownloadRecord(owner, owner, i, level, t_end - 0.5, t_end))
     return ReceiveSequence(owner, recs)
 
 
@@ -135,14 +135,14 @@ class TestRebufLoss:
 class TestEnergies:
     def test_energy_cell(self):
         profiles = {1: video_profile()}
-        dl = DownloadSequence(1, [DownloadRecord(1, 1, 1, 5, 2.3, 0.0, 2.0)])
+        dl = DownloadSequence(1, [DownloadRecord(1, 1, 1, 5, 0.0, 2.0)])
         # 0.5 * 2 s + 0.1 * 4.6 Mbit
         assert energy_cell(dl, profiles[1], profiles) == pytest.approx(1.46, abs=1e-12)
 
     def test_energy_wifi_only_for_cross_downloads(self):
         profiles = {1: video_profile(1), 2: video_profile(2)}
-        own = DownloadSequence(1, [DownloadRecord(1, 1, 1, 5, 2.3, 0.0, 2.0)])
-        cross = DownloadSequence(1, [DownloadRecord(1, 2, 1, 5, 2.3, 0.0, 2.0)])
+        own = DownloadSequence(1, [DownloadRecord(1, 1, 1, 5, 0.0, 2.0)])
+        cross = DownloadSequence(1, [DownloadRecord(1, 2, 1, 5, 0.0, 2.0)])
         assert energy_wifi(own, profiles[1], profiles) == 0.0
         assert energy_wifi(cross, profiles[1], profiles) == pytest.approx(0.23, abs=1e-12)
 
@@ -150,14 +150,14 @@ class TestEnergies:
 class TestUserWelfare:
     def test_helper_has_pure_cost(self):
         profiles = {1: idle_profile(1), 2: video_profile(2)}
-        dl = DownloadSequence(1, [DownloadRecord(1, 2, 1, 5, 2.3, 0.0, 2.0)])
+        dl = DownloadSequence(1, [DownloadRecord(1, 2, 1, 5, 0.0, 2.0)])
         b = user_welfare(dl, None, profiles[1], profiles)
         assert b.value == 0.0
         assert b.welfare == pytest.approx(-(1.46 + 0.23))
 
     def test_idle_helper_cannot_receive(self):
         profiles = {1: idle_profile(1)}
-        rx = ReceiveSequence(1, [DownloadRecord(1, 1, 1, 1, 0.2, 0.0, 1.0)])
+        rx = ReceiveSequence(1, [DownloadRecord(1, 1, 1, 1, 0.0, 1.0)])
         with pytest.raises(ModelError):
             user_welfare(None, rx, profiles[1], profiles)
 
@@ -167,8 +167,8 @@ class TestUserWelfare:
             1: DownloadSequence(
                 1,
                 [
-                    DownloadRecord(1, 1, 1, 5, 2.3, 0.0, 2.0),
-                    DownloadRecord(1, 2, 1, 3, 0.7, 2.0, 3.0),
+                    DownloadRecord(1, 1, 1, 5, 0.0, 2.0),
+                    DownloadRecord(1, 2, 1, 3, 2.0, 3.0),
                 ],
             ),
             2: DownloadSequence(2, []),
