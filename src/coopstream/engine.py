@@ -9,10 +9,12 @@ the decider alone in the non-cooperative twin (`RunConfig.noncoop`).
 When none of them can take a segment, the engine answers
 `schedulers.hold` itself; only when a transfer can start is the scheduler
 asked, with a view whose `pending` lists them and whose `peers` are its
-hotspot's video users, and a Download must name one of them.  Every peer
-snapshot in a view is built afresh for that one decision.  The
-coordination protocol (READY, ACK, sleep) is only counted in
-`MessageStats`: it steers no decision.
+hotspot's video users, and a Download must name one of them.  The pending
+snapshots are those the hold was built from at that instant, and the
+engine builds only the other peers'; each snapshot serves one call, and
+the engine reads none once a scheduler has it.  The coordination
+protocol (READY, ACK, sleep) is only counted in `MessageStats`: it steers
+no decision.
 
 A Download that the horizon would cut short starts nothing and is
 answered as an Idle.  Every decision that starts no transfer sets a timer
@@ -29,10 +31,11 @@ mobility bound updates as an event of its own, before anything else at
 that instant.  Each occupied hotspot has one group state, built on first
 use and read by every decision, wake-up and coordination step there:
 its members, its needy members (video users with segments unreserved) and
-their hold, cached for one instant, since buffers drain.  A transfer's
-start, its delivery or abort, and every move in or out of the hotspot drop
-it.  A user in transit, and a twin acting alone, get a fresh state of
-their own.
+their hold with the snapshots it was built from, cached for one instant,
+since buffers drain, or until a scheduler call is handed them.  A
+transfer's start, its delivery or abort, and every move in or out of the
+hotspot drop it.  A user in transit, and a twin acting alone, get a fresh
+state of their own.
 
 Time state is anchored to writes: a buffer is stored as its level just
 after the last delivery and that instant, and is drained to the decision
@@ -146,9 +149,11 @@ class _UserState:
     # just after it, at t0, and has drained since (see `_playback`)
     q0: float = 0.0
     t0: float = 0.0
-    # segment bookkeeping (owner side)
+    # segment bookkeeping (owner side): `remaining` counts the segments
+    # nobody has reserved, one less at a start and one more at an abort
     received: int = 0
     inflight: int = 0
+    remaining: int = field(init=False)
     last_bitrate: float | None = None
     # downloader side
     records: list[DownloadRecord] = field(default_factory=list)
@@ -166,24 +171,24 @@ class _UserState:
     def __post_init__(self):
         self.num_segments = self.profile.num_segments
         self.is_video_user = self.profile.is_video_user
-
-    @property
-    def remaining(self) -> int:
-        return self.num_segments - self.received - self.inflight
+        self.remaining = self.num_segments
 
 
 @dataclass(slots=True, eq=False)
 class _Group:
     """The group state of one hotspot: its members, ascending, and the
     needy ones (video users with segments nobody has reserved), and `held`,
-    `schedulers.hold` of the needy, valid at `held_t` only, since buffers
-    drain.  Dropped at every write to a member's reservations, playback
-    anchors or last bitrate, and at every move in or out."""
+    `schedulers.hold` of the needy's snapshots `snaps`, valid at `held_t`
+    only, since buffers drain.  A scheduler call that is handed `snaps`
+    ends them (`held_t` None), since it may write over them.  Dropped at
+    every write to a member's reservations, playback anchors or last
+    bitrate, and at every move in or out."""
 
     members: list[int]
     needy: list[int]
     held_t: float | None = None
     held: Wait | Idle | None = None
+    snaps: list[PeerInfo] | None = None
 
 
 @dataclass
@@ -335,9 +340,11 @@ class _Simulation:
         return group
 
     def _hold(self, group, t):
-        """`schedulers.hold` of the group's needy members at t."""
+        """`schedulers.hold` of the group's needy members at t, from their
+        snapshots at t, which it keeps in `group.snaps`."""
         if group.held_t != t:
-            group.held = hold([self._peer_info(m, t) for m in group.needy])
+            group.snaps = [self._peer_info(m, t) for m in group.needy]
+            group.held = hold(group.snaps)
             group.held_t = t
         return group.held
 
@@ -345,15 +352,16 @@ class _Simulation:
         st = self.users[uid]
         prof = st.profile
         buffer, finished = self._playback(uid, t)
+        # positional: under half the cost of a call by keywords
         return PeerInfo(
-            profile=prof,
-            buffer=buffer,
-            last_bitrate=st.last_bitrate,
-            remaining=st.remaining,
-            inflight=st.inflight,
-            playback_started=st.received > 0,
-            playback_finished=finished,
-            room_at=st.t0 + st.q0 + prof.segment_len - prof.buffer_cap,
+            prof,
+            buffer,
+            st.last_bitrate,
+            st.remaining,
+            st.inflight,
+            st.received > 0,
+            finished,
+            st.t0 + st.q0 + prof.segment_len - prof.buffer_cap,
         )
 
     # -- coordination protocol accounting ----------------------------------
@@ -381,11 +389,12 @@ class _Simulation:
             if needy:
                 self.msgs.ack += needy
                 st.sleep_deadline = None
-                for m in group.members:  # the decider itself is awake
-                    peer = self.users[m]
-                    if peer.asleep:
-                        peer.asleep = False
-                        self.msgs.awake += 1
+                if self.msgs.sleep > self.msgs.awake:  # sleep - awake users are asleep
+                    for m in group.members:  # the decider itself is awake
+                        peer = self.users[m]
+                        if peer.asleep:
+                            peer.asleep = False
+                            self.msgs.awake += 1
             elif st.sleep_deadline is None:
                 st.sleep_deadline = t + self.cfg.ack_window
 
@@ -427,10 +436,21 @@ class _Simulation:
             # No pending owner can take a segment: the hold is the answer.
             counters.hold_parks += 1
         else:
+            # The call gets the snapshots the hold was built from, and the
+            # engine reads none of them again: the scheduler may write over
+            # them, so the next hold at t builds its own.
+            acting.held_t = None
+            pending = tuple(acting.snaps)
+            own = dict(zip(acting.needy, pending))
             users = self.users
-            snaps = {m: self._peer_info(m, t) for m in group.members if users[m].is_video_user}
-            pending = tuple(snaps[m] for m in acting.needy)
-            answer = self.scheduler(SchedulerView(st.profile, h, tuple(snaps.values()), st.history, pending))
+            peers = tuple(
+                [
+                    own[m] if m in own else self._peer_info(m, t)
+                    for m in group.members
+                    if users[m].is_video_user
+                ]
+            )
+            answer = self.scheduler(SchedulerView(st.profile, h, peers, st.history, pending))
             counters.calls += 1
             if isinstance(answer, Download):
                 if self._start_download(uid, t, acting, answer):
@@ -476,6 +496,7 @@ class _Simulation:
             # Horizon cuts the transfer short: drop it, charge nothing.
             return False
         ost.inflight += 1
+        ost.remaining -= 1
         self.groups.pop(self.spot[owner_id], None)
         t_sep = None if owner_id == uid else tr.first_separation(self.mob, uid, owner_id, t, t_end)
         if t_sep is None:
@@ -508,9 +529,11 @@ class _Simulation:
             partial = tr.integrate_capacity(self.cap, uid, t_start, t)
             st.abort_cost += st.profile.c_time * (t - t_start) + st.profile.c_data * partial
             st.abort_count += 1
+            ost.remaining += 1
         if t < self.T - TIME_EPS:  # else nobody decides or wakes
             self._schedule_decision(uid, t)
-            self._wake_parked(t, owner_id)
+            if not self.cfg.noncoop:  # every twin park is None: none wakes
+                self._wake_parked(t, owner_id)
 
     # -- main loop ---------------------------------------------------------
 

@@ -48,7 +48,9 @@ class Idle:
 @dataclass(slots=True)
 class PeerInfo:
     """What a downloader can observe about one co-located video user, at
-    one decision instant; the engine builds it afresh for every view."""
+    one decision instant.  Each serves one view: a pending owner's is the
+    one the engine's hold was built from at that instant, and the engine
+    reads none once a scheduler has it, so a scheduler may write over it."""
 
     profile: UserProfile
     buffer: float                  # playback buffer, seconds

@@ -484,7 +484,10 @@ class _CheckedSimulation(_Simulation):
     ACKs that a fresh scan of the decider's needy co-located peers gives,
     the last READY instant moves to t exactly when it adds a READY, and it
     returns nothing and schedules no decision: a READY that wakes a parked
-    sleeper leaves it parked.  After it no asleep user has a deadline.
+    sleeper leaves it parked.  A READY that draws ACKs leaves nobody at the
+    decider's hotspot asleep, and wakes exactly those who were; otherwise
+    only a sleeper that a needy peer pings back wakes.  After it no asleep
+    user has a deadline.
     After every decision the user has a delivery or abort pending or is
     parked through `_park`: on None after a dead link and in the twin, on
     Idle after a cooperative horizon-cut Download, and on the Wait or Idle
@@ -665,7 +668,8 @@ class _CheckedSimulation(_Simulation):
         asleep = st.asleep or (st.sleep_deadline is not None and t >= st.sleep_deadline - TIME_EPS)
         m = self.msgs
         before = (m.ready, m.ack, m.virtual_ack)
-        last_ready = m.last_ready
+        last_ready, awake = m.last_ready, m.awake
+        sleepers = sum(self.users[o].asleep for o in others)
         gens = {u: s.gen for u, s in self.users.items()}
         assert super()._coordination(uid, t, group) is None
         assert {u: s.gen for u, s in self.users.items()} == gens
@@ -676,6 +680,11 @@ class _CheckedSimulation(_Simulation):
         assert (m.ready - before[0], m.ack - before[1], m.virtual_ack - before[2]) == want
         assert m.last_ready == (t if want[0] else last_ready)
         assert st.asleep == (asleep and needy == 0)
+        if want[1]:  # a READY that draws ACKs wakes every sleeper beside the decider
+            assert not any(self.users[o].asleep for o in others)
+            assert m.awake - awake == sleepers
+        else:
+            assert m.awake - awake == (asleep and needy > 0)
         assert not any(s.asleep and s.sleep_deadline is not None for s in self.users.values())
 
     def _fresh_peer_info(self, uid, t):
@@ -753,7 +762,18 @@ class TestDecisionPathDifferential:
 _WAKES = "wakes"  # a park that no hold equals: every wake-up that reaches it re-decides
 
 
-class _WakeAllSimulation(_Simulation):
+class _TwinWakes(_Simulation):
+    """Runs the wake rule at a twin's deliveries and aborts too, as the
+    engine did before.  The engine skips it there, since every twin park
+    is None; a retired rule that parks a twin on something else needs it."""
+
+    def _complete(self, uid, t, payload):
+        super()._complete(uid, t, payload)
+        if self.cfg.noncoop and t < self.T - TIME_EPS:
+            self._wake_parked(t, payload[1])
+
+
+class _WakeAllSimulation(_TwinWakes):
     """The wake rule before hotspot pruning and held wakes: every delivery
     or abort, nearby or not, re-decides every parked user in ascending uid
     order.  A park on None is recorded as _WAKES."""
@@ -785,7 +805,7 @@ class _DeadLinkWakeSimulation(_Simulation):
         super()._park(uid, wake, _WAKES if park is None and not self.cfg.noncoop else park)
 
 
-class _TwinWakeAllSimulation(_Simulation):
+class _TwinWakeAllSimulation(_TwinWakes):
     """The twin rule before twins re-decided only on their own events: every
     park wakes at its owner's-hotspot completions, and an Idle, a
     horizon-cut Download's included, revisits at the next mobility
