@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 bad configuration or arguments, 2 runtime failure
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
@@ -134,6 +133,14 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+_COMMANDS = {
+    "run": _cmd_run,
+    "sweep": _cmd_sweep,
+    "bound": _cmd_bound,
+    "validate-traces": _cmd_validate,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -150,21 +157,13 @@ def main(argv=None) -> int:
         parser.print_help()
         return 1
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "bound":
-            return _cmd_bound(args)
-        if args.command == "validate-traces":
-            return _cmd_validate(args)
+        return _COMMANDS[args.command](args)
     except (ConfigError, ModelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (SimError, SimAuditError, bd.BoundError, tr.TraceError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
-    return 1
 
 
 if __name__ == "__main__":

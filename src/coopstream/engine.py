@@ -241,7 +241,6 @@ class _Simulation:
         self.msgs = MessageStats()
         self.counters = EngineCounters()
         self.heap: list = []
-        self.seq = 0
         # Hotspot-occupancy index: each user's hotspot and the users at
         # each hotspot, moved by a _MOVE event at every bound of a track.
         self.spot: dict[int, int] = {}
@@ -258,8 +257,8 @@ class _Simulation:
     # -- event plumbing ----------------------------------------------------
 
     def _push(self, t, kind, uid, payload=None, gen=None):
-        self.seq += 1
-        heapq.heappush(self.heap, (t, kind, uid, self.seq, gen, payload))
+        # No two entries tie: one move and one completion pending per user, a new gen per decision.
+        heapq.heappush(self.heap, (t, kind, uid, gen, payload))
 
     def _schedule_decision(self, uid, t):
         # Supersedes any pending decision event for uid via the gen counter.
@@ -544,7 +543,7 @@ class _Simulation:
             self._schedule_decision(uid, 0.0)
         counters = self.counters
         while self.heap:
-            t, kind, uid, _, gen, payload = heapq.heappop(self.heap)
+            t, kind, uid, gen, payload = heapq.heappop(self.heap)
             if t > self.T + TIME_EPS:
                 break
             if kind == _MOVE:

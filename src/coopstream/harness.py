@@ -290,14 +290,10 @@ def _bound_subinstance(cfg, profiles, cap, mob):
     """Prefix sub-instance small enough for the exact solver."""
     if cfg.horizon < 1.0:
         raise ConfigError(f"horizon {cfg.horizon:g} s holds no one-second slot for the bound")
-    picked: list[int] = []
-    for uid in sorted(profiles):
-        if profiles[uid].is_video_user and len(picked) < cfg.bound_users:
-            picked.append(uid)
-    for uid in sorted(profiles):
-        if uid not in picked and len(picked) < cfg.bound_users:
-            picked.append(uid)
-    picked = sorted(picked)
+    # The first `bound_users` of: video users by id, then idle helpers by id.
+    video = [uid for uid in sorted(profiles) if profiles[uid].is_video_user]
+    idle = [uid for uid in sorted(profiles) if not profiles[uid].is_video_user]
+    picked = sorted((video + idle)[: cfg.bound_users])
     horizon = float(min(cfg.bound_horizon, int(cfg.horizon)))
     sub_cap, sub_mob = (
         type(trace)(
@@ -325,6 +321,14 @@ def _gap_ratio(cfg, prefix, scheduler, noncoop) -> float | None:
     run_cfg = RunConfig(horizon=sub_cap.horizon, noncoop=noncoop, ack_window=cfg.ack_window)
     result = run(sub_profiles, sub_cap, sub_mob, scheduler, run_cfg)
     return 1.0 - result.social_welfare / region.upper
+
+
+# summary.csv's columns.  Past `scheduler`, each is a key of a scheduler's
+# summary: a `*_n` column counts the rows its gain's mean averages, the rest are means.
+SUMMARY_COLUMNS = (
+    "scenario", "scheduler", "avg_bitrate_mbps", "bitrate_gain", "bitrate_gain_n",
+    "social_welfare", "welfare_gain", "welfare_gain_n", "welfare_diff", "rebuf_s", "gap_ratio",
+)
 
 
 def run_experiment(cfg: ScenarioConfig, out_dir: str | None = None) -> dict:
@@ -361,22 +365,12 @@ def run_experiment(cfg: ScenarioConfig, out_dir: str | None = None) -> dict:
                 row["bound_levels"] = bd.region_to_dict(prefix[1])["levels"]
             rows.append(row)
             first_results.setdefault(name, result)
-        summaries.append(
-            {
-                "scheduler": name,
-                "avg_bitrate_mbps": _mean(rows, "avg_bitrate_mbps"),
-                "bitrate_gain": _mean(rows, "bitrate_gain"),
-                "bitrate_gain_n": _count(rows, "bitrate_gain"),
-                "social_welfare": _mean(rows, "social_welfare"),
-                "welfare_gain": _mean(rows, "welfare_gain"),
-                "welfare_gain_n": _count(rows, "welfare_gain"),
-                "welfare_diff": _mean(rows, "welfare_diff"),
-                "rebuf_s": _mean(rows, "rebuf_s"),
-                "gap_ratio": _mean(rows, "gap_ratio"),
-                "stdev_welfare": _stdev(rows, "social_welfare"),
-                "repetitions": rows,
-            }
-        )
+        summary = {"scheduler": name}
+        for col in SUMMARY_COLUMNS[2:]:
+            summary[col] = _count(rows, col[:-2]) if col.endswith("_n") else _mean(rows, col)
+        summary["stdev_welfare"] = _stdev(rows, "social_welfare")
+        summary["repetitions"] = rows
+        summaries.append(summary)
     report = {"scenario": cfg.name, "config": asdict(cfg), "schedulers": summaries}
     if out_dir is not None:
         _write_reports(report, [report], out_dir)
@@ -411,21 +405,6 @@ def _write_reports(payload, reports: list[dict], out_dir: str) -> None:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     write_summary_csv(reports, os.path.join(out_dir, "summary.csv"))
-
-
-SUMMARY_COLUMNS = (
-    "scenario",
-    "scheduler",
-    "avg_bitrate_mbps",
-    "bitrate_gain",
-    "bitrate_gain_n",
-    "social_welfare",
-    "welfare_gain",
-    "welfare_gain_n",
-    "welfare_diff",
-    "rebuf_s",
-    "gap_ratio",
-)
 
 
 def write_summary_csv(reports: list[dict], path: str) -> None:

@@ -610,7 +610,7 @@ class _CheckedSimulation(_Simulation):
                     held += 1
                 else:
                     assert (t, _DECIDE, m) in {
-                        (at, kind, who) for at, kind, who, _, gen, _ in self.heap
+                        (at, kind, who) for at, kind, who, gen, _ in self.heap
                         if gen == self.users[m].gen
                     }
         assert self.counters.wakes_held - wakes_held == held
@@ -626,7 +626,7 @@ class _CheckedSimulation(_Simulation):
 
     def _pending_decisions(self, uid):
         gen = self.users[uid].gen
-        return [at for at, kind, who, _, g, _ in self.heap if kind == _DECIDE and who == uid and g == gen]
+        return [at for at, kind, who, g, _ in self.heap if kind == _DECIDE and who == uid and g == gen]
 
     def _wakes(self, t, answer):
         """The pending decisions a park on `answer` at t leaves."""

@@ -399,6 +399,30 @@ def test_budget_limited_bound_runs_no_prefix_engine_run(monkeypatch):
     assert len(calls) == plain
 
 
+@pytest.mark.parametrize(
+    "video, bound_users, picked",
+    [
+        pytest.param({1, 4}, 1, [1], id="first-video-user"),
+        pytest.param({1, 4}, 2, [1, 4], id="video-users-only"),
+        pytest.param({1, 4}, 3, [0, 1, 4], id="then-the-first-helper"),
+        pytest.param({1, 4}, 4, [0, 1, 2, 4], id="then-helpers-by-id"),
+        pytest.param({1, 4}, 9, [0, 1, 2, 3, 4, 5], id="more-than-n-users"),
+        pytest.param({0, 2, 3, 5}, 2, [0, 2], id="video-users-by-id"),
+        pytest.param(set(), 2, [0, 1], id="no-video-user"),
+    ],
+)
+def test_bound_prefix_takes_video_users_then_helpers_by_id(video, bound_users, picked):
+    # The prefix is the first bound_users of: video users by ascending id,
+    # then idle helpers by ascending id; it is handed on in ascending id.
+    cfg = tiny_config(n_users=6, bound_users=bound_users)
+    profiles = {uid: cfg._profile(uid, uid in video) for uid in range(6)}
+    cap, mob, _ = build_traces(cfg, cfg.seed)
+    sub_profiles, sub_cap, sub_mob = harness._bound_subinstance(cfg, profiles, cap, mob)
+    assert list(sub_profiles) == picked
+    assert all(sub_profiles[uid] is profiles[uid] for uid in picked)
+    assert sub_cap.users() == sub_mob.users() == picked
+
+
 @pytest.mark.parametrize("phi_rebuf", [2.0, 0.0])
 def test_metrics_rebuf_matches_engine_stall_accounting(phi_rebuf):
     # rebuf_s is stall seconds, whatever the penalty weight on them; seed 4
