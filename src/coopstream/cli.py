@@ -48,21 +48,25 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--config", required=True, help="scenario config file")
     p_run.add_argument("--seed", type=int, default=None, help="override base seed")
     p_run.add_argument("--out", default=None, help="output directory")
+    p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="sweep one config field")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--axis", required=True, help="config field to vary")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--out", default=None)
+    p_sweep.set_defaults(func=_cmd_sweep)
 
     p_bound = sub.add_parser("bound", help="exact welfare bound for a small scenario")
     p_bound.add_argument("--config", required=True)
     p_bound.add_argument("--refine", type=int, default=None, help="refinement halvings")
     p_bound.add_argument("--out", default=None, help="write region JSON here")
+    p_bound.set_defaults(func=_cmd_bound)
 
     p_val = sub.add_parser("validate-traces", help="check a capacity/mobility CSV pair")
     p_val.add_argument("capacity_csv")
     p_val.add_argument("mobility_csv")
+    p_val.set_defaults(func=_cmd_validate)
 
     return parser
 
@@ -133,14 +137,6 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "sweep": _cmd_sweep,
-    "bound": _cmd_bound,
-    "validate-traces": _cmd_validate,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -157,7 +153,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 1
     try:
-        return _COMMANDS[args.command](args)
+        return args.func(args)
     except (ConfigError, ModelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

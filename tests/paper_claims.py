@@ -3,57 +3,46 @@
 The paper's abstract claims that its online algorithm beats the existing
 online algorithms by 20-30% in bitrate and 10-50% in social welfare.  This
 script measures that comparison on the default scenario (10 users,
-dense-short, T = 150 s), swept over `capacity_hi` (0.7, 2.5, 5, 8 unless
-given) with repetition seeds 1-K (K = 20 unless given).  It reads the rows
-`run_experiment` returns for the cooperative runs: for each value it
-prints the mean avg bitrate (Mbps) and social welfare of each scheduler,
-then lyapunov's paired difference (mean over seeds of lyapunov - baseline)
-and ratio of means (lyapunov's mean / the baseline's) against each
-baseline.  A ratio of two negative welfare means is below 1 when lyapunov
-is ahead.  From the repository root,
+dense-short, T = 150 s), swept over `capacity_hi` 0.7, 2.5, 5 and 8 with
+repetition seeds 1-20.  It reads the summaries `run_experiment` returns,
+whose means are over the cooperative runs: for each value it prints the
+mean avg bitrate (Mbps) and social welfare of each scheduler, then
+lyapunov's difference of means (lyapunov - baseline) and ratio of means
+(lyapunov / baseline) against each baseline.  A ratio of two negative
+welfare means is below 1 when lyapunov is ahead.  From the repository root,
 
-    PYTHONPATH=src python tests/paper_claims.py [--values 0.7,2.5,5,8] [--seeds K]
+    PYTHONPATH=src python tests/paper_claims.py
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
 from dataclasses import replace
 
+VALUES = ("0.7", "2.5", "5", "8")
+SEEDS = 20
 METRICS = (("bitrate", "avg_bitrate_mbps"), ("welfare", "social_welfare"))
 
 
-def mean(xs: list[float]) -> float:
-    return sum(xs) / len(xs)
-
-
-def main(argv=None) -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--values", default="0.7,2.5,5,8", help="capacity_hi values (default 0.7,2.5,5,8)")
-    ap.add_argument("--seeds", type=int, default=20, help="repetition seeds 1..K (default 20)")
-    args = ap.parse_args(argv)
+def main() -> None:
     from coopstream.harness import ScenarioConfig, sweep
 
     start = time.perf_counter()
-    cfg = replace(ScenarioConfig(), seed=1, repetitions=args.seeds)
-    reports = sweep(cfg, "capacity_hi", args.values.split(","))
-    for report in reports:
-        rows = {s["scheduler"]: s["repetitions"] for s in report["schedulers"]}
-        ref, *baselines = rows
-        print(f"{report['scenario']} ({args.seeds} seeds)")
+    cfg = replace(ScenarioConfig(), seed=1, repetitions=SEEDS)
+    for report in sweep(cfg, "capacity_hi", list(VALUES)):
+        means = {s["scheduler"]: s for s in report["schedulers"]}
+        ref, *baselines = means
+        print(f"{report['scenario']} ({SEEDS} seeds)")
         for label, key in METRICS:
-            means = " / ".join(f"{mean([r[key] for r in rows[name]]):.3f}" for name in rows)
-            print(f"  {label} {' / '.join(rows)}: {means}")
+            row = " / ".join(f"{means[name][key]:.3f}" for name in means)
+            print(f"  {label} {' / '.join(means)}: {row}")
         for base in baselines:
             parts = []
             for label, key in METRICS:
-                ours = [r[key] for r in rows[ref]]
-                theirs = [r[key] for r in rows[base]]
-                diff = mean([a - b for a, b in zip(ours, theirs)])
-                parts.append(f"{label} diff {diff:+.3f} ratio {mean(ours) / mean(theirs):.3f}")
+                ours, theirs = means[ref][key], means[base][key]
+                parts.append(f"{label} diff {ours - theirs:+.3f} ratio {ours / theirs:.3f}")
             print(f"  {ref} vs {base}: " + "  ".join(parts))
     print(f"{time.perf_counter() - start:.1f} s")
 
