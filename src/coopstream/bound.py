@@ -206,8 +206,9 @@ def slotted_breakdowns(plan: SlottedPlan, instance: SlottedInstance) -> dict[int
     Receipts within one slot count in ascending bitrate order, so
     degradation is charged only across receiving slots: against the highest
     rate of the previous receiving slot.  Rebuffering charges the dry part
-    of each slot between the first and last receiving slots; stretches never
-    followed by a receipt stay free, mirroring the per-segment QoE terms.
+    of each slot between the first and last receiving slots; start-up and
+    stretches never followed by a receipt stay free, README's stall rule
+    (Stalls), as in `welfare.rebuf_loss`.
     """
     profs = instance.profiles
     volume, receipts = _tally(plan, instance)

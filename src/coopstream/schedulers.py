@@ -129,21 +129,6 @@ def _wait_or_idle(pending: Sequence[PeerInfo]):
 # Drift-plus-penalty scheduler.
 
 
-def projected_owner_buffer(buffer: float, dl_time: float, beta: float, cap: float) -> float:
-    """Owner's buffer at estimated completion: drain, then gain one segment."""
-    return min(cap, max(buffer - dl_time, 0.0) + beta)
-
-
-def projected_peer_buffer(buffer: float, dl_time: float) -> float:
-    """A bystander's buffer after draining through the download."""
-    return max(buffer - dl_time, 0.0)
-
-
-def drift_term(cap: float, q_now: float, q_next: float) -> float:
-    """Change in the squared backlog 0.5 * (Q - q)^2 for one buffer."""
-    return 0.5 * ((cap - q_next) ** 2 - (cap - q_now) ** 2)
-
-
 def lyapunov_scores(
     view: SchedulerView, owners: Sequence[PeerInfo], drift_weight: float
 ) -> list[list[float]]:
@@ -151,18 +136,18 @@ def lyapunov_scores(
     segment: per owner, one score per ladder level (index level - 1); lower
     is better.
 
-    The drift is the sum of `drift_term` over `projected_peer_buffer` for
-    every drifting peer (playing and unfinished), in view order, plus the
-    owner's own `drift_term` to `projected_owner_buffer`: from its drained
-    buffer when it drifts, since its bystander term is in the sum, else from
-    its buffer.  The welfare is the owner's value, less its degradation, the
-    stall terms summed the same way (plus its own when it does not drift) and
-    the decider's costs: `decision_welfare` up to rounding.  The sums, each
-    level's value and the costs depend only on the ladder's rates, the
-    segment length and the owner's theta, so they are built once per such
-    row key (one per view when every user shares a theta and a ladder), and
-    owners in equal states score bit-equal wherever they sit among the
-    peers.
+    The drift is the change in 0.5 * (Q - q)^2 of every drifting peer
+    (playing and unfinished) drained through the download, in view order,
+    plus the owner's own change from its drained buffer to that plus one
+    segment, capped at Q.  The welfare is the owner's value, less its
+    degradation, the drifting peers' stalls and the decider's costs.  A
+    playing owner's own drain and stall are among the peers'; an owner that
+    has not started is at buffer 0 and stalls nothing, by README's stall
+    rule (Stalls).  The sums, each level's value and the costs depend only
+    on the ladder's rates, the segment length and the owner's theta, so they
+    are built once per such row key (one per view when every user shares a
+    theta and a ladder), and owners in equal states score bit-equal
+    wherever they sit among the peers.
     """
     decider = view.profile
     drifting = [
@@ -173,7 +158,7 @@ def lyapunov_scores(
     totals, ladders = {}, []
     for owner in owners:
         prof = owner.profile
-        beta, cap, q, phi, theta = prof.segment_len, prof.buffer_cap, owner.buffer, prof.phi_rebuf, prof.theta
+        beta, cap, q, theta = prof.segment_len, prof.buffer_cap, owner.buffer, prof.theta
         rows = totals.get(key := (prof.ladder.rates, beta, theta))
         if rows is None:
             rows = totals[key] = []
@@ -189,7 +174,6 @@ def lyapunov_scores(
                 cost = decider.c_time * dl_time + decider.c_data * volume
                 value = quality_value(theta, rate) * beta
                 rows.append((rate, dl_time, value, (cost, cost + decider.w_data * volume), drift, stalls))
-        drifts = owner.playback_started and not owner.playback_finished
         helping = owner.user_id != decider.user_id
         last = -math.inf if owner.last_bitrate is None else owner.last_bitrate
         phi_qdeg, scores = prof.phi_qdeg, []
@@ -198,11 +182,8 @@ def lyapunov_scores(
             left = 0.0 if left < 0.0 else left
             q_next = left + beta
             q_next = q_next if q_next < cap else cap
-            # a drifting owner's bystander terms are in the totals already
-            drift += 0.5 * ((cap - q_next) ** 2 - (cap - (left if drifts else q)) ** 2)
-            if not drifts:
-                stall = dl_time - q
-                stalls += phi * (0.0 if stall < 0.0 else stall)
+            # a playing owner's bystander terms are in the totals already
+            drift += 0.5 * ((cap - q_next) ** 2 - (cap - left) ** 2)
             drop = 0.0 if last < rate else phi_qdeg * (last - rate)
             welfare = value - drop - stalls - costs[helping]
             scores.append(drift - drift_weight * welfare)

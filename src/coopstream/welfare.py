@@ -65,8 +65,9 @@ def rebuf_loss(rx: ReceiveSequence, profile: UserProfile) -> tuple[float, Rebuff
     """Rebuffering penalty plus a per-segment log of stall durations.
 
     Segment k stalls for the part of the inter-receipt gap that the buffer
-    left after receipt k-1 could not cover; the first segment never charges
-    (startup is free).
+    left after receipt k-1 could not cover; the first segment never charges.
+    This is README's stall rule (Stalls): start-up and the tail after the
+    last receipt are free.
     """
     log: RebufferLog = []
     total = 0.0
@@ -140,42 +141,3 @@ def social_welfare(
     parts = welfare_breakdowns(downloads, profiles)
     return sum(b.welfare for b in parts.values())
 
-
-def decision_welfare(
-    decider: UserProfile,
-    owner: UserProfile,
-    level: int,
-    capacity: float,
-    owner_buffer: float,
-    owner_last_bitrate: float | None,
-    bystanders: list[tuple[UserProfile, float]],
-) -> float:
-    """Estimated one-step welfare of downloading one segment now.
-
-    `decider` fetches `owner`'s next segment at `level` over a link running
-    at `capacity` Mbps.  The estimate charges the decider's energy, credits
-    the owner's playback value net of estimated degradation and stall, and
-    charges every bystander (a playing, unfinished video user co-located
-    with the decider, passed as (profile, buffer)) for the stall the
-    download time would inflict.
-    """
-    if capacity <= 0.0:
-        raise ModelError("decision_welfare requires positive capacity")
-    rate = owner.ladder.rate(level)
-    volume = segment_volume(owner, level)
-    dl_time = volume / capacity
-
-    cost = decider.c_time * dl_time + decider.c_data * volume
-    if owner.user_id != decider.user_id:
-        cost += decider.w_data * volume
-
-    gain = quality_value(owner.theta, rate) * owner.segment_len
-    if owner_last_bitrate is not None:
-        gain -= owner.phi_qdeg * max(owner_last_bitrate - rate, 0.0)
-    gain -= owner.phi_rebuf * max(dl_time - owner_buffer, 0.0)
-
-    for prof, buf in bystanders:
-        if prof.user_id == owner.user_id:
-            continue
-        gain -= prof.phi_rebuf * max(dl_time - buf, 0.0)
-    return gain - cost

@@ -9,7 +9,13 @@ whose means are over the cooperative runs: for each value it prints the
 mean avg bitrate (Mbps) and social welfare of each scheduler, then
 lyapunov's difference of means (lyapunov - baseline) and ratio of means
 (lyapunov / baseline) against each baseline.  A ratio of two negative
-welfare means is below 1 when lyapunov is ahead.  From the repository root,
+welfare means is below 1 when lyapunov is ahead.
+
+The abstract also claims 97% of the maximum social welfare.  The only
+exact bound at hand is on acceptance criterion 6's 20 one-user instances,
+so the script last prints each rule's welfare there as a mean per-instance
+share of the refined slotted optimum, with the number of instances at or
+above 0.97.  From the repository root,
 
     PYTHONPATH=src python tests/paper_claims.py
 """
@@ -28,6 +34,8 @@ METRICS = (("bitrate", "avg_bitrate_mbps"), ("welfare", "social_welfare"))
 
 def main() -> None:
     from coopstream.harness import ScenarioConfig, sweep
+    from coopstream.schedulers import SCHEDULER_NAMES, make_scheduler
+    from test_acceptance import bound_shares
 
     start = time.perf_counter()
     cfg = replace(ScenarioConfig(), seed=1, repetitions=SEEDS)
@@ -44,6 +52,11 @@ def main() -> None:
                 ours, theirs = means[ref][key], means[base][key]
                 parts.append(f"{label} diff {ours - theirs:+.3f} ratio {ours / theirs:.3f}")
             print(f"  {ref} vs {base}: " + "  ".join(parts))
+    print("share of the exact bound on criterion 6's instances (mean, instances >= 0.97)")
+    for name in SCHEDULER_NAMES:
+        shares = bound_shares(make_scheduler(name))
+        near = sum(share >= 0.97 for share in shares)
+        print(f"  {name}: {sum(shares) / len(shares):.4f}, {near} of {len(shares)}")
     print(f"{time.perf_counter() - start:.1f} s")
 
 

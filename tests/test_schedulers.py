@@ -14,16 +14,14 @@ from coopstream.schedulers import (
     Wait,
     buffer_based_decide,
     can_afford,
-    drift_term,
     hold,
     lyapunov_decide,
     lyapunov_scores,
     make_scheduler,
     prediction_based_decide,
-    projected_owner_buffer,
-    projected_peer_buffer,
 )
-from coopstream.welfare import decision_welfare, quality_value
+from coopstream.welfare import quality_value
+from lyapunov_oracle import decision_welfare, drift_term, projected_owner_buffer, projected_peer_buffer
 
 LADDER = BitrateLadder((0.2, 0.4, 0.7, 1.3, 2.3))
 
@@ -279,9 +277,9 @@ class TestScoreScaling:
 
 
 def composed_score(v, owner, level, drift_weight):
-    """The drift-plus-penalty score composed of the public per-term pieces,
+    """The drift-plus-penalty score composed of the oracle's per-term pieces,
     in `lyapunov_scores`' order: each drifting peer's bystander terms summed
-    in view order, then the owner's own."""
+    in view order, then the owner's own drift from its drained buffer."""
     prof = owner.profile
     rate, beta, cap, q = prof.ladder.rate(level), prof.segment_len, prof.buffer_cap, owner.buffer
     volume = segment_volume(prof, level)
@@ -291,12 +289,7 @@ def composed_score(v, owner, level, drift_weight):
         if drifts(p):
             drift += drift_term(p.profile.buffer_cap, p.buffer, projected_peer_buffer(p.buffer, dl_time))
             stalls += p.profile.phi_rebuf * max(dl_time - p.buffer, 0.0)
-    q_next = projected_owner_buffer(q, dl_time, beta, cap)
-    if drifts(owner):   # its bystander terms are in the sums already
-        drift += drift_term(cap, projected_peer_buffer(q, dl_time), q_next)
-    else:
-        drift += drift_term(cap, q, q_next)
-        stalls += prof.phi_rebuf * max(dl_time - q, 0.0)
+    drift += drift_term(cap, projected_peer_buffer(q, dl_time), projected_owner_buffer(q, dl_time, beta, cap))
     last = owner.last_bitrate
     drop = 0.0 if last is None else prof.phi_qdeg * max(last - rate, 0.0)
     cost = v.profile.c_time * dl_time + v.profile.c_data * volume
@@ -306,21 +299,21 @@ def composed_score(v, owner, level, drift_weight):
 
 
 def folded_score(v, owner, level, drift_weight):
-    """The same score folded per owner: its `drift_term`, each other drifting
-    peer's, and `decision_welfare`."""
+    """The same score folded per owner: its `drift_term` from its own buffer,
+    each drifting peer's but its own, and `decision_welfare`."""
     prof = owner.profile
     dl_time = segment_volume(prof, level) / v.capacity
-    others = [p for p in v.peers if p.user_id != owner.user_id and drifts(p)]
     drift = drift_term(
         prof.buffer_cap,
         owner.buffer,
         projected_owner_buffer(owner.buffer, dl_time, prof.segment_len, prof.buffer_cap),
     )
-    for p in others:
-        drift += drift_term(p.profile.buffer_cap, p.buffer, projected_peer_buffer(p.buffer, dl_time))
+    for p in v.peers:
+        if p.user_id != owner.user_id and drifts(p):
+            drift += drift_term(p.profile.buffer_cap, p.buffer, projected_peer_buffer(p.buffer, dl_time))
     welfare = decision_welfare(
-        v.profile, prof, level, v.capacity, owner.buffer, owner.last_bitrate,
-        [(p.profile, p.buffer) for p in others],
+        v.profile, prof, level, v.capacity, owner.last_bitrate,
+        [(p.profile, p.buffer) for p in v.peers if drifts(p)],
     )
     return drift - drift_weight * welfare
 
@@ -328,12 +321,15 @@ def folded_score(v, owner, level, drift_weight):
 class TestScoreKernel:
     def test_ladder_scores_equal_the_composed_terms(self):
         # Random ladders, coefficients and views: own and helped owners,
-        # with and without a last bitrate, peers not yet started or already
-        # finished, several candidates per view.  Each score is bit for bit
-        # the per-level composition of the public terms in the scores' own
-        # order, and the per-owner fold with `decision_welfare` up to rounding.
+        # with and without a last bitrate, peers not yet started (at an
+        # empty buffer) or already finished (with nothing left to fetch),
+        # several candidates per view.  Each score is bit for bit the
+        # per-level composition of the oracle's terms in the scores' own
+        # order, and the per-owner fold with `decision_welfare` up to
+        # rounding.  A waiting owner on a link slower than its playback is
+        # where a charge for the wait for its first segment would show.
         rng = random.Random(23)
-        seen = {"own": 0, "helper": 0, "last": 0, "no_last": 0, "waiting": 0, "finished": 0}
+        seen = {"own": 0, "helper": 0, "last": 0, "no_last": 0, "waiting": 0, "finished": 0, "slow_start": 0}
         for _ in range(400):
             ladder = BitrateLadder(tuple(sorted(rng.uniform(0.1, 3.0) for _ in range(rng.randint(1, 6)))))
 
@@ -349,21 +345,29 @@ class TestScoreKernel:
             peers = []
             for uid in range(1, rng.randint(2, 7)):
                 p = prof(uid)
+                if rng.random() < 0.2:
+                    peers.append(peer(uid, 0.0, started=False, profile=p))
+                    continue
+                finished = rng.random() < 0.15
                 peers.append(peer(
-                    uid, rng.uniform(0.0, p.buffer_cap), last=rng.choice([None, 0.3, 1.7]),
-                    started=rng.random() < 0.8, finished=rng.random() < 0.15, profile=p,
+                    uid, 0.0 if finished else rng.uniform(0.0, p.buffer_cap),
+                    last=rng.choice([None, 0.3, 1.7]), remaining=0 if finished else 10,
+                    finished=finished, profile=p,
                 ))
             decider = rng.randint(1, len(peers) + 1)
             v = view(decider, peers, capacity=rng.uniform(0.05, 5.0), profile=prof(decider))
             weight = rng.choice([0.0, 1.0, 100.0])
-            for owner, got in zip(peers, lyapunov_scores(v, peers, weight)):
+            for owner, got in zip(v.pending, lyapunov_scores(v, v.pending, weight)):
                 levels = range(1, ladder.top + 1)
                 assert got == [composed_score(v, owner, level, weight) for level in levels]
                 assert got == pytest.approx([folded_score(v, owner, level, weight) for level in levels],
                                             rel=1e-12, abs=1e-9)
                 seen["own" if owner.user_id == v.user_id else "helper"] += 1
                 seen["no_last" if owner.last_bitrate is None else "last"] += 1
-            seen["waiting"] += any(not p.playback_started for p in peers)
+                if not owner.playback_started:
+                    seen["waiting"] += 1
+                    slow = ladder.rate(1) * owner.profile.segment_len / v.capacity > owner.profile.segment_len
+                    seen["slow_start"] += slow and owner.profile.phi_rebuf > 0.0 and weight > 0.0
             seen["finished"] += any(p.playback_finished for p in peers)
         assert min(seen.values()) > 20
 

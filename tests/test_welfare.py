@@ -13,7 +13,6 @@ from coopstream.model import (
 )
 from coopstream.welfare import (
     buffer_trajectory,
-    decision_welfare,
     energy_cell,
     energy_wifi,
     qdeg_loss,
@@ -178,43 +177,3 @@ class TestUserWelfare:
             sum(b.welfare for b in parts.values())
         )
 
-
-class TestDecisionWelfare:
-    def test_self_download_golden(self):
-        me = video_profile()
-        got = decision_welfare(me, me, 5, 2.3, 10.0, None, [])
-        assert got == pytest.approx(2.0 * math.log(3.3) - 1.46, abs=1e-9)
-
-    def test_cross_download_adds_wifi(self):
-        me, other = video_profile(1), video_profile(2)
-        own = decision_welfare(me, me, 5, 2.3, 10.0, None, [])
-        cross = decision_welfare(me, other, 5, 2.3, 10.0, None, [])
-        assert own - cross == pytest.approx(0.23, abs=1e-12)
-
-    def test_qdeg_estimate_only_on_drops(self):
-        me = video_profile()
-        base = decision_welfare(me, me, 3, 2.3, 10.0, None, [])
-        dropped = decision_welfare(me, me, 3, 2.3, 10.0, 2.3, [])
-        raised = decision_welfare(me, me, 3, 2.3, 10.0, 0.2, [])
-        assert base - dropped == pytest.approx(1.6, abs=1e-12)
-        assert raised == pytest.approx(base)
-
-    def test_stall_estimates(self):
-        me = video_profile()
-        # dl_time = 2 s against a 0.5 s owner buffer: 1.5 s estimated stall
-        low = decision_welfare(me, me, 5, 2.3, 0.5, None, [])
-        high = decision_welfare(me, me, 5, 2.3, 10.0, None, [])
-        assert high - low == pytest.approx(1.5, abs=1e-12)
-        bystander = video_profile(3)
-        with_peer = decision_welfare(me, me, 5, 2.3, 10.0, None, [(bystander, 0.5)])
-        assert high - with_peer == pytest.approx(1.5, abs=1e-12)
-
-    def test_owner_not_charged_as_bystander(self):
-        me = video_profile()
-        got = decision_welfare(me, me, 5, 2.3, 10.0, None, [(me, 0.0)])
-        assert got == pytest.approx(decision_welfare(me, me, 5, 2.3, 10.0, None, []))
-
-    def test_requires_positive_capacity(self):
-        me = video_profile()
-        with pytest.raises(ModelError):
-            decision_welfare(me, me, 1, 0.0, 10.0, None, [])
