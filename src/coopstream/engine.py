@@ -13,8 +13,8 @@ hotspot's video users, and a Download must name one of them.  The pending
 snapshots are those the hold was built from at that instant, and the
 engine builds only the other peers'; each snapshot serves one call, and
 the engine reads none once a scheduler has it.  The coordination
-protocol (READY, ACK, sleep) is only counted in `MessageStats`: it steers
-no decision.
+protocol (READY, ACK, sleep) is only counted in `MessageStats`, from the
+protocol's own events: it steers no decision, and no re-decision counts.
 
 A Download that the horizon would cut short starts nothing and is
 answered as an Idle.  Every decision that starts no transfer sets a timer
@@ -92,17 +92,19 @@ class SimAuditError(RuntimeError):
 class RunConfig:
     horizon: float
     noncoop: bool = False        # the twin: observes its peers, acts alone
-    ack_window: float = 10.0     # unanswered-READY window before sleeping
+    ack_window: float = 10.0     # a quiet stretch this long (no READY or ACK sent) is a sleep
     audit: bool = True
 
 
 @dataclass
 class MessageStats:
     """Abstract coordination traffic of a cooperative run (a twin counts
-    none): one READY per decision instant with company, one ACK per needy
-    co-located listener, one virtual ACK per needy user at t = 0.  Of the
-    READYs only their count and the instant of the last (None before the
-    first) are kept."""
+    none): one READY each time a user's radio comes free and it has
+    company, one ACK per needy co-located listener, one virtual ACK per
+    needy user at t = 0.  A quiet stretch of at least `ack_window` since a
+    user's last READY or ACK is a sleep, and the READY or ACK that ends it
+    an awake.  Of the READYs only their count and the instant of the last
+    (None before the first) are kept."""
 
     ready: int = 0
     ack: int = 0
@@ -164,9 +166,10 @@ class _UserState:
     # deciding, with a transfer in flight, or on its own timer alone
     park: Wait | Idle | None = None
     gen: int = 0
-    # coordination, read by `_coordination` alone
-    asleep: bool = False
-    sleep_deadline: float | None = None
+    # coordination: a READY is due since its radio came free, and it has
+    # sent no READY or ACK since `quiet_since`
+    ready_due: bool = True
+    quiet_since: float = 0.0
 
     def __post_init__(self):
         self.num_segments = self.profile.num_segments
@@ -365,37 +368,32 @@ class _Simulation:
 
     # -- coordination protocol accounting ----------------------------------
 
-    def _coordination(self, uid, t, group):
-        """Count READY/ACK traffic and run sleep/awake transitions; they
-        steer no decision."""
-        st = self.users[uid]
-        if not st.asleep and st.sleep_deadline is not None and t >= st.sleep_deadline - TIME_EPS:
-            # Its no-ACK window has run out.
-            st.asleep = True
-            st.sleep_deadline = None
-            self.msgs.sleep += 1
-        needy = len(group.needy) - (st.is_video_user and st.remaining > 0)  # besides uid
-        if st.asleep:
-            if needy:
-                # A co-located requester pings the sleeper back awake.
-                self.msgs.virtual_ack += needy
-                self.msgs.awake += 1
-                st.asleep = False
-            return
+    def _ready(self, uid, t, group):
+        """Count the READY that `uid` sends at its first decision on a live
+        link since its radio came free, when it has company, and the ACK of
+        each needy listener; they steer no decision."""
+        self.users[uid].ready_due = False
         if len(group.members) > 1:
             self.msgs.ready += 1
             self.msgs.last_ready = t
-            if needy:
-                self.msgs.ack += needy
-                st.sleep_deadline = None
-                if self.msgs.sleep > self.msgs.awake:  # sleep - awake users are asleep
-                    for m in group.members:  # the decider itself is awake
-                        peer = self.users[m]
-                        if peer.asleep:
-                            peer.asleep = False
-                            self.msgs.awake += 1
-            elif st.sleep_deadline is None:
-                st.sleep_deadline = t + self.cfg.ack_window
+            self._send(uid, t)
+            for m in group.needy:
+                if m != uid:
+                    self.msgs.ack += 1
+                    self._send(m, t)
+
+    def _send(self, uid, t):
+        """`uid` sends a READY or ACK at t, ending its quiet stretch."""
+        st = self.users[uid]
+        if self._slept(st, t):
+            self.msgs.sleep += 1
+            self.msgs.awake += 1
+        st.quiet_since = t
+
+    def _slept(self, st, t) -> bool:
+        """Whether the user's quiet stretch up to t is a sleep."""
+        quiet = t - st.quiet_since
+        return quiet > TIME_EPS and quiet >= self.cfg.ack_window
 
     # -- decision handling -------------------------------------------------
 
@@ -426,10 +424,10 @@ class _Simulation:
         # The acting group's needy members are the owners the decider may
         # serve: its hotspot's, or itself alone in the twin.
         group = acting = self._group(uid, t)
-        if cooperative:
-            self._coordination(uid, t, group)
-        else:
+        if not cooperative:
             acting = self._new_group([uid])
+        elif st.ready_due:
+            self._ready(uid, t, group)
         answer = self._hold(acting, t)
         if answer is not None:
             # No pending owner can take a segment: the hold is the answer.
@@ -529,6 +527,7 @@ class _Simulation:
             st.abort_cost += st.profile.c_time * (t - t_start) + st.profile.c_data * partial
             st.abort_count += 1
             ost.remaining += 1
+        st.ready_due = True
         if t < self.T - TIME_EPS:  # else nobody decides or wakes
             self._schedule_decision(uid, t)
             if not self.cfg.noncoop:  # every twin park is None: none wakes
@@ -558,6 +557,8 @@ class _Simulation:
             else:
                 counters.decisions += 1
                 self._decide(uid, t)
+        if not self.cfg.noncoop:  # every stretch still quiet at the horizon is a sleep
+            self.msgs.sleep += sum(self._slept(st, self.T) for st in self.users.values())
         return self._collect()
 
     def _collect(self) -> SimResult:

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from . import bound as bd
 from . import traces as tr
 from .engine import RunConfig, SimResult, run, write_records_csv, write_result_json
-from .model import BitrateLadder, UserProfile, validate_profile
+from .model import BitrateLadder, UserProfile
 from .schedulers import make_scheduler
 from .welfare import rebuf_loss  # noqa: F401  (bench/layers.py wraps harness.rebuf_loss)
 
@@ -109,7 +109,7 @@ class ScenarioConfig:
                 _synth_config(self).validate()
             for s in self.schedulers:
                 make_scheduler(s)  # raises on unknown names
-            validate_profile(self._profile(0, True))
+            self._profile(0, True)  # raises on an invalid profile
         except ValueError as exc:
             raise ConfigError(str(exc))
 

@@ -50,7 +50,8 @@ class UserProfile:
     """Per-user constants: video parameters, QoE and energy coefficients.
 
     Idle helpers carry video_len = 0; they never own segments but may
-    download for others.
+    download for others.  A profile is valid when built: ModelError names
+    the first violated invariant.
     """
 
     user_id: int
@@ -65,6 +66,20 @@ class UserProfile:
     c_data: float = 0.1         # cellular energy per Mbit downloaded
     w_data: float = 0.05        # local-exchange energy per Mbit relayed
 
+    def __post_init__(self):
+        if self.segment_len <= 0.0:
+            raise ModelError("segment_len must be positive")
+        if self.buffer_cap < self.segment_len - TIME_EPS:
+            raise ModelError("buffer_cap must be at least one segment_len")
+        if self.video_len < 0.0:
+            raise ModelError("video_len must be nonnegative")
+        k = self.video_len / self.segment_len
+        if abs(k - round(k)) > TIME_EPS:
+            raise ModelError("video_len must be an integer multiple of segment_len")
+        for name in ("theta", "phi_qdeg", "phi_rebuf", "c_time", "c_data", "w_data"):
+            if getattr(self, name) < 0.0:
+                raise ModelError(f"coefficient {name} must be nonnegative")
+
     @property
     def is_video_user(self) -> bool:
         return self.video_len > 0.0
@@ -72,25 +87,7 @@ class UserProfile:
     @property
     def num_segments(self) -> int:
         """Total segments in this user's video."""
-        if self.segment_len <= 0.0:
-            return 0
         return int(round(self.video_len / self.segment_len))
-
-
-def validate_profile(p: UserProfile) -> None:
-    """Raise ModelError describing the first violated profile invariant."""
-    if p.segment_len <= 0.0:
-        raise ModelError("segment_len must be positive")
-    if p.buffer_cap < p.segment_len - TIME_EPS:
-        raise ModelError("buffer_cap must be at least one segment_len")
-    if p.video_len < 0.0:
-        raise ModelError("video_len must be nonnegative")
-    k = p.video_len / p.segment_len
-    if abs(k - round(k)) > TIME_EPS:
-        raise ModelError("video_len must be an integer multiple of segment_len")
-    for name in ("theta", "phi_qdeg", "phi_rebuf", "c_time", "c_data", "w_data"):
-        if getattr(p, name) < 0.0:
-            raise ModelError(f"coefficient {name} must be nonnegative")
 
 
 def segment_volume(owner: UserProfile, level: int) -> float:

@@ -81,16 +81,11 @@ def _build_track(user_rows: list[tuple[float, float, float]], horizon: float, wh
     return _Track(tuple(bounds), tuple(values))
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".10g")
-
-
 class _StepTrace:
     """Per-user step functions over [0, horizon], one row per interval.
 
     Subclasses set `kind` and `value_name` (for messages), the CSV
-    `header`, `cast` (raw value to stored value) and `text` (stored value
-    to CSV field).  User ids must be integers, times and values finite, and
+    `header` and `cast` (raw value to stored value).  User ids must be integers, times and values finite, and
     a value that `cast` would change (a fractional hotspot id) is rejected.
     """
 
@@ -135,13 +130,6 @@ class _StepTrace:
             for i, v in enumerate(tr.values):
                 yield u, tr.bounds[i], tr.bounds[i + 1], v
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(self.header)
-            for u, a, b, v in self.rows():
-                w.writerow([u, _fmt(a), _fmt(b), self.text(v)])
-
 
 class CapacityTrace(_StepTrace):
     """Cellular downlink capacity per user over [0, horizon]."""
@@ -150,7 +138,6 @@ class CapacityTrace(_StepTrace):
     value_name = "capacity"
     header = ("user_id", "t_from", "t_to", "capacity_mbps")
     cast = float
-    text = staticmethod(_fmt)
 
 
 class MobilityTrace(_StepTrace):
@@ -160,7 +147,6 @@ class MobilityTrace(_StepTrace):
     value_name = "hotspot id"
     header = ("user_id", "t_from", "t_to", "hotspot_id")
     cast = int
-    text = int
 
     def __init__(self, horizon: float, rows: list[tuple[int, float, float, int]]):
         super().__init__(horizon, rows)

@@ -133,11 +133,3 @@ def welfare_breakdowns(
         for uid, prof in sorted(profiles.items())
     }
 
-
-def social_welfare(
-    downloads: dict[int, DownloadSequence], profiles: dict[int, UserProfile]
-) -> float:
-    """Sum of per-user welfare over everyone in `profiles`."""
-    parts = welfare_breakdowns(downloads, profiles)
-    return sum(b.welfare for b in parts.values())
-

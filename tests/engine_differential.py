@@ -7,8 +7,8 @@ registry schedulers x a cooperative run and its non-cooperative twin
 (`RunConfig.noncoop`), on the default scenario otherwise, audit on.  The
 micro family is 2,400 runs: `micro_scenario` seeds 0-399 x the three
 schedulers x both modes.  Its small random scenarios have dead-link
-stretches, idle helpers, transit, aborts and users falling asleep, which
-the engine set barely reaches.  By its download records each run is one of
+stretches, idle helpers, transit, aborts and quiet stretches longer than
+the no-ACK window (sleeps), which the engine set barely reaches.  By its download records each run is one of
 
 * identical: records, aborts and welfare terms are equal bit for bit;
 * noise: every downloader has the same records in (owner, seq, level)
@@ -17,14 +17,14 @@ the engine set barely reaches.  By its download records each run is one of
   leaves no record, so its energy is all that shows it);
 * material: anything else.
 
-Messages (READY/ACK counts and the last READY instant) and
-`EngineCounters` are compared on their own, since a change to the
-decision policy moves them on purpose; so are the sleep transitions
-(sleep, awake and virtual ACK counts), which are counted at each decision
-that is run and steer none, so skipping a decision that repeats its
-answer can move them with no download moving, and the live counters:
-every counter but the dead-link parks and the events, wake-ups and stale
-decisions that re-deciding a dead link brings.  Each class runs on the
+Messages (READY, ACK, virtual ACK, sleep and awake counts and the last
+READY instant) and `EngineCounters` are compared on their own, since a
+change to the decision policy or to the coordination protocol moves them
+on purpose; so are the live counters: every counter but the dead-link
+parks and the events, wake-ups and stale decisions that re-deciding a
+dead link brings.  Messages are counted from the protocol (one READY per
+free radio, sleeps from quiet stretches), not from the decisions run, so
+skipping a decision that repeats its answer moves none of them.  Each class runs on the
 scenario builders, schedulers and audit of its own package, so a class
 from another checkout, loaded with `load_package` under another name,
 can be compared with this one.
@@ -36,8 +36,8 @@ compares OTHER's `engine._Simulation` (first) with this checkout's on the
 engine set (for the given repetition seeds) and then on the micro family,
 and prints the material runs, each with both sides' social welfare and
 record count, each set's split by engine mode with decision,
-scheduler-call, horizon-cut, READY/ACK, dead-link-park, wake-up and
-held-wake totals per side, and the engine set's mean cooperative welfare
+scheduler-call, horizon-cut, dead-link-park, wake-up, held-wake and
+READY/ACK/sleep/awake totals per side, and the engine set's mean cooperative welfare
 per mobility and scheduler.
 """
 
@@ -56,6 +56,7 @@ SEEDS = range(1, 11)
 SCHEDULERS = ("lyapunov", "buffer", "prediction")
 MICRO_SEEDS = range(400)
 TOTALS = ("decisions", "calls", "calls_cut", "dead_link_parks", "wakeups", "wakes_held")
+MESSAGE_TOTALS = ("ready", "ack", "sleep", "awake")  # their places in Outcome.messages: 0, 1, 3, 4
 # counters that re-deciding a dead link, only to park there again, moves
 DEAD_LINK_COUNTERS = ("events", "decisions", "stale", "dead_link_parks", "wakeups")
 TOL = 1e-9
@@ -79,10 +80,9 @@ class Row:
     key: tuple        # (mobility, capacity_hi, seed, scheduler, twin) or ("micro", seed, scheduler, twin)
     verdict: str      # identical | noise | material
     same_messages: bool
-    same_sleep: bool  # equal sleep, awake and virtual ACK counts
     same_counters: bool
     same_live: bool   # equal counters but DEAD_LINK_COUNTERS, decisions apart by the dead-link parks
-    totals: tuple     # per side (a, b): {TOTALS name, "ready", "ack": value}
+    totals: tuple     # per side (a, b): {TOTALS or MESSAGE_TOTALS name: value}
     welfare: tuple    # social welfare of (a, b)
     records: tuple    # download records of (a, b)
 
@@ -132,8 +132,8 @@ def micro_scenario(seed: int, package: str = "coopstream"):
     """A small random cooperative scenario from `package`'s classes: 2-6
     users with their own segment lengths and buffer caps (so anchored
     instants differ in the last bits), idle helpers, dead-link stretches,
-    two hotspots and transit, and a short no-ACK window, so users fall
-    asleep.  Returns (profiles, capacity, mobility, RunConfig)."""
+    two hotspots and transit, and a short no-ACK window, so quiet
+    stretches count as sleeps.  Returns (profiles, capacity, mobility, RunConfig)."""
     model = importlib.import_module(package + ".model")
     traces = importlib.import_module(package + ".traces")
     engine = importlib.import_module(package + ".engine")
@@ -222,12 +222,14 @@ def _row(key, a: Outcome, b: Outcome) -> Row:
         key,
         classify(a, b),
         a.messages == b.messages,
-        a.messages[2:5] == b.messages[2:5],
         ca == cb,
         _live(a) == _live(b)
         and ca["decisions"] - cb["decisions"] == ca["dead_link_parks"] - cb["dead_link_parks"],
         tuple(
-            {**{name: o.counters[name] for name in TOTALS}, "ready": o.messages[0], "ack": o.messages[1]}
+            {
+                **{name: o.counters[name] for name in TOTALS},
+                **dict(zip(MESSAGE_TOTALS, (o.messages[i] for i in (0, 1, 3, 4)))),
+            }
             for o in (a, b)
         ),
         (a.social_welfare, b.social_welfare),
@@ -260,9 +262,9 @@ def compare_micro(sim_a, sim_b, seeds=MICRO_SEEDS) -> list[Row]:
 
 
 def split(rows: list[Row]) -> dict[str, dict]:
-    """Per engine mode: verdict counts, runs with equal messages, sleep
-    transitions, counters and live counters, and per side the totals of
-    `TOTALS`, READYs and ACKs."""
+    """Per engine mode: verdict counts, runs with equal messages, counters
+    and live counters, and per side the totals of `TOTALS` and
+    `MESSAGE_TOTALS`."""
     out = {}
     for mode, twin in (("cooperative", False), ("twin", True)):
         part = [r for r in rows if r.key[-1] == twin]
@@ -270,10 +272,10 @@ def split(rows: list[Row]) -> dict[str, dict]:
             "runs": len(part),
             **{v: sum(r.verdict == v for r in part) for v in ("identical", "noise", "material")},
             **{name: sum(getattr(r, name) for r in part)
-               for name in ("same_messages", "same_sleep", "same_counters", "same_live")},
+               for name in ("same_messages", "same_counters", "same_live")},
             **{
                 f"{name}_{side}": sum(r.totals[i][name] for r in part)
-                for name in (*TOTALS, "ready", "ack")
+                for name in (*TOTALS, *MESSAGE_TOTALS)
                 for i, side in enumerate("ab")
             },
         }

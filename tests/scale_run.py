@@ -7,12 +7,15 @@ profiles and traces are built first.  From the repository root,
 
     PYTHONPATH=src python tests/scale_run.py [--n N] [--horizon T] [--pairs K] [OTHER/src]
 
-prints, per run, the wall seconds, the `EngineCounters`, READY/ACK and
-`repr` of the social welfare.  Given OTHER/src, each of K pairs runs
-OTHER's engine and this checkout's, in alternating order, each on the
-scenario builders and scheduler of its own package (loaded with
-`engine_differential.load_package`), and asserts that the two runs have
-equal counters, messages and welfare.
+prints, per run, the wall seconds, the `EngineCounters`, the
+READY/ACK/sleep/awake counts and `repr` of the social welfare.  Given
+OTHER/src, each of K pairs runs OTHER's engine and this checkout's, in
+alternating order, each on the scenario builders and scheduler of its own
+package (loaded with `engine_differential.load_package`), asserts that
+the two runs have equal counters and welfare, and says whether their
+messages are equal: those are counted from the coordination protocol,
+which a change may redefine on purpose.  READY is at most one per free
+radio, so at most the users plus the completions.
 """
 
 from __future__ import annotations
@@ -42,8 +45,9 @@ def scale_run(package, n: int = 100, horizon: float = 600.0):
 
 
 def summary(result) -> tuple:
-    """(counters, (READY, ACK), welfare) of one run, in plain values."""
-    return asdict(result.counters), (result.messages.ready, result.messages.ack), result.social_welfare
+    """(counters, welfare, (READY, ACK, sleep, awake)) of one run, in plain values."""
+    m = result.messages
+    return asdict(result.counters), result.social_welfare, (m.ready, m.ack, m.sleep, m.awake)
 
 
 def main(argv=None) -> None:
@@ -63,11 +67,15 @@ def main(argv=None) -> None:
         for name, package in sides if k % 2 == 0 else sides[::-1]:
             wall, result = scale_run(package, args.n, args.horizon)
             got[name] = summary(result)
-            counters, (ready, ack), welfare = got[name]
-            print(f"{name} n={args.n} T={args.horizon:g}: {wall:.2f} s ready={ready} ack={ack} welfare={welfare!r}")
+            counters, welfare, (ready, ack, sleep, awake) = got[name]
+            print(
+                f"{name} n={args.n} T={args.horizon:g}: {wall:.2f} s ready={ready} ack={ack}"
+                f" sleep={sleep} awake={awake} welfare={welfare!r}"
+            )
             print(f"  {counters}")
         if args.other:
-            assert got["this"] == got["other"], "the two engines differ"
+            assert got["this"][:2] == got["other"][:2], "the two engines differ"
+            print("messages", "equal" if got["this"][2] == got["other"][2] else "differ")
 
 
 if __name__ == "__main__":

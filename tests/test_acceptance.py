@@ -62,12 +62,17 @@ def audit_scenario(seed):
     profiles = {}
     for uid in range(n_users):
         video = rng.random() < 0.7
+        ladder = BitrateLadder(rng.choice(AUDIT_LADDERS))
+        segment_len = rng.choice([1.0, 2.0])
+        buffer_cap = rng.choice([6.0, 12.0, 40.0])
+        draw = rng.randint(4, 40) if video else 0
         profiles[uid] = UserProfile(
             user_id=uid,
-            ladder=BitrateLadder(rng.choice(AUDIT_LADDERS)),
-            segment_len=rng.choice([1.0, 2.0]),
-            buffer_cap=rng.choice([6.0, 12.0, 40.0]),
-            video_len=float(rng.randint(4, 40)) if video else 0.0,
+            ladder=ladder,
+            segment_len=segment_len,
+            buffer_cap=buffer_cap,
+            # the whole segments of the drawn length, as many as the engine plays
+            video_len=segment_len * round(draw / segment_len),
             theta=rng.choice([0.5, 1.0, 2.0]),
             phi_qdeg=rng.choice([0.0, 0.5, 1.0]),
             phi_rebuf=rng.choice([0.5, 1.0, 2.0]),
@@ -465,7 +470,8 @@ def test_summary_csv_is_deterministic(verdict, tmp_path):
 
 # ---------------------------------------------------------------------------
 # 9. Coordination accounting around a mid-run outage: peers keep the cut-off
-# user fed over WiFi, and sleeping silences READY traffic once all are idle.
+# user fed over WiFi, and READY traffic stops once all are idle, their quiet
+# stretches counted as sleeps.
 
 
 def test_outage_coordination_accounting(verdict):
@@ -489,7 +495,7 @@ def test_outage_coordination_accounting(verdict):
             w_data=0.05,
         )
         # One shared hotspot, rowed in 10 s spans: every boundary wakes the
-        # parked users, so only sleeping can end the READY churn.
+        # parked users, but a wake-up frees no radio, so it sends no READY.
         for k in range(12):
             mob_rows.append((uid, 10.0 * k, 10.0 * (k + 1), 1))
     cap = tr.CapacityTrace(horizon, cap_rows)
@@ -500,8 +506,9 @@ def test_outage_coordination_accounting(verdict):
     helpers = {r.downloader for r in outage}
     finish = max(r.t_end for rx in res.receives.values() for r in rx.records)
     msgs = res.messages
-    # After the last delivery every user is idle; one ack_window (10 s) plus
-    # one 10 s wake cycle later each has slept, and READY must stop growing.
+    # After the last delivery every user is idle, and no READY may come
+    # later than one ack_window (10 s) plus one 10 s wake cycle after it;
+    # the quiet stretches that follow are sleeps.
     quiet_after = finish + 10.0 + 10.0 + 1.0
     late = msgs.last_ready is not None and msgs.last_ready > quiet_after
     ok = bool(outage) and 1 not in helpers and msgs.sleep >= 3 and not late

@@ -27,7 +27,7 @@ from coopstream.model import (
     UserProfile,
     derive_receive_sequences,
 )
-from coopstream.welfare import social_welfare, welfare_breakdowns
+from coopstream.welfare import welfare_breakdowns
 
 from slotted_oracle import (
     OracleOverflow,
@@ -406,7 +406,7 @@ def test_slotted_welfare_equals_segmented_welfare_term_by_term():
         assert g.energy_wifi == pytest.approx(s.energy_wifi, abs=1e-9)
     # The owner really pays the downgrade from rate 2 to rate 1.
     assert slotted[0].loss_qdeg == pytest.approx(0.7, abs=1e-12)
-    assert social_welfare(seqs, profs) == pytest.approx(
+    assert sum(b.welfare for b in segmented.values()) == pytest.approx(
         slotted_welfare(plan, inst), abs=1e-9
     )
 
@@ -460,7 +460,7 @@ def test_free_segmented_schedule_beats_the_slotted_optimum():
             if t > 3.0 + 1e-9:
                 continue
             seqs = {0: DownloadSequence(0, records)}
-            best = max(best, social_welfare(seqs, {0: p}))
+            best = max(best, sum(b.welfare for b in welfare_breakdowns(seqs, {0: p}).values()))
     assert best >= slotted_opt.welfare - 1e-9
 
 

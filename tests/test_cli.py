@@ -8,6 +8,7 @@ import coopstream.harness as harness
 import coopstream.traces as tr
 from coopstream.cli import main
 from coopstream.harness import ScenarioConfig, parse_assignments
+from trace_csv import write_trace_csv
 
 TINY = """\
 name = cli-tiny
@@ -193,8 +194,8 @@ def test_negative_refine_is_a_config_error(tiny_cfg, capsys):
 def test_short_traces_fail_in_the_runtime_lane(tmp_path, capsys):
     cap = tr.constant_capacity({0: 1.0, 1: 1.0}, 5.0)
     mob = tr.full_coop_mobility([0, 1], 5.0)
-    cap.to_csv(str(tmp_path / "cap.csv"))
-    mob.to_csv(str(tmp_path / "mob.csv"))
+    write_trace_csv(cap, str(tmp_path / "cap.csv"))
+    write_trace_csv(mob, str(tmp_path / "mob.csv"))
     cfg = tmp_path / "short.cfg"
     cfg.write_text(
         "n_users = 2\nhorizon = 30\nvideo_len = 8\nsegment_len = 2\n"
@@ -209,8 +210,8 @@ def test_short_traces_fail_in_the_runtime_lane(tmp_path, capsys):
 def test_validate_traces_accepts_matching_pairs(tmp_path, capsys):
     cap = tr.constant_capacity({0: 1.0, 1: 2.0}, 10.0)
     mob = tr.full_coop_mobility([0, 1], 10.0)
-    cap.to_csv(str(tmp_path / "cap.csv"))
-    mob.to_csv(str(tmp_path / "mob.csv"))
+    write_trace_csv(cap, str(tmp_path / "cap.csv"))
+    write_trace_csv(mob, str(tmp_path / "mob.csv"))
     assert main(
         ["validate-traces", str(tmp_path / "cap.csv"), str(tmp_path / "mob.csv")]
     ) == 0
@@ -246,7 +247,7 @@ def test_validate_traces_rejects_values_no_trace_can_hold(
 
 def test_a_nan_capacity_fails_a_csv_run(tmp_path, capsys):
     (tmp_path / "cap.csv").write_text(CAPACITY_HEADER + "0,0,30,1\n1,0,30,nan\n")
-    tr.full_coop_mobility([0, 1], 30.0).to_csv(str(tmp_path / "mob.csv"))
+    write_trace_csv(tr.full_coop_mobility([0, 1], 30.0), str(tmp_path / "mob.csv"))
     cfg = tmp_path / "nan.cfg"
     cfg.write_text(
         "n_users = 2\nhorizon = 30\nvideo_len = 8\nsegment_len = 2\n"
@@ -261,8 +262,8 @@ def test_a_nan_capacity_fails_a_csv_run(tmp_path, capsys):
 def test_validate_traces_rejects_mismatched_users(tmp_path, capsys):
     cap = tr.constant_capacity({0: 1.0, 1: 2.0}, 10.0)
     mob = tr.full_coop_mobility([0, 2], 10.0)
-    cap.to_csv(str(tmp_path / "cap.csv"))
-    mob.to_csv(str(tmp_path / "mob.csv"))
+    write_trace_csv(cap, str(tmp_path / "cap.csv"))
+    write_trace_csv(mob, str(tmp_path / "mob.csv"))
     assert main(
         ["validate-traces", str(tmp_path / "cap.csv"), str(tmp_path / "mob.csv")]
     ) == 2
@@ -272,8 +273,8 @@ def test_validate_traces_rejects_mismatched_users(tmp_path, capsys):
 def test_a_csv_run_needs_exactly_its_users_in_both_traces(tmp_path, capsys):
     # Twelve trace users under the default n_users = 10: users 10 and 11
     # would be dropped without a word.
-    tr.constant_capacity({u: 1.0 for u in range(12)}, 20.0).to_csv(str(tmp_path / "cap.csv"))
-    tr.full_coop_mobility(range(12), 20.0).to_csv(str(tmp_path / "mob.csv"))
+    write_trace_csv(tr.constant_capacity({u: 1.0 for u in range(12)}, 20.0), str(tmp_path / "cap.csv"))
+    write_trace_csv(tr.full_coop_mobility(range(12), 20.0), str(tmp_path / "mob.csv"))
     cfg = tmp_path / "twelve.cfg"
     cfg.write_text(
         "horizon = 20\nvideo_len = 8\nschedulers = lyapunov\nrepetitions = 1\n"
@@ -289,8 +290,8 @@ def test_a_csv_run_needs_exactly_its_users_in_both_traces(tmp_path, capsys):
 def test_csv_commands_check_the_pair_as_validate_traces_does(tmp_path, capsys, command):
     # A 200 s capacity trace with a 150 s mobility trace: validate-traces
     # rejects the pair, so a run or bound on it must too.
-    tr.constant_capacity({u: 1.0 for u in range(4)}, 200.0).to_csv(str(tmp_path / "cap.csv"))
-    tr.full_coop_mobility(range(4), 150.0).to_csv(str(tmp_path / "mob.csv"))
+    write_trace_csv(tr.constant_capacity({u: 1.0 for u in range(4)}, 200.0), str(tmp_path / "cap.csv"))
+    write_trace_csv(tr.full_coop_mobility(range(4), 150.0), str(tmp_path / "mob.csv"))
     cfg = tmp_path / "pair.cfg"
     cfg.write_text(
         "horizon = 150\nn_users = 4\nvideo_len = 8\nschedulers = lyapunov\nrepetitions = 1\n"
@@ -305,7 +306,7 @@ def test_csv_commands_check_the_pair_as_validate_traces_does(tmp_path, capsys, c
 
 def test_a_header_only_trace_names_its_file(tmp_path, capsys):
     (tmp_path / "cap.csv").write_text(CAPACITY_HEADER)
-    tr.full_coop_mobility([0], 10.0).to_csv(str(tmp_path / "mob.csv"))
+    write_trace_csv(tr.full_coop_mobility([0], 10.0), str(tmp_path / "mob.csv"))
     assert main(["validate-traces", str(tmp_path / "cap.csv"), str(tmp_path / "mob.csv")]) == 2
     assert f"runtime error: {tmp_path / 'cap.csv'}: no rows" in capsys.readouterr().err
 

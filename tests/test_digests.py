@@ -39,6 +39,7 @@ from coopstream import harness
 from coopstream.bound import solve_slotted
 from coopstream.schedulers import SCHEDULER_NAMES
 from slotted_oracle import micro_instance, prefix_instance
+from trace_csv import write_trace_csv
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "digests.json")
 SYNTHETIC_MODES = tuple(m for m in harness.MOBILITY_MODES if m != "csv")
@@ -65,8 +66,8 @@ def _configs(work_dir: str):
         cap, mob = tr.synth_traces(harness._synth_config(cfg), cfg.seed)
         cap_csv = os.path.join(work_dir, f"cap-{capacity_hi}.csv")
         mob_csv = os.path.join(work_dir, f"mob-{capacity_hi}.csv")
-        cap.to_csv(cap_csv)
-        mob.to_csv(mob_csv)
+        write_trace_csv(cap, cap_csv)
+        write_trace_csv(mob, mob_csv)
         yield replace(cfg, mobility="csv", capacity_csv=cap_csv, mobility_csv=mob_csv)
 
 

@@ -226,7 +226,7 @@ class TestDeterminism:
 
 
 class TestCoordinationAccounting:
-    def test_ready_and_ack_per_decision(self):
+    def test_ready_and_ack_per_free_radio(self):
         profiles = {0: idle_profile(0), 1: video_profile(1), 2: video_profile(2)}
         cap = CapacityTrace(
             12.0,
@@ -236,11 +236,22 @@ class TestCoordinationAccounting:
         res = run(profiles, cap, mob, make_scheduler("lyapunov"), RunConfig(horizon=12.0))
         msgs = res.messages
         assert msgs.virtual_ack == 2  # both video users needy at start
-        assert msgs.ready >= 1
+        # Helper 0 sends a READY at t = 0 and after each of its deliveries;
+        # the dead links of users 1 and 2 never come back, so they send none.
+        assert msgs.ready == 1 + res.counters.completions == 17
         assert msgs.ack == 2 * msgs.ready  # two needy users answer every READY
         assert msgs.sleep == 0
 
-    def test_sleep_then_virtual_ack_wake(self):
+    def test_ready_is_at_most_one_per_free_radio(self):
+        # A radio comes free at t = 0 and at each delivery or abort of its
+        # own transfer, and sends at most one READY each time.
+        for seed in range(100):
+            profiles, cap, mob, run_cfg = micro_scenario(seed)
+            for name in ("lyapunov", "buffer", "prediction"):
+                res = run(profiles, cap, mob, make_scheduler(name), run_cfg)
+                assert res.messages.ready <= len(profiles) + res.counters.completions
+
+    def test_a_quiet_stretch_is_a_sleep(self):
         profiles = {0: idle_profile(0), 1: idle_profile(1), 2: video_profile(2)}
         cap = CapacityTrace(
             30.0,
@@ -260,12 +271,16 @@ class TestCoordinationAccounting:
             RunConfig(horizon=30.0, ack_window=10.0),
         )
         msgs = res.messages
-        # both helpers armed their no-ACK timer at t=0 and dozed off before
-        # the video user arrived at t=20 with a virtual ACK
-        assert msgs.sleep == 2
-        assert msgs.awake == 2
-        assert msgs.virtual_ack == 1 + 2
-        assert res.receives[2].records
+        # Both helpers send a READY at t = 0 that nobody answers and idle
+        # until the video user arrives at t = 20.  They fetch its segments
+        # side by side over [20, 21.15], ..., and each of their READYs at
+        # 21.15 ends a 21.15 s quiet stretch, as the video user's first ACK
+        # ends its own: three sleeps, each with its awake.  Every later
+        # stretch lasts 1.15 s.  The only virtual ACK is the video user's at
+        # t = 0.
+        assert (msgs.ready, msgs.ack) == (2 + 16, 16)
+        assert (msgs.sleep, msgs.awake, msgs.virtual_ack) == (3, 3, 1)
+        assert len(res.receives[2].records) == 16
         assert min(r.t_start for r in res.receives[2].records) >= 20.0
 
     def test_ready_growth_stops_after_videos_end(self):
@@ -472,96 +487,11 @@ class TestBadSchedulers:
             run(profiles, cap, mob, rogue, RunConfig(horizon=10.0))
 
 
-class _CheckedSimulation(_Simulation):
-    """Checks the engine's shortcuts against the paths they replace.
-
-    At every decision and wake-up the group state's members must equal a
-    scan of all users with `traces.encountered`, and its needy members a
-    scan of their reservations; every PeerInfo, the pending owners and the
-    history handed to the scheduler must equal ones built afresh from the
-    state, the buffer drained from its delivery anchors to the decision
-    instant.  Each coordination step must add the READY, ACKs and virtual
-    ACKs that a fresh scan of the decider's needy co-located peers gives,
-    the last READY instant moves to t exactly when it adds a READY, and it
-    returns nothing and schedules no decision: a READY that wakes a parked
-    sleeper leaves it parked.  A READY that draws ACKs leaves nobody at the
-    decider's hotspot asleep, and wakes exactly those who were; otherwise
-    only a sleeper that a needy peer pings back wakes.  After it no asleep
-    user has a deadline.
-    After every decision the user has a delivery or abort pending or is
-    parked through `_park`: on None after a dead link and in the twin, on
-    Idle after a cooperative horizon-cut Download, and on the Wait or Idle
-    itself after a cooperative one.  No decision strands it: a park on None
-    without a timer is a link dead to the end of its trace or a twin's Idle,
-    which parks it for good.
-
-    At every decision that the engine answers with the hold, without a
-    scheduler call, a registry rule runs on the view that the decision
-    would have handed it, built afresh, and must answer that same Wait or
-    Idle; the user must be parked where that answer puts it.
-
-    No peer's delivery, abort or READY re-decides a user whose park is
-    None.  After every abort the owner, built afresh, can take a segment, so
-    the group has no hold and no wake at the abort is held.  After every
-    delivery or abort before the horizon, each user co-located with the
-    segment's owner and parked on a Wait or Idle has a decision pending at
-    that instant, unless its wake was held.  For each held wake the hold of
-    the group, built afresh, must equal the user's park, and its link must
-    be alive.
-    """
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.decision_times = []
-        self.decide = decide = self.scheduler
-        self.registry = getattr(decide, "name", None) in SCHEDULER_NAMES
-
-        def checked(view):
-            st = self.users[view.user_id]
-            if self.cfg.noncoop:
-                assert st.inflight == 0
-            for p in view.peers:
-                assert p == self._fresh_peer_info(p.user_id, self.now)
-            assert view.pending == self._fresh_pending(view.user_id, view.peers)
-            assert view.history == tuple(
-                self.profiles[r.owner].ladder.rate(r.level) * self.profiles[r.owner].segment_len
-                / (r.t_end - r.t_start)
-                for r in st.records
-                if r.t_end - r.t_start > TIME_EPS
-            )
-            return decide(view)
-
-        self.scheduler = checked
-
-    def _decide(self, uid, t):
-        self.now = t
-        self.decision_times.append(t)
-        c = self.counters
-        parks, cuts, dead = c.hold_parks, c.calls_cut, c.dead_link_parks
-        unparked = self._parked_on_none(uid)
-        self.parked = None
-        super()._decide(uid, t)
-        self._check_not_re_decided(unparked)
-        park = self.users[uid].park
-        if self.parked is None:  # a transfer started
-            assert park is None and any(kind == _COMPLETE and who == uid for _, kind, who, *_ in self.heap)
-            return
-        wake, parked_on = self.parked
-        assert parked_on is park
-        if wake is None and park is None:
-            assert self.cfg.noncoop or tr.next_positive_capacity(self.cap, uid, t) is None
-        if c.dead_link_parks > dead or self.cfg.noncoop:
-            assert park is None
-        elif c.calls_cut > cuts:
-            assert park == Idle()
-        else:
-            assert isinstance(park, (Wait, Idle))
-        if c.hold_parks > parks:
-            self._check_hold_park(uid, t)
-
-    def _park(self, uid, wake, park):
-        self.parked = (wake, park)
-        super()._park(uid, wake, park)
+class _FreshScans:
+    """The checks of `_CheckedSimulation` and the fresh scans of the engine
+    state they compare with.  They sit apart from it, so that every method
+    a `_Simulation` subclass in the tests defines overrides an engine step
+    (see `tests/test_reach.py`)."""
 
     def _parked_on_none(self, skip):
         """The generation of every user whose park is None, `skip` aside."""
@@ -591,30 +521,6 @@ class _CheckedSimulation(_Simulation):
         assert st.park == (answer if cooperative else None)
         assert self._pending_decisions(uid) == self._wakes(t, answer)
 
-    def _complete(self, uid, t, payload):
-        kind, owner = payload[:2]
-        gens = {m: st.gen for m, st in self.users.items()}
-        wakes_held = self.counters.wakes_held
-        unparked = self._parked_on_none(uid)
-        super()._complete(uid, t, payload)
-        self._check_not_re_decided(unparked)
-        if kind == "abort":
-            # Admission and deliveries keep buffer + inflight * beta <= Q.
-            assert can_afford(self._fresh_peer_info(owner, t))
-        held = 0
-        for m in self.profiles if t < self.T - TIME_EPS else ():
-            st = self.users[m]
-            if st.park is not None and tr.encountered(self.mob, owner, m, t):
-                if st.gen == gens[m]:
-                    self._check_held(m, t)
-                    held += 1
-                else:
-                    assert (t, _DECIDE, m) in {
-                        (at, kind, who) for at, kind, who, gen, _ in self.heap
-                        if gen == self.users[m].gen
-                    }
-        assert self.counters.wakes_held - wakes_held == held
-
     def _check_held(self, uid, t):
         st = self.users[uid]
         assert tr.capacity_at(self.cap, uid, t) > 0.0  # else the decision would park on the dead link
@@ -639,12 +545,6 @@ class _CheckedSimulation(_Simulation):
     def _scan_group(self, uid, t):
         return [m for m in self.profiles if tr.encountered(self.mob, uid, m, t)]
 
-    def _group(self, uid, t):
-        group = super()._group(uid, t)
-        assert group.members == self._scan_group(uid, t)
-        assert group.needy == self._fresh_needy(group.members)
-        return group
-
     def _fresh_pending(self, uid, peers):
         """The owners among `peers` that `uid` may serve: those with segments
         nobody has reserved, and in the twin `uid` alone."""
@@ -661,32 +561,6 @@ class _CheckedSimulation(_Simulation):
                 needy.append(m)
         return needy
 
-    def _coordination(self, uid, t, group):
-        st = self.users[uid]
-        others = [m for m in self._scan_group(uid, t) if m != uid]
-        needy = len(self._fresh_needy(others))
-        asleep = st.asleep or (st.sleep_deadline is not None and t >= st.sleep_deadline - TIME_EPS)
-        m = self.msgs
-        before = (m.ready, m.ack, m.virtual_ack)
-        last_ready, awake = m.last_ready, m.awake
-        sleepers = sum(self.users[o].asleep for o in others)
-        gens = {u: s.gen for u, s in self.users.items()}
-        assert super()._coordination(uid, t, group) is None
-        assert {u: s.gen for u, s in self.users.items()} == gens
-        if asleep:
-            want = (0, 0, needy)  # a virtual ACK per needy peer, which wakes it
-        else:
-            want = (1, needy, 0) if others else (0, 0, 0)
-        assert (m.ready - before[0], m.ack - before[1], m.virtual_ack - before[2]) == want
-        assert m.last_ready == (t if want[0] else last_ready)
-        assert st.asleep == (asleep and needy == 0)
-        if want[1]:  # a READY that draws ACKs wakes every sleeper beside the decider
-            assert not any(self.users[o].asleep for o in others)
-            assert m.awake - awake == sleepers
-        else:
-            assert m.awake - awake == (asleep and needy > 0)
-        assert not any(s.asleep and s.sleep_deadline is not None for s in self.users.values())
-
     def _fresh_peer_info(self, uid, t):
         st = self.users[uid]
         prof = st.profile
@@ -702,6 +576,176 @@ class _CheckedSimulation(_Simulation):
             playback_finished=finished,
             room_at=st.t0 + st.q0 + prof.segment_len - prof.buffer_cap,
         )
+
+
+class _CheckedSimulation(_FreshScans, _Simulation):
+    """Checks the engine's shortcuts against the paths they replace.
+
+    At every decision and wake-up the group state's members must equal a
+    scan of all users with `traces.encountered`, and its needy members a
+    scan of their reservations; every PeerInfo, the pending owners and the
+    history handed to the scheduler must equal ones built afresh from the
+    state, the buffer drained from its delivery anchors to the decision
+    instant.  The READY step runs at most once per radio-free instant (t = 0,
+    and each delivery or abort of the user's own transfer), at the first
+    cooperative decision on a live link after it, and after every such
+    decision no READY is due.  It adds one READY when a fresh scan finds
+    company and one ACK per needy co-located listener besides the sender,
+    moves the last READY instant to t exactly when it adds a READY, moves
+    the quiet instant of the sender and of each listener that answers to t
+    and of no one else, so no quiet instant ever decreases, returns nothing
+    and schedules no decision.  At the end of a cooperative run the sleeps
+    and awakes equal those counted afresh from the log of READY and ACK
+    instants, and READY is at most the users plus the completions.
+    After every decision the user has a delivery or abort pending or is
+    parked through `_park`: on None after a dead link and in the twin, on
+    Idle after a cooperative horizon-cut Download, and on the Wait or Idle
+    itself after a cooperative one.  No decision strands it: a park on None
+    without a timer is a link dead to the end of its trace or a twin's Idle,
+    which parks it for good.
+
+    At every decision that the engine answers with the hold, without a
+    scheduler call, a registry rule runs on the view that the decision
+    would have handed it, built afresh, and must answer that same Wait or
+    Idle; the user must be parked where that answer puts it.
+
+    No peer's delivery, abort or READY re-decides a user whose park is
+    None.  After every abort the owner, built afresh, can take a segment, so
+    the group has no hold and no wake at the abort is held.  After every
+    delivery or abort before the horizon, each user co-located with the
+    segment's owner and parked on a Wait or Idle has a decision pending at
+    that instant, unless its wake was held.  For each held wake the hold of
+    the group, built afresh, must equal the user's park, and its link must
+    be alive.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.decision_times = []
+        self.sent = []  # (user, instant) of every READY and ACK, in send order
+        self.freed = dict.fromkeys(self.profiles, 1)  # radio-free instants so far, t = 0 the first
+        self.readied = dict.fromkeys(self.profiles, 0)  # the one whose READY step has run
+        self.decide = decide = self.scheduler
+        self.registry = getattr(decide, "name", None) in SCHEDULER_NAMES
+
+        def checked(view):
+            st = self.users[view.user_id]
+            if self.cfg.noncoop:
+                assert st.inflight == 0
+            for p in view.peers:
+                assert p == self._fresh_peer_info(p.user_id, self.now)
+            assert view.pending == self._fresh_pending(view.user_id, view.peers)
+            assert view.history == tuple(
+                self.profiles[r.owner].ladder.rate(r.level) * self.profiles[r.owner].segment_len
+                / (r.t_end - r.t_start)
+                for r in st.records
+                if r.t_end - r.t_start > TIME_EPS
+            )
+            return decide(view)
+
+        self.scheduler = checked
+
+    def _decide(self, uid, t):
+        self.now = t
+        self.decision_times.append(t)
+        c = self.counters
+        parks, cuts, dead = c.hold_parks, c.calls_cut, c.dead_link_parks
+        unparked = self._parked_on_none(uid)
+        self.parked = None
+        super()._decide(uid, t)
+        self._check_not_re_decided(unparked)
+        if not self.cfg.noncoop and c.dead_link_parks == dead:
+            assert not self.users[uid].ready_due
+        park = self.users[uid].park
+        if self.parked is None:  # a transfer started
+            assert park is None and any(kind == _COMPLETE and who == uid for _, kind, who, *_ in self.heap)
+            return
+        wake, parked_on = self.parked
+        assert parked_on is park
+        if wake is None and park is None:
+            assert self.cfg.noncoop or tr.next_positive_capacity(self.cap, uid, t) is None
+        if c.dead_link_parks > dead or self.cfg.noncoop:
+            assert park is None
+        elif c.calls_cut > cuts:
+            assert park == Idle()
+        else:
+            assert isinstance(park, (Wait, Idle))
+        if c.hold_parks > parks:
+            self._check_hold_park(uid, t)
+
+    def _park(self, uid, wake, park):
+        self.parked = (wake, park)
+        super()._park(uid, wake, park)
+
+    def _complete(self, uid, t, payload):
+        kind, owner = payload[:2]
+        gens = {m: st.gen for m, st in self.users.items()}
+        wakes_held = self.counters.wakes_held
+        unparked = self._parked_on_none(uid)
+        super()._complete(uid, t, payload)
+        self.freed[uid] += 1
+        self._check_not_re_decided(unparked)
+        if kind == "abort":
+            # Admission and deliveries keep buffer + inflight * beta <= Q.
+            assert can_afford(self._fresh_peer_info(owner, t))
+        held = 0
+        for m in self.profiles if t < self.T - TIME_EPS else ():
+            st = self.users[m]
+            if st.park is not None and tr.encountered(self.mob, owner, m, t):
+                if st.gen == gens[m]:
+                    self._check_held(m, t)
+                    held += 1
+                else:
+                    assert (t, _DECIDE, m) in {
+                        (at, kind, who) for at, kind, who, gen, _ in self.heap
+                        if gen == self.users[m].gen
+                    }
+        assert self.counters.wakes_held - wakes_held == held
+
+    def _group(self, uid, t):
+        group = super()._group(uid, t)
+        assert group.members == self._scan_group(uid, t)
+        assert group.needy == self._fresh_needy(group.members)
+        return group
+
+    def _ready(self, uid, t, group):
+        assert not self.cfg.noncoop and tr.capacity_at(self.cap, uid, t) > 0.0
+        assert self.readied[uid] < self.freed[uid]  # one READY step per radio-free instant
+        self.readied[uid] = self.freed[uid]
+        st = self.users[uid]
+        others = [m for m in self._scan_group(uid, t) if m != uid]
+        senders = [uid, *self._fresh_needy(others)] if others else []
+        m = self.msgs
+        before = (m.ready, m.ack, m.virtual_ack)
+        last_ready = m.last_ready
+        quiet = {u: s.quiet_since for u, s in self.users.items()}
+        gens = {u: s.gen for u, s in self.users.items()}
+        assert super()._ready(uid, t, group) is None
+        assert {u: s.gen for u, s in self.users.items()} == gens
+        want = (1, len(senders) - 1, 0) if senders else (0, 0, 0)
+        assert (m.ready - before[0], m.ack - before[1], m.virtual_ack - before[2]) == want
+        assert m.last_ready == (t if senders else last_ready)
+        assert not st.ready_due
+        for u, s in self.users.items():
+            assert s.quiet_since == (t if u in senders else quiet[u]) >= quiet[u]
+        self.sent += [(u, t) for u in senders]
+
+    def run(self):
+        res = super().run()
+        if not self.cfg.noncoop:
+            # A stretch between two sends, or from the last to the horizon,
+            # of at least ack_window and more than TIME_EPS is a sleep.
+            window = self.cfg.ack_window
+            quiet_since = dict.fromkeys(self.profiles, 0.0)
+            stretches = []
+            for u, t in self.sent:
+                stretches.append(t - quiet_since[u])
+                quiet_since[u] = t
+            long = [q > TIME_EPS and q >= window for q in stretches]
+            tails = [self.T - q > TIME_EPS and self.T - q >= window for q in quiet_since.values()]
+            assert (res.messages.sleep, res.messages.awake) == (sum(long) + sum(tails), sum(long))
+            assert res.messages.ready <= len(self.profiles) + self.counters.completions
+        return res
 
 
 class TestDecisionPathDifferential:
@@ -877,9 +921,8 @@ class TestWakeRule:
         # With every user always at one hotspot, the pruned rule wakes the
         # same users in the same order as waking every parked user, bar the
         # held wakes, whose decisions would repeat their parks: the same
-        # outcome from no more decisions and READYs.  A skipped decision's
-        # coordination step is skipped with it, so sleep transitions may
-        # differ; they steer no decision.
+        # outcome from no more decisions.  Coordination is counted from the
+        # protocol, not from the decisions run, so the messages are equal.
         # A twin wakes at nothing: the same downloads bit for bit (every
         # time is anchored to a write), from fewer decisions.  Its horizon-cut
         # request parks it for good, where waking every parked user retries
@@ -907,11 +950,9 @@ class TestWakeRule:
                 assert got.counters.calls == want.counters.calls - retries
                 if noncoop:
                     assert got.counters.decisions < want.counters.decisions
-                    assert got.messages == want.messages
                 else:
                     assert got.counters.decisions <= want.counters.decisions
-                    assert got.messages.ready <= want.messages.ready
-                    assert got.messages.ack <= want.messages.ack
+                assert got.messages == want.messages
                 assert any(seq.records for seq in got.downloads.values())
 
     @pytest.mark.parametrize("name, old_parks", [("lyapunov", 49), ("buffer", 46), ("prediction", 47)])
@@ -1025,7 +1066,7 @@ class TestHeldWakes:
     def test_random_micro_scenarios(self):
         # Every held wake repeats its park (checked against the scheduler on
         # a fresh view), and holding them changes no download, abort or
-        # welfare term: only the coordination counts and the counters.
+        # welfare term, nor any coordination count: only the counters.
         held = 0
         for seed in range(150):
             profiles, cap, mob, run_cfg = micro_scenario(seed)
@@ -1037,7 +1078,7 @@ class TestHeldWakes:
                 a, b = outcome(got), outcome(want)
                 assert classify(a, b) == "identical"
                 assert got.counters.calls == want.counters.calls
-                assert got.messages.ready <= want.messages.ready
+                assert got.messages == want.messages
                 held += got.counters.wakes_held
         assert held > 1000
 
@@ -1072,10 +1113,15 @@ class TestCoordinationOnlyCounts:
 
     def test_ready_that_wakes_a_parked_sleeper_schedules_no_decision(self):
         # User 1 fills its 4 s buffer at hotspot 1 beside helper 3, whose
-        # link is dead, so its READYs draw no ACK and it falls asleep at
-        # 2.5 s, parked on Waits for room.  User 2's link comes back at
-        # 5.75 s as it arrives: its READY draws user 1's ACK and wakes it,
-        # but user 1 decides next at user 2's delivery (6.25 s), not at 5.75 s.
+        # link is dead, so its READYs draw no ACK.  User 2's link comes back
+        # at 5.75 s as it arrives: only then does it send the READY due
+        # since t = 0.  User 1, parked on a Wait and quiet since its READY
+        # at 5 s, answers it: its ACK ends a 0.75 s sleep, but user 1 decides
+        # next at user 2's delivery (6.25 s), not at 5.75 s.  With a 0.6 s
+        # window, user 1 sleeps before its sends at 3, 5, 5.75 and 8.75 s and
+        # user 2 before its sends at 5.75 and 8.75 s; both, and helper 3,
+        # which never sends, are quiet to the horizon for longer: nine
+        # sleeps, six of them ended by a send.
         ladder = BitrateLadder((0.5, 1.0))
         profiles = {uid: video_profile(uid, ladder=ladder, buffer_cap=4.0) for uid in (1, 2)}
         profiles[3] = idle_profile(3)
@@ -1085,18 +1131,24 @@ class TestCoordinationOnlyCounts:
         mob = MobilityTrace(
             10.0, [(1, 0.0, 10.0, 1), (2, 0.0, 5.75, 2), (2, 5.75, 10.0, 1), (3, 0.0, 10.0, 1)]
         )
-        run_cfg = RunConfig(horizon=10.0, ack_window=2.0)
+        run_cfg = RunConfig(horizon=10.0, ack_window=0.6)
         sim = _CheckedSimulation(profiles, cap, mob, top_rate_scheduler, run_cfg)
         decided = self.logged(sim)
         res = sim.run()
-        assert (res.messages.sleep, res.messages.awake, res.messages.virtual_ack) == (1, 1, 2)
+        assert (1, 5.0) in sim.sent and (1, 5.75) in sim.sent
+        assert not any(uid == 1 and 5.0 < t < 5.75 for uid, t in sim.sent)
+        assert (res.messages.sleep, res.messages.awake, res.messages.virtual_ack) == (9, 6, 2)
         assert (5.75, 2) in decided
         assert [t for t, uid in decided if uid == 1 and 5.0 < t < 6.5] == [6.25]
 
-    def test_sleepers_view_lists_its_hotspots_video_users(self):
-        # User 4 reserves its only segment at t = 0, so from 0.5 s user 1's
-        # READYs draw no ACK, and it falls asleep at 2.5 s and again at 6.5 s.
-        # A sleeper's view still holds every video user at its hotspot.
+    def test_no_sleep_ends_where_it_begins(self):
+        # User 4 reserves its only segment at t = 0 and receives it at 4 s.
+        # With a 1 s window, user 1's sends at 3, 4, 5 and 7 s end quiet
+        # stretches of 2, 1, 1 and 2 s, and user 4's READY at 4 s ends one
+        # of 4 s: five sleeps, each with its awake.  Both are quiet from
+        # their last send to the horizon at 8 s for at least 1 s: two more
+        # sleeps, with no awake.  Each sleep lasts at least the window, so
+        # none is undone at the instant it began.
         ladder = BitrateLadder((0.5, 1.0))
         profiles = {
             1: video_profile(1, ladder=ladder, buffer_cap=4.0),
@@ -1104,22 +1156,19 @@ class TestCoordinationOnlyCounts:
         }
         cap = constant_capacity({1: 4.0, 4: 0.5}, 8.0)
         mob = full_coop_mobility([1, 4], 8.0)
-        asleep = []
-
-        def scheduler(view):
-            if view.user_id == 1 and sim.users[1].asleep:
-                asleep.append(tuple(p.user_id for p in view.peers))
-            return top_rate_scheduler(view)
-
-        sim = _CheckedSimulation(profiles, cap, mob, scheduler, RunConfig(horizon=8.0, ack_window=1.0))
+        sim = _CheckedSimulation(profiles, cap, mob, top_rate_scheduler, RunConfig(horizon=8.0, ack_window=1.0))
         res = sim.run()
-        assert asleep == [(1, 4), (1, 4)]
-        assert res.messages.sleep == 2
+        assert [r.t_end for r in res.downloads[1].records] == [0.5, 1.0, 3.0, 5.0, 7.0]
+        assert [r.t_end for r in res.downloads[4].records] == [4.0]
+        msgs = res.messages
+        assert (msgs.ready, msgs.ack, msgs.sleep, msgs.awake) == (8, 3, 7, 5)
+        assert {uid: st.quiet_since for uid, st in sim.users.items()} == {1: 7.0, 4: 4.0}
 
     def test_wake_is_held_while_the_no_ack_window_is_armed(self):
-        # As above, with a 10 s window: user 1 arms it at 0.5 s and is
-        # parked on Wait(4.5) when user 4's segment lands at 4 s.  That
-        # leaves the group's hold equal to the park, so the wake is held.
+        # As above, with a 10 s window and T = 6 s: user 1 is parked on
+        # Wait(4.5) when user 4's segment lands at 4 s.  That leaves the
+        # group's hold equal to the park, so the wake is held.  No quiet
+        # stretch reaches the 10 s window, so nobody sleeps.
         ladder = BitrateLadder((0.5, 1.0))
         profiles = {
             1: video_profile(1, ladder=ladder, buffer_cap=4.0),
@@ -1132,7 +1181,8 @@ class TestCoordinationOnlyCounts:
         decided = self.logged(sim)
         res = sim.run()
         assert [r.t_end for r in res.downloads[4].records] == [4.0]
-        assert sim.users[1].sleep_deadline == 10.5 and res.messages.sleep == 0
+        assert {uid: st.quiet_since for uid, st in sim.users.items()} == {1: 5.0, 4: 4.0}
+        assert res.messages.sleep == res.messages.awake == 0
         assert res.counters.wakes_held == 1
         assert [t for t, uid in decided if uid == 1 and 3.0 < t < 5.0] == [4.5]
 
@@ -1144,9 +1194,10 @@ class TestGroupState:
         # are parked on a Wait for that instant and decide in uid order:
         # user 1 starts a segment, which leaves no owner with room, so users
         # 2 and 3 park on the next room or, once every segment is reserved,
-        # on Idle, each with the ACKs of the needy peers left after the
-        # start.  _CheckedSimulation checks the group state, the hold and
-        # the READY/ACK counts of every step against fresh scans.
+        # on Idle.  A Wait's expiry frees no radio, so none of these
+        # decisions sends a READY or draws an ACK.  _CheckedSimulation checks
+        # the group state, the hold and the READY/ACK counts of every step
+        # against fresh scans.
         ladder = BitrateLadder((0.5, 1.0))
         profiles = {
             uid: video_profile(uid, ladder=ladder, buffer_cap=cap_s, video_len=8.0)
@@ -1169,15 +1220,15 @@ class TestGroupState:
         started = {r.t_start: r.owner for r in res.downloads[1].records}
         assert {t: started[t] for t in (2.5, 4.5, 5.5)} == {2.5: 1, 4.5: 1, 5.5: 2}
         assert steps[2.5] == [
-            (1, Wait(2.5), None, 2), (2, Wait(2.5), Wait(3.5), 2), (3, Wait(2.5), Wait(3.5), 2)
+            (1, Wait(2.5), None, 0), (2, Wait(2.5), Wait(3.5), 0), (3, Wait(2.5), Wait(3.5), 0)
         ]
         # user 1's start reserves its own last segment
         assert steps[4.5] == [
-            (1, Wait(4.5), None, 1), (2, Wait(4.5), Wait(5.5), 0), (3, Wait(4.5), Wait(5.5), 1)
+            (1, Wait(4.5), None, 0), (2, Wait(4.5), Wait(5.5), 0), (3, Wait(4.5), Wait(5.5), 0)
         ]
         # user 1's start reserves user 2's last segment: nobody is needy
         assert steps[5.5] == [
-            (1, Wait(5.5), None, 1), (2, Wait(5.5), Idle(), 0), (3, Wait(5.5), Idle(), 0)
+            (1, Wait(5.5), None, 0), (2, Wait(5.5), Idle(), 0), (3, Wait(5.5), Idle(), 0)
         ]
         assert all(r.remaining == 0 for r in sim.users.values())
 
@@ -1281,8 +1332,8 @@ class TestEngineCounters:
         # Three video users at one hotspot fill 4 s buffers over 4, 2 and
         # 1 Mbps links and spend most of the run waiting for room.  Thirteen
         # deliveries leave the group's hold equal to a waiting user's park,
-        # so those wake-ups are held: the downloads are those of waking
-        # every parked user, from fewer calls and READYs.
+        # so those wake-ups are held: the downloads and messages are those
+        # of waking every parked user, from fewer decisions.
         ladder = BitrateLadder((0.5, 1.0))
         profiles = {
             uid: video_profile(uid, ladder=ladder, buffer_cap=4.0, video_len=40.0)
@@ -1304,8 +1355,9 @@ class TestEngineCounters:
         assert result_to_dict(got)["engine"]["wakes_held"] == 13
         assert got.downloads == want.downloads
         assert want.counters.wakeups == got.counters.wakeups + got.counters.wakes_held
-        assert (got.counters.decisions, got.counters.hold_parks, got.messages.ready) == (40, 22, 40)
-        assert (want.counters.decisions, want.counters.hold_parks, want.messages.ready) == (53, 35, 53)
+        assert (got.counters.decisions, got.counters.hold_parks, got.messages.ready) == (40, 22, 20)
+        assert (want.counters.decisions, want.counters.hold_parks, want.messages.ready) == (53, 35, 20)
+        assert got.messages == want.messages
         assert got.counters.calls == want.counters.calls == 18
 
 
@@ -1315,11 +1367,15 @@ class TestEngineDifferential:
         # owner's anchored instant make every time a function of the writes,
         # not of how often a user decided, so no run differs from waking
         # every parked user in the last bits only.  A twin makes the old
-        # rule's decisions that matter, so it is identical.
-        parts = split(compare(_Simulation, _WakeAllSimulation, seeds=(1,)))
+        # rule's decisions that matter, so it is identical.  Messages are
+        # counted from the protocol, not from the decisions run, so they are
+        # equal wherever the downloads are.
+        rows = compare(_Simulation, _WakeAllSimulation, seeds=(1,))
+        parts = split(rows)
         coop, twin = parts["cooperative"], parts["twin"]
         assert coop["noise"] == twin["noise"] == 0
         assert coop["identical"] > 0
+        assert all(row.same_messages for row in rows if row.verdict == "identical")
         assert twin["identical"] == twin["same_messages"] == twin["runs"] == 27
         assert twin["calls_a"] == twin["calls_b"]
         assert twin["decisions_a"] < twin["decisions_b"]

@@ -29,6 +29,7 @@ from coopstream.harness import (
 )
 from coopstream.schedulers import make_scheduler
 from coopstream.welfare import rebuf_loss
+from trace_csv import write_trace_csv
 
 
 def tiny_config(**overrides) -> ScenarioConfig:
@@ -174,8 +175,8 @@ def test_build_traces_csv_round_trip(tmp_path):
     cfg = tiny_config(n_users=2, mobility="synthetic")
     cap, mob, _ = build_traces(cfg, rep_seed=5)
     cap_path, mob_path = tmp_path / "cap.csv", tmp_path / "mob.csv"
-    cap.to_csv(str(cap_path))
-    mob.to_csv(str(mob_path))
+    write_trace_csv(cap, str(cap_path))
+    write_trace_csv(mob, str(mob_path))
     csv_cfg = tiny_config(
         n_users=2,
         mobility="csv",

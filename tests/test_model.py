@@ -12,7 +12,6 @@ from coopstream.model import (
     WelfareBreakdown,
     derive_receive_sequences,
     segment_volume,
-    validate_profile,
 )
 
 LADDER = BitrateLadder((0.2, 0.4, 0.7, 1.3, 2.3))
@@ -66,15 +65,15 @@ class TestUserProfile:
 
     def test_validate_rejects_nonmultiple_video_len(self):
         with pytest.raises(ModelError):
-            validate_profile(video_profile(video_len=99.0))
+            video_profile(video_len=99.0)
 
     def test_validate_rejects_small_buffer(self):
         with pytest.raises(ModelError):
-            validate_profile(video_profile(buffer_cap=1.0))
+            video_profile(buffer_cap=1.0)
 
     def test_validate_rejects_negative_coefficients(self):
         with pytest.raises(ModelError):
-            validate_profile(video_profile(c_time=-0.1))
+            video_profile(c_time=-0.1)
 
     def test_segment_volume(self):
         # level 5 at 2.3 Mbps over a 2 s segment

@@ -20,6 +20,7 @@ from coopstream.traces import (
     next_positive_capacity,
     synth_traces,
 )
+from trace_csv import write_trace_csv
 
 
 def step_trace():
@@ -231,8 +232,8 @@ class TestCsvRoundTrip:
         cap, mob = synth_traces(cfg, 17)
         cap_path = tmp_path / "cap.csv"
         mob_path = tmp_path / "mob.csv"
-        cap.to_csv(cap_path)
-        mob.to_csv(mob_path)
+        write_trace_csv(cap, cap_path)
+        write_trace_csv(mob, mob_path)
         cap2 = CapacityTrace.from_csv(cap_path)
         mob2 = MobilityTrace.from_csv(mob_path)
         assert cap2.users() == cap.users()
@@ -251,6 +252,6 @@ class TestCsvRoundTrip:
 
     def test_mobility_rejects_a_capacity_file(self, tmp_path):
         p = tmp_path / "cap.csv"
-        step_trace().to_csv(p)
+        write_trace_csv(step_trace(), p)
         with pytest.raises(TraceError, match="expected header user_id,t_from,t_to,hotspot_id"):
             MobilityTrace.from_csv(p)

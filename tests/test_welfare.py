@@ -18,7 +18,6 @@ from coopstream.welfare import (
     qdeg_loss,
     quality_value,
     rebuf_loss,
-    social_welfare,
     total_value,
     user_welfare,
     welfare_breakdowns,
@@ -161,19 +160,16 @@ class TestUserWelfare:
             user_welfare(None, rx, profiles[1], profiles)
 
     def test_breakdowns_reconcile_with_social(self):
+        # User 1 fetches a segment for itself and one for user 2, who
+        # downloads nothing.  Each user's breakdown is its welfare from its
+        # own downloads and receipts, so the social welfare is their sum.
         profiles = {1: video_profile(1), 2: video_profile(2)}
-        downloads = {
-            1: DownloadSequence(
-                1,
-                [
-                    DownloadRecord(1, 1, 1, 5, 0.0, 2.0),
-                    DownloadRecord(1, 2, 1, 3, 2.0, 3.0),
-                ],
-            ),
-            2: DownloadSequence(2, []),
-        }
+        own, relayed = DownloadRecord(1, 1, 1, 5, 0.0, 2.0), DownloadRecord(1, 2, 1, 3, 2.0, 3.0)
+        downloads = {1: DownloadSequence(1, [own, relayed]), 2: DownloadSequence(2, [])}
         parts = welfare_breakdowns(downloads, profiles)
-        assert social_welfare(downloads, profiles) == pytest.approx(
-            sum(b.welfare for b in parts.values())
-        )
+        assert parts == {
+            1: user_welfare(downloads[1], ReceiveSequence(1, [own]), profiles[1], profiles),
+            2: user_welfare(downloads[2], ReceiveSequence(2, [relayed]), profiles[2], profiles),
+        }
+        assert parts[1].energy_wifi > 0.0 and parts[2].value > 0.0
 
