@@ -17,24 +17,23 @@ protocol (READY, ACK, sleep) is only counted in `MessageStats`, from the
 protocol's own events: it steers no decision, and no re-decision counts.
 
 A Download that the horizon would cut short starts nothing and is
-answered as an Idle.  Every decision that starts no transfer sets a timer
-and parks the user on the hold it waits on, read by one wake rule
-(`_wake_parked`): a cooperative Wait or Idle, which a delivery or abort of
-a segment whose owner shares its hotspot ends unless it leaves the
-group's hold equal to the park; or None, on a dead link and in the twin,
-which only its own timer ends.  A Wait's timer is its instant, a dead
-link's the link's return, a cooperative Idle's the next mobility
-breakpoint of any user; a twin's Idle has none.
+answered as an Idle.  Every decision that starts no transfer parks the
+user on the hold it waits on, read by one wake rule (`_wake_parked`): a
+cooperative Wait or Idle, which a delivery or abort of a segment whose
+owner shares its hotspot, or a user's arrival there, ends unless it
+leaves the group's hold equal to the park; or None, on a dead link and
+in the twin, which only its own timer ends.  A Wait's timer is its
+instant and a dead link's the link's return; an Idle has none.
 
 A decider's group comes from a hotspot-occupancy index that every
 mobility bound updates as an event of its own, before anything else at
-that instant.  Each occupied hotspot has one group state, built on first
-use and read by every decision, wake-up and coordination step there:
-its members, its needy members (video users with segments unreserved) and
-their hold with the snapshots it was built from, cached for one instant,
-since buffers drain, or until a scheduler call is handed them.  A
-transfer's start, its delivery or abort, and every move in or out of the
-hotspot drop it.  A user in transit, and a twin acting alone, get a fresh
+that instant; a cooperative arrival wakes its hotspot after them.  Each
+occupied hotspot has one group state, built on first use and read by
+every decision, wake-up and coordination step there: its members, its
+needy members (video users with segments unreserved) and their hold with
+the snapshots it was built from, cached for one instant, since buffers
+drain, or until a scheduler call is handed them.  A transfer's start,
+its delivery or abort, and every move in or out of the hotspot drop it.  A user in transit, and a twin acting alone, get a fresh
 state of their own.
 
 Time state is anchored to writes: a buffer is stored as its level just
@@ -72,8 +71,9 @@ from .schedulers import Download, Idle, PeerInfo, SchedulerView, Wait, can_affor
 from .welfare import buffer_trajectory, rebuf_loss, user_welfare
 
 _MOVE = 0  # mobility bounds apply before anything at their instant reads the index
-_COMPLETE = 1  # deliveries and aborts apply before same-instant decisions
-_DECIDE = 2
+_ARRIVE = 1  # an arrival wakes its hotspot once every move at its instant is in
+_COMPLETE = 2  # deliveries and aborts apply before same-instant decisions
+_DECIDE = 3
 
 
 class SimError(RuntimeError):
@@ -100,15 +100,13 @@ class RunConfig:
 class MessageStats:
     """Abstract coordination traffic of a cooperative run (a twin counts
     none): one READY each time a user's radio comes free and it has
-    company, one ACK per needy co-located listener, one virtual ACK per
-    needy user at t = 0.  A quiet stretch of at least `ack_window` since a
-    user's last READY or ACK is a sleep, and the READY or ACK that ends it
-    an awake.  Of the READYs only their count and the instant of the last
-    (None before the first) are kept."""
+    company, and one ACK per needy co-located listener.  A quiet stretch
+    of at least `ack_window` since a user's last READY or ACK is a sleep,
+    and the READY or ACK that ends it an awake.  Of the READYs only their
+    count and the instant of the last (None before the first) are kept."""
 
     ready: int = 0
     ack: int = 0
-    virtual_ack: int = 0
     sleep: int = 0
     awake: int = 0
     last_ready: float | None = None
@@ -137,7 +135,7 @@ class EngineCounters:
     calls_idle: int = 0
     calls_cut: int = 0
     dead_link_parks: int = 0
-    wakeups: int = 0         # decisions scheduled by completion wake-ups
+    wakeups: int = 0         # decisions scheduled by completion and arrival wake-ups
     wakes_held: int = 0      # wake-ups not scheduled: the group's hold is the park's
 
 
@@ -260,7 +258,7 @@ class _Simulation:
     # -- event plumbing ----------------------------------------------------
 
     def _push(self, t, kind, uid, payload=None, gen=None):
-        # No two entries tie: one move and one completion pending per user, a new gen per decision.
+        # No two entries tie: one move, arrival and completion pending per user, a new gen per decision.
         heapq.heappush(self.heap, (t, kind, uid, gen, payload))
 
     def _schedule_decision(self, uid, t):
@@ -272,15 +270,16 @@ class _Simulation:
             self._push(t, _DECIDE, uid, gen=st.gen)
 
     def _wake_parked(self, t, owner):
-        # A delivery or abort changes only the owner's snapshot, and a view
-        # holds the snapshots of the decider's group alone, so only parked
-        # users at the owner's hotspot at t (the owner alone in transit) can
-        # see it.  Of those, a park on None keeps its timer.  A cooperative
-        # Wait or Idle is held when deciding now would park it where it is:
-        # the engine answers the group's hold whenever it is not None, so
-        # that is when the park equals the hold (the same `until` bit for
-        # bit, or Idle, whose next breakpoint cannot have passed) and its
-        # link is alive.
+        # A delivery or abort changes only the owner's snapshot, and an
+        # arrival only the mover's group; a view holds the snapshots of the
+        # decider's group alone, so only parked users at the owner's (or
+        # mover's) hotspot at t, itself alone in transit, can see it.  Of
+        # those, a park on None keeps its timer.  A cooperative Wait or Idle
+        # is held when deciding now would park it where it is: the engine
+        # answers the group's hold whenever it is not None, so that is when
+        # the park equals the hold (the same `until` bit for bit, or Idle)
+        # and its link is alive.  A departure wakes nobody: removing a
+        # member never lets a pending owner take a segment.
         group = self._group(owner, t)
         users, counters = self.users, self.counters
         for uid in group.members:
@@ -313,7 +312,10 @@ class _Simulation:
     # -- group / view construction -----------------------------------------
 
     def _move(self, uid, i):
-        """Move `uid` onto piece i of its track, at the piece's start."""
+        """Move `uid` onto piece i of its track, at the piece's start t.  In
+        a cooperative run before the horizon it then arrives: once every
+        move at t is in, the parked users at its new hotspot wake as at a
+        delivery there."""
         track = self.mob.tracks[uid]
         old = self.spot[uid]
         self.occupants[old].discard(uid)
@@ -323,6 +325,9 @@ class _Simulation:
         self.groups.pop(spot, None)
         if i + 1 < len(track.values):
             self._push(track.bounds[i + 1], _MOVE, uid, payload=i + 1)
+        t = track.bounds[i]
+        if not self.cfg.noncoop and t < self.T - TIME_EPS:
+            self._push(t, _ARRIVE, uid)
 
     def _new_group(self, members) -> _Group:
         """A group state of `members`, ascending, with no hold yet."""
@@ -465,16 +470,12 @@ class _Simulation:
         # A twin's Wait is its own buffer's shortfall, and its Idle means
         # nothing of its own is left to fetch, or nothing it could fetch
         # by the horizon: only its timer ends either, and an Idle parks it
-        # for good.
-        park = answer if cooperative else None
-        if isinstance(answer, Wait):
-            if not answer.until > t:
-                raise SimError(f"user {uid}: a wait must end after the decision instant")
-            self._park(uid, answer.until, park)
-        else:
-            # Nothing to do here and now: revisit at the next mobility
-            # breakpoint of any user.
-            self._park(uid, self.mob.next_breakpoint(t) if cooperative else None, park)
+        # for good.  A cooperative Idle has no timer either: only an event
+        # at its hotspot can give it something to do.
+        wait = isinstance(answer, Wait)
+        if wait and not answer.until > t:
+            raise SimError(f"user {uid}: a wait must end after the decision instant")
+        self._park(uid, answer.until if wait else None, answer if cooperative else None)
 
     def _start_download(self, uid, t, acting, decision) -> bool:
         """Schedule the delivery or abort; False when the horizon cuts it short."""
@@ -536,8 +537,6 @@ class _Simulation:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> SimResult:
-        if not self.cfg.noncoop:
-            self.msgs.virtual_ack += sum(st.is_video_user and st.remaining > 0 for st in self.users.values())
         for uid in self.profiles:
             self._schedule_decision(uid, 0.0)
         counters = self.counters
@@ -547,6 +546,9 @@ class _Simulation:
                 break
             if kind == _MOVE:
                 self._move(uid, payload)
+                continue
+            if kind == _ARRIVE:
+                self._wake_parked(t, uid)
                 continue
             counters.events += 1
             if kind == _COMPLETE:
@@ -709,7 +711,6 @@ def result_to_dict(result: SimResult) -> dict:
         "messages": {
             "ready": result.messages.ready,
             "ack": result.messages.ack,
-            "virtual_ack": result.messages.virtual_ack,
             "sleep": result.messages.sleep,
             "awake": result.messages.awake,
         },

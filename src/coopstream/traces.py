@@ -148,19 +148,14 @@ class MobilityTrace(_StepTrace):
     header = ("user_id", "t_from", "t_to", "hotspot_id")
     cast = int
 
-    def __init__(self, horizon: float, rows: list[tuple[int, float, float, int]]):
-        super().__init__(horizon, rows)
-        bps: set[float] = set()
-        for tr in self.tracks.values():
-            bps.update(tr.bounds[1:-1])
-        self._all_breakpoints = sorted(bps)
-
     def next_breakpoint(self, t: float) -> float | None:
         """Earliest location change strictly after t, across all users."""
-        i = bisect.bisect_right(self._all_breakpoints, t + TIME_EPS)
-        if i < len(self._all_breakpoints):
-            return self._all_breakpoints[i]
-        return None
+        later = [
+            tr.bounds[i]
+            for tr in self.tracks.values()
+            if (i := bisect.bisect_right(tr.bounds, t + TIME_EPS, 1)) < len(tr.bounds) - 1
+        ]
+        return min(later, default=None)
 
 
 def _read_csv_rows(path: str, header: tuple[str, ...]) -> list[tuple[float, float, float, float]]:

@@ -17,7 +17,7 @@ the no-ACK window (sleeps), which the engine set barely reaches.  By its downloa
   leaves no record, so its energy is all that shows it);
 * material: anything else.
 
-Messages (READY, ACK, virtual ACK, sleep and awake counts and the last
+Messages (READY, ACK, sleep and awake counts and the last
 READY instant) and `EngineCounters` are compared on their own, since a
 change to the decision policy or to the coordination protocol moves them
 on purpose; so are the live counters: every counter but the dead-link
@@ -56,7 +56,7 @@ SEEDS = range(1, 11)
 SCHEDULERS = ("lyapunov", "buffer", "prediction")
 MICRO_SEEDS = range(400)
 TOTALS = ("decisions", "calls", "calls_cut", "dead_link_parks", "wakeups", "wakes_held")
-MESSAGE_TOTALS = ("ready", "ack", "sleep", "awake")  # their places in Outcome.messages: 0, 1, 3, 4
+MESSAGE_TOTALS = ("ready", "ack", "sleep", "awake")  # the first four places of Outcome.messages
 # counters that re-deciding a dead link, only to park there again, moves
 DEAD_LINK_COUNTERS = ("events", "decisions", "stale", "dead_link_parks", "wakeups")
 TOL = 1e-9
@@ -70,7 +70,7 @@ class Outcome:
     records: tuple    # per downloader: (owner, seq, level, bitrate, t_start, t_end) rows
     aborts: tuple     # (uid, count, energy) rows
     welfare: tuple    # (uid, value, loss_qdeg, loss_rebuf, energy_cell, energy_wifi) rows
-    messages: tuple   # (ready, ack, virtual_ack, sleep, awake, last READY instant or None)
+    messages: tuple   # (ready, ack, sleep, awake, last READY instant or None)
     counters: dict
     social_welfare: float
 
@@ -186,7 +186,7 @@ def outcome(res) -> Outcome:
             (uid, b.value, b.loss_qdeg, b.loss_rebuf, b.energy_cell, b.energy_wifi)
             for uid, b in sorted(res.breakdowns.items())
         ),
-        messages=(m.ready, m.ack, m.virtual_ack, m.sleep, m.awake, last_ready),
+        messages=(m.ready, m.ack, m.sleep, m.awake, last_ready),
         counters=asdict(res.counters),
         social_welfare=res.social_welfare,
     )
@@ -228,7 +228,7 @@ def _row(key, a: Outcome, b: Outcome) -> Row:
         tuple(
             {
                 **{name: o.counters[name] for name in TOTALS},
-                **dict(zip(MESSAGE_TOTALS, (o.messages[i] for i in (0, 1, 3, 4)))),
+                **dict(zip(MESSAGE_TOTALS, o.messages)),
             }
             for o in (a, b)
         ),

@@ -7,8 +7,10 @@ profiles and traces are built first.  From the repository root,
 
     PYTHONPATH=src python tests/scale_run.py [--n N] [--horizon T] [--pairs K] [OTHER/src]
 
-prints, per run, the wall seconds, the `EngineCounters`, the
-READY/ACK/sleep/awake counts and `repr` of the social welfare.  Given
+prints, per run, the wall seconds, the events per started transfer
+(`events / calls_download`, the decision work per start), the
+`EngineCounters`, the READY/ACK/sleep/awake counts and `repr` of the
+social welfare.  Given
 OTHER/src, each of K pairs runs OTHER's engine and this checkout's, in
 alternating order, each on the scenario builders and scheduler of its own
 package (loaded with `engine_differential.load_package`), asserts that
@@ -68,9 +70,10 @@ def main(argv=None) -> None:
             wall, result = scale_run(package, args.n, args.horizon)
             got[name] = summary(result)
             counters, welfare, (ready, ack, sleep, awake) = got[name]
+            per_start = counters["events"] / counters["calls_download"]
             print(
-                f"{name} n={args.n} T={args.horizon:g}: {wall:.2f} s ready={ready} ack={ack}"
-                f" sleep={sleep} awake={awake} welfare={welfare!r}"
+                f"{name} n={args.n} T={args.horizon:g}: {wall:.2f} s events/start={per_start:.2f}"
+                f" ready={ready} ack={ack} sleep={sleep} awake={awake} welfare={welfare!r}"
             )
             print(f"  {counters}")
         if args.other:

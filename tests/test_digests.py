@@ -125,7 +125,7 @@ def compute_digests() -> dict[str, str]:
         for res in results
     ]
     messages = [
-        [m.ready, m.ack, m.virtual_ack, m.sleep, m.awake,
+        [m.ready, m.ack, m.sleep, m.awake,
          None if m.last_ready is None else m.last_ready.hex()]
         for m in (res.messages for res in results)
     ]

@@ -9,6 +9,7 @@ from coopstream.engine import (
     RunConfig,
     SimAuditError,
     SimError,
+    _ARRIVE,
     _COMPLETE,
     _DECIDE,
     _Simulation,
@@ -235,7 +236,6 @@ class TestCoordinationAccounting:
         mob = full_coop_mobility(range(3), 12.0)
         res = run(profiles, cap, mob, make_scheduler("lyapunov"), RunConfig(horizon=12.0))
         msgs = res.messages
-        assert msgs.virtual_ack == 2  # both video users needy at start
         # Helper 0 sends a READY at t = 0 and after each of its deliveries;
         # the dead links of users 1 and 2 never come back, so they send none.
         assert msgs.ready == 1 + res.counters.completions == 17
@@ -276,10 +276,9 @@ class TestCoordinationAccounting:
         # side by side over [20, 21.15], ..., and each of their READYs at
         # 21.15 ends a 21.15 s quiet stretch, as the video user's first ACK
         # ends its own: three sleeps, each with its awake.  Every later
-        # stretch lasts 1.15 s.  The only virtual ACK is the video user's at
-        # t = 0.
+        # stretch lasts 1.15 s.
         assert (msgs.ready, msgs.ack) == (2 + 16, 16)
-        assert (msgs.sleep, msgs.awake, msgs.virtual_ack) == (3, 3, 1)
+        assert (msgs.sleep, msgs.awake) == (3, 3)
         assert len(res.receives[2].records) == 16
         assert min(r.t_start for r in res.receives[2].records) >= 20.0
 
@@ -535,12 +534,9 @@ class _FreshScans:
         return [at for at, kind, who, g, _ in self.heap if kind == _DECIDE and who == uid and g == gen]
 
     def _wakes(self, t, answer):
-        """The pending decisions a park on `answer` at t leaves."""
-        if isinstance(answer, Wait):
-            wake = answer.until
-        else:
-            wake = self.mob.next_breakpoint(t) if not self.cfg.noncoop else None
-        return [wake] if wake is not None and wake < self.T - TIME_EPS else []
+        """The pending decisions a park on `answer` at t leaves: a Wait's at
+        its instant, an Idle's none."""
+        return [answer.until] if isinstance(answer, Wait) and answer.until < self.T - TIME_EPS else []
 
     def _scan_group(self, uid, t):
         return [m for m in self.profiles if tr.encountered(self.mob, uid, m, t)]
@@ -609,14 +605,16 @@ class _CheckedSimulation(_FreshScans, _Simulation):
     would have handed it, built afresh, and must answer that same Wait or
     Idle; the user must be parked where that answer puts it.
 
-    No peer's delivery, abort or READY re-decides a user whose park is
-    None.  After every abort the owner, built afresh, can take a segment, so
+    No peer's delivery, abort, move or READY re-decides a user whose park
+    is None.  A Wait leaves a decision pending at its instant, an Idle none.
+    After every abort the owner, built afresh, can take a segment, so
     the group has no hold and no wake at the abort is held.  After every
     delivery or abort before the horizon, each user co-located with the
     segment's owner and parked on a Wait or Idle has a decision pending at
-    that instant, unless its wake was held.  For each held wake the hold of
-    the group, built afresh, must equal the user's park, and its link must
-    be alive.
+    that instant, unless its wake was held; after every cooperative move
+    before the horizon, so has each such user at the mover's new hotspot,
+    the mover included.  For each held wake the hold of the group, built
+    afresh, must equal the user's park, and its link must be alive.
     """
 
     def __init__(self, *args):
@@ -679,26 +677,43 @@ class _CheckedSimulation(_FreshScans, _Simulation):
 
     def _complete(self, uid, t, payload):
         kind, owner = payload[:2]
-        gens = {m: st.gen for m, st in self.users.items()}
-        wakes_held = self.counters.wakes_held
         unparked = self._parked_on_none(uid)
+        self.woken = None
         super()._complete(uid, t, payload)
         self.freed[uid] += 1
         self._check_not_re_decided(unparked)
         if kind == "abort":
             # Admission and deliveries keep buffer + inflight * beta <= Q.
             assert can_afford(self._fresh_peer_info(owner, t))
+        live = not self.cfg.noncoop and t < self.T - TIME_EPS
+        assert self.woken == ((t, owner) if live else None)
+
+    def _move(self, uid, i):
+        gens = {m: st.gen for m, st in self.users.items()}
+        super()._move(uid, i)
+        assert {m: st.gen for m, st in self.users.items()} == gens  # only its arrival wakes anyone
+        t = self.mob.tracks[uid].bounds[i]
+        live = not self.cfg.noncoop and t < self.T - TIME_EPS
+        assert ((t, _ARRIVE, uid, None, None) in self.heap) == live
+
+    def _wake_parked(self, t, owner):
+        # `owner` is the segment's owner at a delivery or abort, or the mover
+        # at an arrival.
+        gens = {m: st.gen for m, st in self.users.items()}
+        wakes_held = self.counters.wakes_held
+        unparked = self._parked_on_none(None)
+        super()._wake_parked(t, owner)
+        self.woken = (t, owner)
+        self._check_not_re_decided(unparked)
         held = 0
-        for m in self.profiles if t < self.T - TIME_EPS else ():
-            st = self.users[m]
+        for m, st in self.users.items():
             if st.park is not None and tr.encountered(self.mob, owner, m, t):
                 if st.gen == gens[m]:
                     self._check_held(m, t)
                     held += 1
                 else:
                     assert (t, _DECIDE, m) in {
-                        (at, kind, who) for at, kind, who, gen, _ in self.heap
-                        if gen == self.users[m].gen
+                        (at, kind, who) for at, kind, who, gen, _ in self.heap if gen == st.gen
                     }
         assert self.counters.wakes_held - wakes_held == held
 
@@ -716,14 +731,14 @@ class _CheckedSimulation(_FreshScans, _Simulation):
         others = [m for m in self._scan_group(uid, t) if m != uid]
         senders = [uid, *self._fresh_needy(others)] if others else []
         m = self.msgs
-        before = (m.ready, m.ack, m.virtual_ack)
+        before = (m.ready, m.ack)
         last_ready = m.last_ready
         quiet = {u: s.quiet_since for u, s in self.users.items()}
         gens = {u: s.gen for u, s in self.users.items()}
         assert super()._ready(uid, t, group) is None
         assert {u: s.gen for u, s in self.users.items()} == gens
-        want = (1, len(senders) - 1, 0) if senders else (0, 0, 0)
-        assert (m.ready - before[0], m.ack - before[1], m.virtual_ack - before[2]) == want
+        want = (1, len(senders) - 1) if senders else (0, 0)
+        assert (m.ready - before[0], m.ack - before[1]) == want
         assert m.last_ready == (t if senders else last_ready)
         assert not st.ready_due
         for u, s in self.users.items():
@@ -819,9 +834,9 @@ class _TwinWakes(_Simulation):
 
 
 class _WakeAllSimulation(_TwinWakes):
-    """The wake rule before hotspot pruning and held wakes: every delivery
-    or abort, nearby or not, re-decides every parked user in ascending uid
-    order.  A park on None is recorded as _WAKES."""
+    """The wake rule before hotspot pruning and held wakes: every delivery,
+    abort or cooperative move, nearby or not, re-decides every parked user
+    in ascending uid order.  A park on None is recorded as _WAKES."""
 
     def _park(self, uid, wake, park):
         super()._park(uid, wake, _WAKES if park is None else park)
@@ -834,8 +849,9 @@ class _WakeAllSimulation(_TwinWakes):
 
 
 class _UnheldSimulation(_Simulation):
-    """The wake rule before held wakes: every delivery or abort re-decides
-    each user at the owner's hotspot parked on a cooperative Wait or Idle."""
+    """The wake rule before held wakes: every delivery, abort or arrival
+    re-decides each user at the owner's or mover's hotspot parked on a
+    cooperative Wait or Idle."""
 
     def _park(self, uid, wake, park):
         super()._park(uid, wake, park if park is None else _WAKES)
@@ -843,8 +859,9 @@ class _UnheldSimulation(_Simulation):
 
 class _DeadLinkWakeSimulation(_Simulation):
     """The cooperative dead-link rule before dead links parked on their own
-    timer: every delivery or abort at the owner's hotspot re-decides a user
-    parked on a dead link, only to park it there again."""
+    timer: every delivery, abort or arrival at the owner's or mover's
+    hotspot re-decides a user parked on a dead link, only to park it there
+    again."""
 
     def _park(self, uid, wake, park):
         super()._park(uid, wake, _WAKES if park is None and not self.cfg.noncoop else park)
@@ -870,7 +887,40 @@ class _TwinWakeAllSimulation(_TwinWakes):
 
 
 class TestWakeRule:
-    """A delivery or abort re-decides only the parked users that can see it."""
+    """A delivery, abort or arrival re-decides only the parked users that
+    can see it."""
+
+    def test_an_arrival_wakes_an_idle_park_and_nothing_else_does(self):
+        # Helper 1 idles at hotspot 1, where nobody needs a segment, and
+        # has no timer.  Helper 3 moves from hotspot 2 to 3 at 2 s, and
+        # helper 4 leaves hotspot 1 for hotspot 2 at 3 s: each arrives alone,
+        # where its own Idle is the hold, so neither move re-decides anyone.
+        # Video user 2, on a dead link in transit, arrives at hotspot 1 with
+        # an empty buffer at 5 s, which wakes helper 1: it decides at 5 s
+        # and fetches user 2's segments, one a second.
+        ladder = BitrateLadder((0.5, 1.0))
+        profiles = {uid: idle_profile(uid) for uid in (1, 3, 4)}
+        profiles[2] = video_profile(2, ladder=ladder)
+        cap = constant_capacity({1: 1.0, 2: 0.0, 3: 1.0, 4: 1.0}, 10.0)
+        mob = MobilityTrace(
+            10.0,
+            [
+                (1, 0.0, 10.0, 1),
+                (2, 0.0, 5.0, 0), (2, 5.0, 10.0, 1),
+                (3, 0.0, 2.0, 2), (3, 2.0, 10.0, 3),
+                (4, 0.0, 3.0, 1), (4, 3.0, 10.0, 2),
+            ],
+        )
+        sim = _CheckedSimulation(
+            profiles, cap, mob, lambda view: Download(view.pending[0].user_id, 1), RunConfig(horizon=10.0)
+        )
+        decided = TestCoordinationOnlyCounts.logged(sim)
+        res = sim.run()
+        assert [t for t, uid in decided if uid == 1] == [0.0, 5.0, 6.0, 7.0, 8.0, 9.0]
+        assert [(r.owner, r.t_start) for r in res.downloads[1].records][:2] == [(2, 5.0), (2, 6.0)]
+        assert [t for t, uid in decided if uid in (3, 4)] == [0.0, 0.0]
+        c = res.counters
+        assert (c.wakeups, c.wakes_held, c.stale) == (1, 2, 0)
 
     def test_delivery_wakes_only_parked_users_beside_the_owner(self):
         # User 1 fetches one of its own segments over [0, 1] at hotspot 1.
@@ -879,6 +929,8 @@ class TestWakeRule:
         # user 3 does not.  User 4 fetches its own segment in transit over
         # [0, 2]; user 5, also in transit, shares no hotspot with it.  Users
         # 2, 3 and 5 wait past the horizon, so only a wake-up re-decides them.
+        # At 0.5 s each of users 2 and 3 arrives where its Wait is not the
+        # hold, so each re-decides there.
         profiles = {uid: video_profile(uid) for uid in range(1, 6)}
         cap = constant_capacity({1: 0.4, 2: 1.0, 3: 1.0, 4: 0.2, 5: 1.0}, 10.0)
         mob = MobilityTrace(
@@ -913,8 +965,8 @@ class TestWakeRule:
         later = sorted((t, uid) for uid, t in decided if t > 0.0)
         # user 1's delivery at 1.0 re-decides user 1 and its new neighbour
         # 2; user 4's delivery at 2.0 re-decides user 4 alone
-        assert later == [(1.0, 1), (1.0, 2), (2.0, 4)]
-        assert res.counters.wakeups == 1
+        assert later == [(0.5, 2), (0.5, 3), (1.0, 1), (1.0, 2), (2.0, 4)]
+        assert res.counters.wakeups == 3
 
     @pytest.mark.parametrize("name", ["lyapunov", "buffer", "prediction"])
     def test_full_coop_matches_wake_all(self, name):
@@ -955,14 +1007,15 @@ class TestWakeRule:
                 assert got.messages == want.messages
                 assert any(seq.records for seq in got.downloads.values())
 
-    @pytest.mark.parametrize("name, old_parks", [("lyapunov", 49), ("buffer", 46), ("prediction", 47)])
-    def test_dead_link_park_keeps_its_own_timer(self, name, old_parks):
+    @pytest.mark.parametrize("name, completion_parks", [("lyapunov", 49), ("buffer", 46), ("prediction", 47)])
+    def test_dead_link_park_keeps_its_own_timer(self, name, completion_parks):
         # Criterion 9's hotspot (three video users, rowed in 10 s spans),
         # with user 1's link dead from the start until 75 s while users 0
         # and 2 deliver its segments.  Only the link's return re-decides it:
         # one dead-link park, where re-deciding it at every nearby delivery
-        # and abort parks it on the dead link again and again, with the same
-        # downloads and messages.
+        # and abort, and at the 7 row bounds (10, 20, ..., 70 s) where all
+        # three arrive again, parks it on the dead link again and again,
+        # with the same downloads and messages.
         profiles = {uid: video_profile(uid, buffer_cap=20.0, video_len=60.0) for uid in range(3)}
         cap = CapacityTrace(
             120.0, [(0, 0.0, 120.0, 3.5), (1, 0.0, 75.0, 0.0), (1, 75.0, 120.0, 3.5), (2, 0.0, 120.0, 3.5)]
@@ -975,6 +1028,7 @@ class TestWakeRule:
         a, b = outcome(got), outcome(want)
         assert classify(a, b) == "identical" and a.messages == b.messages
         assert len([r for r in got.receives[1].records if r.t_end < 75.0]) == 30
+        old_parks = completion_parks + 7
         assert (got.counters.dead_link_parks, want.counters.dead_link_parks) == (1, old_parks)
         assert want.counters.decisions - got.counters.decisions == old_parks - 1
 
@@ -1099,8 +1153,7 @@ class TestCoordinationOnlyCounts:
         return decided
 
     def test_twin_counts_no_coordination_traffic(self):
-        # A twin acts alone: it counts no READY, ACK, sleep or wake, and no
-        # virtual ACK either, not even for the needy users at t = 0.
+        # A twin acts alone: it counts no READY, ACK, sleep or wake.
         cfg = ScenarioConfig()
         profiles = build_profiles(cfg, 1)
         cap, mob, _ = build_traces(cfg, 1)
@@ -1109,15 +1162,16 @@ class TestCoordinationOnlyCounts:
             res = run(profiles, cap, mob, make_scheduler(name), run_cfg)
             assert any(seq.records for seq in res.downloads.values())
             assert all(value in (0, None) for value in asdict(res.messages).values())
-            assert result_to_dict(res)["messages"]["virtual_ack"] == 0
 
     def test_ready_that_wakes_a_parked_sleeper_schedules_no_decision(self):
         # User 1 fills its 4 s buffer at hotspot 1 beside helper 3, whose
         # link is dead, so its READYs draw no ACK.  User 2's link comes back
         # at 5.75 s as it arrives: only then does it send the READY due
         # since t = 0.  User 1, parked on a Wait and quiet since its READY
-        # at 5 s, answers it: its ACK ends a 0.75 s sleep, but user 1 decides
-        # next at user 2's delivery (6.25 s), not at 5.75 s.  With a 0.6 s
+        # at 5 s, answers it: its ACK ends a 0.75 s sleep.  User 1 decides
+        # at 5.75 s, before user 2, since user 2's arrival woke it; the
+        # READY schedules no decision (_CheckedSimulation checks), and user
+        # 1 decides next at user 2's delivery (6.25 s).  With a 0.6 s
         # window, user 1 sleeps before its sends at 3, 5, 5.75 and 8.75 s and
         # user 2 before its sends at 5.75 and 8.75 s; both, and helper 3,
         # which never sends, are quiet to the horizon for longer: nine
@@ -1137,9 +1191,9 @@ class TestCoordinationOnlyCounts:
         res = sim.run()
         assert (1, 5.0) in sim.sent and (1, 5.75) in sim.sent
         assert not any(uid == 1 and 5.0 < t < 5.75 for uid, t in sim.sent)
-        assert (res.messages.sleep, res.messages.awake, res.messages.virtual_ack) == (9, 6, 2)
-        assert (5.75, 2) in decided
-        assert [t for t, uid in decided if uid == 1 and 5.0 < t < 6.5] == [6.25]
+        assert (res.messages.sleep, res.messages.awake) == (9, 6)
+        assert decided.index((5.75, 1)) < decided.index((5.75, 2))
+        assert [t for t, uid in decided if uid == 1 and 5.0 < t < 6.5] == [5.75, 6.25]
 
     def test_no_sleep_ends_where_it_begins(self):
         # User 4 reserves its only segment at t = 0 and receives it at 4 s.
