@@ -9,7 +9,9 @@ the decider alone in the non-cooperative twin (`RunConfig.noncoop`).
 When none of them can take a segment, the engine answers
 `schedulers.hold` itself; only when a transfer can start is the scheduler
 asked, with a view whose `pending` lists them and whose `peers` are its
-hotspot's video users, and a Download must name one of them.  The pending
+hotspot's video users, and a Download must name one of them.  A snapshot
+(`PeerInfo`) holds the six facts the rules read; whether its user has
+segments left to reserve is said by `pending` alone.  The pending
 snapshots are those the hold was built from at that instant, and the
 engine builds only the other peers'; each snapshot serves one call, and
 the engine reads none once a scheduler has it.  The coordination
@@ -364,10 +366,8 @@ class _Simulation:
             prof,
             buffer,
             st.last_bitrate,
-            st.remaining,
             st.inflight,
-            st.received > 0,
-            finished,
+            st.received > 0 and not finished,
             st.t0 + st.q0 + prof.segment_len - prof.buffer_cap,
         )
 

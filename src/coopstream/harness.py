@@ -24,7 +24,7 @@ from . import bound as bd
 from . import traces as tr
 from .engine import RunConfig, SimResult, run, write_records_csv, write_result_json
 from .model import BitrateLadder, UserProfile
-from .schedulers import make_scheduler
+from .schedulers import make_scheduler, rule_params
 from .welfare import rebuf_loss  # noqa: F401  (bench/layers.py wraps harness.rebuf_loss)
 
 
@@ -129,17 +129,8 @@ class ScenarioConfig:
         )
 
     def scheduler_params(self, name: str) -> dict:
-        if name == "lyapunov":
-            return {"drift_weight": self.drift_weight}
-        if name == "buffer":
-            return {"low_reserve": self.low_reserve, "min_gap": self.min_gap}
-        if name == "prediction":
-            return {
-                "low_reserve": self.low_reserve,
-                "min_gap": self.min_gap,
-                "window": self.prediction_window,
-            }
-        return {}
+        """The config fields that a named scheduler's parameters name."""
+        return {key: getattr(self, key) for key in rule_params(name)}
 
 
 # -- config file grammar: `key = value` lines, `#` comments, lists by comma --

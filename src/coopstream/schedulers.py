@@ -48,17 +48,17 @@ class Idle:
 @dataclass(slots=True)
 class PeerInfo:
     """What a downloader can observe about one co-located video user, at
-    one decision instant.  Each serves one view: a pending owner's is the
-    one the engine's hold was built from at that instant, and the engine
-    reads none once a scheduler has it, so a scheduler may write over it."""
+    one decision instant: only the facts some rule reads, so whether the
+    user has segments left to reserve is for the view's `pending` to say.
+    Each serves one view: a pending owner's is the one the
+    engine's hold was built from at that instant, and the engine reads
+    none once a scheduler has it, so a scheduler may write over it."""
 
     profile: UserProfile
     buffer: float                  # playback buffer, seconds
     last_bitrate: float | None     # bitrate of the most recently received segment
-    remaining: int                 # segments nobody has reserved yet
     inflight: int                  # reserved segments not yet delivered
-    playback_started: bool
-    playback_finished: bool
+    playing: bool                  # playback started and not finished; a stall plays
     room_at: float                 # instant the buffer can take one more segment
 
     @property
@@ -72,7 +72,8 @@ class SchedulerView:
 
     `peers` are every co-located video user, whose buffers feed the drift
     estimates; `pending` are those of them the decider may serve, as the
-    engine names them.
+    engine names them, so the decider has segments of its own to fetch
+    exactly when its snapshot is among them.
     """
 
     profile: UserProfile            # the decider's own
@@ -84,12 +85,6 @@ class SchedulerView:
     @property
     def user_id(self) -> int:
         return self.profile.user_id
-
-    def peer(self, user_id: int) -> PeerInfo | None:
-        for p in self.peers:
-            if p.user_id == user_id:
-                return p
-        return None
 
 
 def can_afford(peer: PeerInfo) -> bool:
@@ -136,10 +131,10 @@ def lyapunov_scores(
     segment: per owner, one score per ladder level (index level - 1); lower
     is better.
 
-    The drift is the change in 0.5 * (Q - q)^2 of every drifting peer
-    (playing and unfinished) drained through the download, in view order,
-    plus the owner's own change from its drained buffer to that plus one
-    segment, capped at Q.  The welfare is the owner's value, less its
+    The drift is the change in 0.5 * (Q - q)^2 of every drifting peer (one
+    whose snapshot says `playing`) drained through the download, in view
+    order, plus the owner's own change from its drained buffer to that plus
+    one segment, capped at Q.  The welfare is the owner's value, less its
     degradation, the drifting peers' stalls and the decider's costs.  A
     playing owner's own drain and stall are among the peers'; an owner that
     has not started is at buffer 0 and stalls nothing, by README's stall
@@ -152,8 +147,7 @@ def lyapunov_scores(
     decider = view.profile
     drifting = [
         (p.profile.buffer_cap, p.buffer, (p.profile.buffer_cap - p.buffer) ** 2, p.profile.phi_rebuf)
-        for p in view.peers
-        if p.playback_started and not p.playback_finished
+        for p in view.peers if p.playing
     ]
     totals, ladders = {}, []
     for owner in owners:
@@ -228,10 +222,9 @@ def _choose_owner(view: SchedulerView, low_reserve: float, min_gap: float):
     if not cands:
         return None
     poorest = min(cands, key=lambda p: (p.buffer, p.user_id))
-    me = view.peer(view.user_id)
-    own_active = me is not None and me.remaining > 0
-    if not own_active:
-        # No own demand to protect: help unconditionally.
+    me = next((p for p in view.pending if p.user_id == view.user_id), None)
+    if me is None:
+        # Not pending itself, so no own demand to protect: help unconditionally.
         return poorest
     helping = (
         poorest.user_id != view.user_id
@@ -272,14 +265,15 @@ def _prediction_level(owner: PeerInfo, estimate: float) -> int:
 
 
 def prediction_based_decide(
-    view: SchedulerView, low_reserve: float = 0.5, min_gap: float = 4.0, window: int = 3
+    view: SchedulerView, low_reserve: float = 0.5, min_gap: float = 4.0, prediction_window: int = 3
 ):
-    """Baseline: bitrate follows the mean Mbps of the last `window` completed
-    downloads (the current capacity before any); owner by the shared rule."""
+    """Baseline: bitrate follows the mean Mbps of the last `prediction_window`
+    completed downloads (the current capacity before any); owner by the
+    shared rule."""
     owner = _choose_owner(view, low_reserve, min_gap)
     if owner is None:
         return _wait_or_idle(view.pending)
-    tail = view.history[-window:] if window > 0 else ()
+    tail = view.history[-prediction_window:] if prediction_window > 0 else ()
     estimate = sum(tail) / len(tail) if tail else view.capacity
     return Download(owner.user_id, _prediction_level(owner, estimate))
 
@@ -296,12 +290,20 @@ _RULES = {
 SCHEDULER_NAMES = tuple(_RULES)
 
 
-def make_scheduler(name: str, **params):
-    """Build a named scheduler callable: view -> decision; a bad `params` key raises TypeError."""
+def rule_params(name: str) -> tuple[str, ...]:
+    """The keyword parameters of a named scheduler, every one after its view;
+    an unknown name raises ValueError."""
     rule = _RULES.get(name)
     if rule is None:
         raise ValueError(f"unknown scheduler {name!r}; choose from {SCHEDULER_NAMES}")
-    inspect.signature(rule).bind(None, **params)
-    fn = partial(rule, **params)
+    return tuple(inspect.signature(rule).parameters)[1:]
+
+
+def make_scheduler(name: str, **params):
+    """Build a named scheduler callable: view -> decision; a bad `params` key raises TypeError."""
+    unknown = sorted(params.keys() - set(rule_params(name)))
+    if unknown:
+        raise TypeError(f"scheduler {name!r} has no parameter {unknown[0]!r}")
+    fn = partial(_RULES[name], **params)
     fn.name = name
     return fn

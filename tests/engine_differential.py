@@ -170,8 +170,6 @@ def simulate_micro(sim_cls, seed: int, scheduler: str, twin: bool) -> Outcome:
 def outcome(res) -> Outcome:
     """The plain-value outputs of one `SimResult`."""
     m = res.messages
-    # A checkout from before READY became a count keeps every READY instant.
-    last_ready = (m.ready_times or [None])[-1] if hasattr(m, "ready_times") else m.last_ready
     return Outcome(
         records=tuple(
             tuple(
@@ -186,7 +184,7 @@ def outcome(res) -> Outcome:
             (uid, b.value, b.loss_qdeg, b.loss_rebuf, b.energy_cell, b.energy_wifi)
             for uid, b in sorted(res.breakdowns.items())
         ),
-        messages=(m.ready, m.ack, m.sleep, m.awake, last_ready),
+        messages=(m.ready, m.ack, m.sleep, m.awake, m.last_ready),
         counters=asdict(res.counters),
         social_welfare=res.social_welfare,
     )

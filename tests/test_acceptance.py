@@ -402,10 +402,8 @@ def test_arithmetic_goldens(verdict):
             profile=golden_profile(uid),
             buffer=buffer,
             last_bitrate=None,
-            remaining=10,
             inflight=0,
-            playback_started=started,
-            playback_finished=False,
+            playing=started,
             room_at=buffer + 2.0 - 40.0,
         )
 

@@ -224,6 +224,13 @@ def test_slotted_instance_noncoop_drops_pairings():
     assert inst.can_pair(1, 1, 1)
 
 
+def test_slotted_instance_rejects_traces_shorter_than_a_slot():
+    cap = tr.constant_capacity({0: 1.0}, 0.5)
+    mob = tr.full_coop_mobility([0], 0.5)
+    with pytest.raises(BoundError, match="cannot fit 0 unit slots into horizon 0.5"):
+        slotted_instance({0: profile(0, (1.0,))}, cap, mob)
+
+
 # ---------------------------------------------------------------------------
 # Refinement.
 

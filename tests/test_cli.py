@@ -126,6 +126,11 @@ def test_values_the_run_would_reject_are_config_errors(tmp_path, capsys, command
     assert "config error" in capsys.readouterr().err
 
 
+def test_a_sweep_of_no_values_is_a_config_error(tiny_cfg, capsys):
+    assert main(["sweep", "--config", tiny_cfg, "--axis", "horizon", "--values", ","]) == 1
+    assert "config error: sweep needs at least one value" in capsys.readouterr().err
+
+
 def test_a_key_set_twice_is_a_config_error(tmp_path, capsys):
     # the run would otherwise silently take the later value
     cfg = tmp_path / "twice.cfg"

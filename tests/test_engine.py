@@ -59,10 +59,16 @@ def idle_profile(uid):
     return video_profile(uid, video_len=0.0)
 
 
+def own(view):
+    """The decider's snapshot among its pending owners; None when it has no
+    segment left to reserve."""
+    return next((p for p in view.pending if p.user_id == view.user_id), None)
+
+
 def top_rate_scheduler(view):
     """Self-serve at the ladder top whenever the buffer can take it."""
-    me = view.peer(view.user_id)
-    if me is None or me.remaining <= 0:
+    me = own(view)
+    if me is None:
         return Idle()
     if can_afford(me):
         return Download(view.user_id, me.profile.ladder.top)
@@ -98,8 +104,8 @@ class TestSingleUser:
         mob = full_coop_mobility([1], 2.5)
 
         def z1_scheduler(view):
-            me = view.peer(view.user_id)
-            if me is None or me.remaining <= 0 or not can_afford(me):
+            me = own(view)
+            if me is None or not can_afford(me):
                 return Idle()
             return Download(view.user_id, 1)
 
@@ -118,8 +124,8 @@ class TestSingleUser:
         mob = full_coop_mobility([1], 30.0)
 
         def z1(view):
-            me = view.peer(view.user_id)
-            if me is None or me.remaining <= 0 or not can_afford(me):
+            me = own(view)
+            if me is None or not can_afford(me):
                 return Idle()
             return Download(view.user_id, 1)
 
@@ -144,8 +150,8 @@ class TestSingleUser:
         calls = []
 
         def scripted(view):
-            me = view.peer(view.user_id)
-            if me.remaining <= 0 or not can_afford(me):
+            me = own(view)
+            if me is None or not can_afford(me):
                 return Idle()
             if view.user_id == 2:
                 return Download(2, 1)
@@ -296,6 +302,27 @@ class TestCoordinationAccounting:
         assert last_ready is None or last_ready <= last_delivery + 10.0 + 1e-6
 
 
+def parting_pair():
+    """Helper 1 on a 1 Mbps link beside user 2, whose link is dead and who
+    moves away at 1 s."""
+    profiles = {1: idle_profile(1), 2: video_profile(2)}
+    cap = constant_capacity({1: 1.0, 2: 0.0}, 10.0)
+    mob = MobilityTrace(10.0, [(1, 0.0, 10.0, 1), (2, 0.0, 1.0, 1), (2, 1.0, 10.0, 2)])
+    return profiles, cap, mob
+
+
+class _UnpartedSimulation(_Simulation):
+    """Starts every transfer as if its pair stayed together to its end, so
+    no parting aborts one."""
+
+    def _start_download(self, uid, t, acting, decision):
+        mob, self.mob = self.mob, full_coop_mobility(list(self.profiles), self.T)
+        try:
+            return super()._start_download(uid, t, acting, decision)
+        finally:
+            self.mob = mob
+
+
 class TestAudit:
     def good_run(self):
         profiles = {1: video_profile(1), 2: video_profile(2)}
@@ -337,6 +364,48 @@ class TestAudit:
         }
         bad = audit_run(profiles, cap, mob, downloads, 10.0, noncoop=True)
         assert any("C.3" in v for v in bad)
+
+    def test_detects_a_cross_download_whose_pair_parts(self):
+        # User 2 leaves user 1's hotspot at 1 s, during the 4.6 s transfer
+        # user 1 makes for it.
+        profiles, cap, mob = parting_pair()
+        downloads = {
+            1: DownloadSequence(1, [DownloadRecord(1, 2, 1, 5, 0.0, 4.6)]),
+            2: DownloadSequence(2, []),
+        }
+        bad = audit_run(profiles, cap, mob, downloads, 10.0)
+        assert bad == ["C.3 user 1: not with owner 2 throughout [0.0, 4.6]"]
+
+    def test_detects_a_record_outside_the_horizon(self):
+        # The traces run on to 20 s, so only the horizon rules it out.
+        profiles = {1: video_profile(1)}
+        cap = constant_capacity({1: 1.0}, 20.0)
+        mob = full_coop_mobility([1], 20.0)
+        downloads = {1: DownloadSequence(1, [DownloadRecord(1, 1, 1, 1, 9.8, 10.2)])}
+        bad = audit_run(profiles, cap, mob, downloads, 10.0)
+        assert bad == ["C.1 user 1: record outside [0, T]"]
+
+    def test_detects_a_record_for_an_unknown_owner(self):
+        profiles = {1: video_profile(1)}
+        cap = constant_capacity({1: 1.0}, 10.0)
+        mob = full_coop_mobility([1], 10.0)
+        downloads = {1: DownloadSequence(1, [DownloadRecord(1, 9, 1, 1, 0.0, 0.4)])}
+        bad = audit_run(profiles, cap, mob, downloads, 10.0)
+        assert bad == ["user 1: record for unknown owner 9", "receive structure: record for unknown owner 9"]
+
+    def test_run_raises_the_violations(self, monkeypatch):
+        # An engine whose transfers ignore the pair's parting delivers the
+        # segment that the parting should abort, and the run's audit
+        # rejects the record.
+        monkeypatch.setattr("coopstream.engine._Simulation", _UnpartedSimulation)
+        profiles, cap, mob = parting_pair()
+
+        def help_two(view):
+            return Download(2, 5) if view.user_id == 1 and view.pending else Idle()
+
+        with pytest.raises(SimAuditError) as err:
+            run(profiles, cap, mob, help_two, RunConfig(horizon=10.0))
+        assert err.value.violations == ["C.3 user 1: not with owner 2 throughout [0.0, 4.6]"]
 
     def test_detects_buffer_overflow(self):
         profiles = {1: video_profile(1, buffer_cap=4.0)}
@@ -485,6 +554,17 @@ class TestBadSchedulers:
         with pytest.raises(SimError, match="wait must end after"):
             run(profiles, cap, mob, rogue, RunConfig(horizon=10.0))
 
+    def test_an_answer_that_is_no_decision_rejected(self):
+        profiles = {1: video_profile(1)}
+        cap = constant_capacity({1: 2.0}, 10.0)
+        mob = full_coop_mobility([1], 10.0)
+
+        def rogue(view):
+            return "download"
+
+        with pytest.raises(SimError, match="user 1: unknown decision 'download'"):
+            run(profiles, cap, mob, rogue, RunConfig(horizon=10.0))
+
 
 class _FreshScans:
     """The checks of `_CheckedSimulation` and the fresh scans of the engine
@@ -544,9 +624,8 @@ class _FreshScans:
     def _fresh_pending(self, uid, peers):
         """The owners among `peers` that `uid` may serve: those with segments
         nobody has reserved, and in the twin `uid` alone."""
-        return tuple(
-            p for p in peers if p.remaining > 0 and (not self.cfg.noncoop or p.user_id == uid)
-        )
+        needy = self._fresh_needy([p.user_id for p in peers])
+        return tuple(p for p in peers if p.user_id in needy and (not self.cfg.noncoop or p.user_id == uid))
 
     def _fresh_needy(self, members):
         """The video users among `members` with segments nobody has reserved."""
@@ -566,10 +645,8 @@ class _FreshScans:
             profile=prof,
             buffer=0.0 if finished else buffer,
             last_bitrate=st.last_bitrate,
-            remaining=prof.num_segments - st.received - st.inflight,
             inflight=st.inflight,
-            playback_started=st.received > 0,
-            playback_finished=finished,
+            playing=st.received > 0 and not finished,
             room_at=st.t0 + st.q0 + prof.segment_len - prof.buffer_cap,
         )
 
@@ -945,8 +1022,9 @@ class TestWakeRule:
         )
 
         def scripted(view):
-            me = view.peer(view.user_id)
-            if view.user_id in (1, 4) and me.remaining == me.profile.num_segments:
+            me = own(view)
+            # nothing of its own delivered or in flight yet
+            if view.user_id in (1, 4) and me is not None and me.last_bitrate is None and me.inflight == 0:
                 return Download(view.user_id, 1)
             return Wait(100.0)
 
@@ -1295,7 +1373,7 @@ class TestSnapshots:
         def decide(view):
             answer = rule(view)
             for p in view.peers + view.pending:
-                p.buffer, p.remaining, p.inflight, p.room_at = 1e9, 0, 99, -1.0
+                p.buffer, p.inflight, p.playing, p.room_at = 1e9, 99, False, -1.0
             return answer
 
         return decide
@@ -1371,8 +1449,8 @@ class TestEngineCounters:
                     return Idle()
                 waited.append(view)
                 return Wait(2.5)
-            me = view.peer(1)
-            return Download(1, 1 if me.remaining == me.profile.num_segments else 5)
+            me = own(view)
+            return Download(1, 1 if me.last_bitrate is None and me.inflight == 0 else 5)
 
         res = run(profiles, cap, mob, scripted, RunConfig(horizon=3.0))
         assert [r.t_end for r in res.downloads[1].records] == [0.4]

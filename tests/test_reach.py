@@ -1,6 +1,7 @@
 """Every top-level function and class method in the package is used by
-code in `src/` or `bench/`, and every method of an engine subclass in the
-tests overrides an engine step.
+code in `src/` or `bench/`, every field of a scheduler's view is read by
+a rule, and every method of an engine subclass in the tests overrides an
+engine step.
 
 A formula that only the tests call belongs with the tests, as lyapunov's
 reference terms sit in `tests/lyapunov_oracle.py` and the trace CSV
@@ -9,6 +10,12 @@ some module under `src/` or `bench/` reads its name, as a bare name or as
 an attribute; Python calls the dunder methods itself.  `EXCEPTIONS` lists
 those kept without such a use, each with its reason.
 
+A `SchedulerView` and its `PeerInfo` snapshots hold only what the rules
+in `schedulers.py` read, each fact once: a field that no rule reads by
+name is a fact the engine computes at every decision for nobody.  Only
+the rules' module counts, since the engine keeps its own user state under
+the same names (`inflight`, `last_bitrate`).
+
 A test subclass of `engine._Simulation` checks or replaces engine steps
 by overriding them.  An override of a step the engine no longer has is
 never called, so its checks stop running while the tests still pass.
@@ -16,8 +23,10 @@ never called, so its checks stop running while the tests still pass.
 
 import ast
 import os
+from dataclasses import dataclass, fields
 
 from coopstream.engine import _Simulation
+from coopstream.schedulers import PeerInfo, SchedulerView
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "coopstream")
@@ -62,10 +71,9 @@ def _defined(module: str, source: str) -> list[tuple[str, str]]:
     return found
 
 
-def unused_functions(modules: dict[str, str], sources: list[str]) -> list[str]:
-    """`module.function` or `module.Class.method` for each top-level function
-    and method in `modules` (name -> source) whose name no source in
-    `sources` reads."""
+def names_read(sources: list[str]) -> set[str]:
+    """Every name that some source in `sources` reads, as a bare name or as
+    an attribute."""
     read = set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
@@ -73,6 +81,14 @@ def unused_functions(modules: dict[str, str], sources: list[str]) -> list[str]:
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def unused_functions(modules: dict[str, str], sources: list[str]) -> list[str]:
+    """`module.function` or `module.Class.method` for each top-level function
+    and method in `modules` (name -> source) whose name no source in
+    `sources` reads."""
+    read = names_read(sources)
     return sorted(
         qualified
         for module, source in modules.items()
@@ -114,6 +130,28 @@ def test_the_check_sees_unused_functions():
     assert unused_functions({"m": module}, [module, user]) == ["m.K.d", "m.c"]
     method = "class K:\n    def __init__(self):\n        pass\n\n    def d(self):\n        pass\n"
     assert unused_functions({"m": method}, [method, "k.d()\n"]) == []
+
+
+def unread_fields(classes, sources: list[str]) -> list[str]:
+    """`Class.field` for each dataclass field of `classes` whose name no
+    source in `sources` reads."""
+    read = names_read(sources)
+    return sorted(f"{cls.__name__}.{f.name}" for cls in classes for f in fields(cls) if f.name not in read)
+
+
+def test_every_view_field_is_read_by_a_rule():
+    rules = _read(os.path.join(PACKAGE, "schedulers.py"))
+    assert unread_fields((PeerInfo, SchedulerView), [rules]) == []
+
+
+def test_the_check_sees_unread_fields():
+    @dataclass
+    class Snapshot:
+        buffer: float
+        remaining: int
+
+    rule = "def decide(view):\n    return [p.buffer for p in view.peers]\n"
+    assert unread_fields((Snapshot,), [rule]) == ["Snapshot.remaining"]
 
 
 def test_every_engine_subclass_method_overrides_an_engine_step():

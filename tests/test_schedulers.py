@@ -19,6 +19,7 @@ from coopstream.schedulers import (
     lyapunov_scores,
     make_scheduler,
     prediction_based_decide,
+    rule_params,
 )
 from coopstream.welfare import quality_value
 from lyapunov_oracle import decision_welfare, drift_term, projected_owner_buffer, projected_peer_buffer
@@ -38,31 +39,29 @@ def video_profile(uid=1, **kw):
     return UserProfile(**args)
 
 
-def peer(uid, buffer, last=None, remaining=10, inflight=0, started=True,
-         finished=False, profile=None):
+def peer(uid, buffer, last=None, inflight=0, playing=True, profile=None):
     """A peer as seen at a decision at t = 0, where its buffer last filled."""
     prof = profile or video_profile(uid)
     return PeerInfo(
         profile=prof,
         buffer=buffer,
         last_bitrate=last,
-        remaining=remaining,
         inflight=inflight,
-        playback_started=started,
-        playback_finished=finished,
+        playing=playing,
         room_at=buffer + prof.segment_len - prof.buffer_cap,
     )
 
 
-def view(uid, peers, capacity=2.3, history=(), cooperative=True, profile=None):
+def view(uid, peers, capacity=2.3, history=(), cooperative=True, profile=None, done=()):
     """A view whose pending owners are derived as the engine derives them:
-    every peer with segments left, and in the twin the decider's own alone."""
+    every peer with segments left (all but the users in `done`), and in the
+    twin the decider's own alone."""
     return SchedulerView(
         profile=profile or video_profile(uid),
         capacity=capacity,
         peers=tuple(peers),
         history=tuple(history),
-        pending=tuple(p for p in peers if p.remaining > 0 and (cooperative or p.user_id == uid)),
+        pending=tuple(p for p in peers if p.user_id not in done and (cooperative or p.user_id == uid)),
     )
 
 
@@ -109,7 +108,7 @@ class TestLyapunovDecide:
     def test_tie_breaks_to_lower_owner_then_level(self):
         # two identical empty owners: all levels tie at beta gain; the
         # lower owner id and level win
-        v = view(1, [peer(2, 0.0, started=False), peer(3, 0.0, started=False)], capacity=1e9)
+        v = view(1, [peer(2, 0.0, playing=False), peer(3, 0.0, playing=False)], capacity=1e9)
         got = lyapunov_decide(v, drift_weight=0.0)
         assert got == Download(2, 1)
 
@@ -124,7 +123,7 @@ class TestLyapunovDecide:
         assert isinstance(got, Download) and got.owner == 1
 
     def test_idle_when_nothing_pending(self):
-        v = view(1, [peer(1, 10.0, remaining=0)])
+        v = view(1, [peer(1, 10.0)], done={1})
         assert isinstance(lyapunov_decide(v), Idle)
 
 
@@ -151,7 +150,7 @@ def fuzz_view(rng):
     n = rng.randint(2, 26)
     clones = set(range(rng.randint(1, 3), n + 1, rng.randint(2, 4)))   # others sit between
     state = (rng.uniform(0.2, 3.0), rng.choice([None, 0.3, 1.7]), rng.random() < 0.8)
-    peers = []
+    peers, done = [], set()
     for uid in range(1, n + 1):
         if uid in clones:
             prof, (buffer, last, started) = video_profile(uid, **clone), state
@@ -161,20 +160,18 @@ def fuzz_view(rng):
             buffer = rng.choice([0.0, *(rng.uniform(0.0, prof.buffer_cap) for _ in range(3))])
             last, started = rng.choice([None, 0.3, 1.7, 2.9]), rng.random() < 0.8
         remaining = rng.choice([0, 1, 5, 5, 5])
+        if remaining == 0:
+            done.add(uid)
+        inflight = rng.choice([0, 0, 0, 1, 2])
+        finished = started and remaining == 0 and rng.random() < 0.5
         peers.append(peer(
-            uid, buffer, last=last, remaining=remaining, inflight=rng.choice([0, 0, 0, 1, 2]),
-            started=started, finished=started and remaining == 0 and rng.random() < 0.5,
-            profile=prof,
+            uid, buffer, last=last, inflight=inflight, playing=started and not finished, profile=prof,
         ))
     decider = rng.randint(1, n + 1)
     me = video_profile(decider, ladder=ladders[0], **coefficients())
     if decider > n:
         me = replace(me, video_len=0.0)
-    return view(decider, peers, capacity=rng.uniform(0.05, 6.0), profile=me)
-
-
-def drifts(p):
-    return p.playback_started and not p.playback_finished
+    return view(decider, peers, capacity=rng.uniform(0.05, 6.0), profile=me, done=done)
 
 
 class TestEqualStatesTie:
@@ -190,8 +187,9 @@ class TestEqualStatesTie:
             (3, 6.252553474426632, 44, 1), (5, 11.644905859146233, 42, 1),
             (8, 3.8893710679036495, 46, 0),
         ]
-        peers = [peer(uid, buf, last=0.2, remaining=left, inflight=n) for uid, buf, left, n in rows]
-        v = view(6, peers, capacity=0.04337412032810255, profile=video_profile(6, video_len=0.0))
+        peers = [peer(uid, buf, last=0.2, inflight=n) for uid, buf, _, n in rows]
+        v = view(6, peers, capacity=0.04337412032810255, profile=video_profile(6, video_len=0.0),
+                 done={uid for uid, _, left, _ in rows if left == 0})
         scores = lyapunov_scores(v, peers, 100.0)
         assert scores[0][0] == scores[1][0] == scores[2][0] == scores[4][0]
         assert lyapunov_decide(v, drift_weight=100.0) == Download(1, 1)
@@ -210,10 +208,10 @@ class TestEqualStatesTie:
                         continue
                     if replace(a.profile, user_id=0) != replace(b.profile, user_id=0):
                         continue
-                    if a.buffer == b.buffer and drifts(a) == drifts(b):
+                    if a.buffer == b.buffer and a.playing == b.playing:
                         assert ladders[a.user_id] == ladders[b.user_id]
                         seen["clones"] += 1
-                    elif drifts(a) and drifts(b):
+                    elif a.playing and b.playing:
                         prof = a.profile
                         for level, (x, y) in enumerate(zip(ladders[a.user_id], ladders[b.user_id]), 1):
                             if segment_volume(prof, level) / v.capacity >= max(a.buffer, b.buffer):
@@ -227,7 +225,7 @@ class TestEqualStatesTie:
                     for level, score in enumerate(scores, 1)
                 )
                 assert lyapunov_decide(v, drift_weight=weight) == Download(owner, level)
-            seen["no_video"] += v.peer(v.user_id) is None
+            seen["no_video"] += all(p.user_id != v.user_id for p in v.peers)
             seen["two_ladders"] += len({p.profile.ladder for p in v.peers}) > 1
         assert min(seen.values()) > 100, seen
 
@@ -286,7 +284,7 @@ def composed_score(v, owner, level, drift_weight):
     dl_time = volume / v.capacity
     drift = stalls = 0.0
     for p in v.peers:
-        if drifts(p):
+        if p.playing:
             drift += drift_term(p.profile.buffer_cap, p.buffer, projected_peer_buffer(p.buffer, dl_time))
             stalls += p.profile.phi_rebuf * max(dl_time - p.buffer, 0.0)
     drift += drift_term(cap, projected_peer_buffer(q, dl_time), projected_owner_buffer(q, dl_time, beta, cap))
@@ -309,11 +307,11 @@ def folded_score(v, owner, level, drift_weight):
         projected_owner_buffer(owner.buffer, dl_time, prof.segment_len, prof.buffer_cap),
     )
     for p in v.peers:
-        if p.user_id != owner.user_id and drifts(p):
+        if p.user_id != owner.user_id and p.playing:
             drift += drift_term(p.profile.buffer_cap, p.buffer, projected_peer_buffer(p.buffer, dl_time))
     welfare = decision_welfare(
         v.profile, prof, level, v.capacity, owner.last_bitrate,
-        [(p.profile, p.buffer) for p in v.peers if drifts(p)],
+        [(p.profile, p.buffer) for p in v.peers if p.playing],
     )
     return drift - drift_weight * welfare
 
@@ -342,20 +340,20 @@ class TestScoreKernel:
                     w_data=rng.uniform(0.0, 0.2),
                 )
 
-            peers = []
+            peers, finished = [], set()
             for uid in range(1, rng.randint(2, 7)):
                 p = prof(uid)
                 if rng.random() < 0.2:
-                    peers.append(peer(uid, 0.0, started=False, profile=p))
+                    peers.append(peer(uid, 0.0, playing=False, profile=p))
                     continue
-                finished = rng.random() < 0.15
+                if rng.random() < 0.15:
+                    finished.add(uid)
                 peers.append(peer(
-                    uid, 0.0 if finished else rng.uniform(0.0, p.buffer_cap),
-                    last=rng.choice([None, 0.3, 1.7]), remaining=0 if finished else 10,
-                    finished=finished, profile=p,
+                    uid, 0.0 if uid in finished else rng.uniform(0.0, p.buffer_cap),
+                    last=rng.choice([None, 0.3, 1.7]), playing=uid not in finished, profile=p,
                 ))
             decider = rng.randint(1, len(peers) + 1)
-            v = view(decider, peers, capacity=rng.uniform(0.05, 5.0), profile=prof(decider))
+            v = view(decider, peers, capacity=rng.uniform(0.05, 5.0), profile=prof(decider), done=finished)
             weight = rng.choice([0.0, 1.0, 100.0])
             for owner, got in zip(v.pending, lyapunov_scores(v, v.pending, weight)):
                 levels = range(1, ladder.top + 1)
@@ -364,11 +362,11 @@ class TestScoreKernel:
                                             rel=1e-12, abs=1e-9)
                 seen["own" if owner.user_id == v.user_id else "helper"] += 1
                 seen["no_last" if owner.last_bitrate is None else "last"] += 1
-                if not owner.playback_started:
+                if not owner.playing:
                     seen["waiting"] += 1
                     slow = ladder.rate(1) * owner.profile.segment_len / v.capacity > owner.profile.segment_len
                     seen["slow_start"] += slow and owner.profile.phi_rebuf > 0.0 and weight > 0.0
-            seen["finished"] += any(p.playback_finished for p in peers)
+            seen["finished"] += bool(finished)
         assert min(seen.values()) > 20
 
 
@@ -378,7 +376,7 @@ class TestGreedyNoncoop:
 
     @staticmethod
     def noncoop(v):
-        twin = view(v.user_id, v.peers, v.capacity, v.history, cooperative=False, profile=v.profile)
+        twin = replace(v, pending=tuple(p for p in v.pending if p.user_id == v.user_id))
         return make_scheduler("lyapunov")(twin)
 
     def test_self_only(self):
@@ -387,7 +385,7 @@ class TestGreedyNoncoop:
         assert isinstance(got, Download) and got.owner == 1
 
     def test_idle_when_video_done(self):
-        v = view(1, [peer(1, 10.0, remaining=0), peer(2, 0.0)])
+        v = view(1, [peer(1, 10.0), peer(2, 0.0)], done={1})
         assert isinstance(self.noncoop(v), Idle)
 
     def test_wait_on_own_full_buffer(self):
@@ -405,15 +403,15 @@ class TestGreedyNoncoop:
         # terms, it is the cooperative rule with nothing of theirs left
         rng = random.Random(11)
         for _ in range(60):
-            peers = [
-                peer(uid, rng.uniform(0.0, 39.0), last=rng.choice([None, 0.4, 2.3]),
-                     remaining=rng.choice([0, 3, 10]), inflight=rng.choice([0, 1]),
-                     started=rng.random() < 0.8)
-                for uid in (1, 2, 3)
-            ]
-            v = view(1, peers, capacity=rng.uniform(0.3, 6.0))
-            served = [p if p.user_id == 1 else replace(p, remaining=0) for p in peers]
-            assert self.noncoop(v) == lyapunov_decide(view(1, served, capacity=v.capacity))
+            peers, done = [], set()
+            for uid in (1, 2, 3):
+                buffer, last = rng.uniform(0.0, 39.0), rng.choice([None, 0.4, 2.3])
+                if rng.choice([0, 3, 10]) == 0:
+                    done.add(uid)
+                peers.append(peer(uid, buffer, last=last, inflight=rng.choice([0, 1]), playing=rng.random() < 0.8))
+            v = view(1, peers, capacity=rng.uniform(0.3, 6.0), done=done)
+            served = view(1, peers, capacity=v.capacity, done=done | {2, 3})
+            assert self.noncoop(v) == lyapunov_decide(served)
 
 
 class TestBufferBaseline:
@@ -456,7 +454,7 @@ class TestPredictionBaseline:
 
     def test_window_uses_recent_entries(self):
         v = view(1, [peer(1, 10.0)], history=(9.0, 2.3, 2.3, 2.3))
-        assert prediction_based_decide(v, window=3).level == 5
+        assert prediction_based_decide(v, prediction_window=3).level == 5
 
     def test_fallback_to_current_capacity(self):
         v = view(1, [peer(1, 10.0)], capacity=0.7, history=())
@@ -484,15 +482,15 @@ class TestHold:
         rules = {name: make_scheduler(name) for name in ("lyapunov", "buffer", "prediction")}
         held = 0
         for _ in range(300):
-            peers = [
-                peer(uid, rng.choice([rng.uniform(0.0, 40.0), rng.uniform(37.0, 40.0)]),
-                     remaining=rng.choice([0, 3]), inflight=rng.choice([0, 0, 1, 2]),
-                     last=rng.choice([None, 0.7]))
-                for uid in range(1, rng.randint(2, 6))
-            ]
+            peers, done = [], set()
+            for uid in range(1, rng.randint(2, 6)):
+                buffer = rng.choice([rng.uniform(0.0, 40.0), rng.uniform(37.0, 40.0)])
+                if rng.choice([0, 3]) == 0:
+                    done.add(uid)
+                peers.append(peer(uid, buffer, inflight=rng.choice([0, 0, 1, 2]), last=rng.choice([None, 0.7])))
             v = view(rng.randint(1, len(peers) + 1), peers, capacity=rng.uniform(0.1, 5.0),
-                     history=[rng.uniform(0.1, 3.0) for _ in range(rng.randint(0, 3))])
-            want = hold([p for p in peers if p.remaining > 0])
+                     history=[rng.uniform(0.1, 3.0) for _ in range(rng.randint(0, 3))], done=done)
+            want = hold(v.pending)
             if want is None:
                 continue
             held += 1
@@ -537,7 +535,7 @@ class TestRegistry:
             (
                 "prediction",
                 prediction_based_decide,
-                dict(low_reserve=0.8, min_gap=8.0, window=1),
+                dict(low_reserve=0.8, min_gap=8.0, prediction_window=1),
             ),
         ],
     )
@@ -546,13 +544,14 @@ class TestRegistry:
         rng = random.Random(17)
         changed = 0
         for _ in range(300):
-            peers = [
-                peer(uid, rng.uniform(0.0, 39.0), remaining=rng.choice([0, 3, 10]),
-                     inflight=rng.choice([0, 0, 1]))
-                for uid in (1, 2, 3)
-            ]
+            peers, done = [], set()
+            for uid in (1, 2, 3):
+                buffer = rng.uniform(0.0, 39.0)
+                if rng.choice([0, 3, 10]) == 0:
+                    done.add(uid)
+                peers.append(peer(uid, buffer, inflight=rng.choice([0, 0, 1])))
             history = tuple(rng.uniform(0.1, 3.0) for _ in range(rng.randint(0, 5)))
-            v = view(1, peers, capacity=rng.uniform(0.3, 6.0), history=history)
+            v = view(1, peers, capacity=rng.uniform(0.3, 6.0), history=history, done=done)
             assert fn(v) == rule(v, **params)
             changed += rule(v, **params) != rule(v)
         # the non-default values do change decisions, so they reach the rule
@@ -563,4 +562,13 @@ class TestRegistry:
             with pytest.raises(TypeError):
                 make_scheduler(name, bogus=1.0)
         with pytest.raises(TypeError):
-            make_scheduler("buffer", window=3)
+            make_scheduler("buffer", prediction_window=3)
+        with pytest.raises(TypeError):
+            make_scheduler("prediction", window=3)
+
+    def test_rule_params_are_the_signature_keywords(self):
+        assert rule_params("lyapunov") == ("drift_weight",)
+        assert rule_params("buffer") == ("low_reserve", "min_gap")
+        assert rule_params("prediction") == ("low_reserve", "min_gap", "prediction_window")
+        with pytest.raises(ValueError):
+            rule_params("noncoop")

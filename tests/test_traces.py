@@ -48,6 +48,12 @@ class TestCapacityTrace:
             parts = integrate_capacity(trace, 1, a, mid) + integrate_capacity(trace, 1, mid, b)
             assert whole == pytest.approx(parts, abs=1e-12)
 
+    def test_value_outside_the_domain_rejected(self):
+        track = step_trace().tracks[1]
+        for t in (-0.5, 2.5):
+            with pytest.raises(TraceError, match=f"time {t} outside trace domain"):
+                track.value_at(t)
+
     def test_rejects_gap(self):
         with pytest.raises(TraceError):
             CapacityTrace(2.0, [(1, 0.0, 0.5, 2.0), (1, 1.0, 2.0, 4.0)])
